@@ -167,13 +167,8 @@ def load_arrivals(path: str, entry_speed: float) -> list[VehicleRecord]:
     return records
 
 
-def _sweep_cell(args: tuple) -> tuple:
-    scenario, algorithm, n, headway, mode, seed, leader_start = args
-    cfg = SimConfig(scenario=scenario, algorithm=algorithm, n_vehicles=n,
-                    mean_headway=headway, seed=seed, mode=mode,
-                    leader_start=leader_start)
-    result = run_simulation(cfg)
-    return args, result.metrics
+def _sweep_cell(cfg: SimConfig):
+    return run_simulation(cfg).metrics
 
 
 def _check_positive(value, flag: str) -> None:
@@ -226,32 +221,23 @@ def cmd_sweep(args) -> int:
         _check_positive(headway, "--lambda")
     if args.reps < 1:
         raise UsageError(f"--reps: must be at least 1 (got {args.reps})")
-    mode = Mode(args.mode)
+    if args.jobs < 1:
+        raise UsageError(f"--jobs: must be at least 1 (got {args.jobs})")
 
-    jobs = []
-    for n in vehicles:
-        for headway in headways:
-            for rep in range(args.reps):
-                seed = args.seed + rep
-                for name in algorithms:
-                    jobs.append((scenario, _ALGORITHM_FLAGS[name], n, headway,
-                                 mode, seed, args.leader_start))
-
-    outcomes = {}
+    # every configuration is built, hence validated, before the first run
+    jobs = [SimConfig(scenario=scenario, algorithm=_ALGORITHM_FLAGS[name], n_vehicles=n,
+                      mean_headway=headway, seed=args.seed + rep, mode=Mode(args.mode),
+                      leader_start=args.leader_start)
+            for n in vehicles for headway in headways for rep in range(args.reps)
+            for name in algorithms]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for key, metrics in pool.map(_sweep_cell, jobs):
-                outcomes[_job_key(key)] = metrics
+            outcomes = list(pool.map(_sweep_cell, jobs))
     else:
-        for job in jobs:
-            key, metrics = _sweep_cell(job)
-            outcomes[_job_key(key)] = metrics
+        outcomes = [_sweep_cell(job) for job in jobs]
 
-    rows = []
-    for job in jobs:
-        scenario_, algorithm, n, headway, mode_, seed, _ = job
-        metrics = outcomes[_job_key(job)]
-        rows.append(_result_row(algorithm.value, seed, n, headway, mode_.value, metrics))
+    rows = [_result_row(cfg.algorithm.value, cfg.seed, cfg.n_vehicles, cfg.mean_headway,
+                        cfg.mode.value, metrics) for cfg, metrics in zip(jobs, outcomes)]
     _emit(rows, args.out, args.format)
     if args.summary:
         with open(args.summary, "w", encoding="utf-8", newline="") as fh:
@@ -261,11 +247,6 @@ def cmd_sweep(args) -> int:
             writer.writeheader()
             writer.writerows(summary)
     return 0
-
-
-def _job_key(job: tuple) -> tuple:
-    _, algorithm, n, headway, mode, seed, leader = job
-    return (algorithm.value, n, headway, mode.value, seed, leader)
 
 
 def cmd_schedule(args) -> int:

@@ -11,7 +11,7 @@ consecutive layers stay one design gap apart.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -142,6 +142,94 @@ def step_dynamics(state: VehicleState, u: float, dt: float, cfg: IntersectionCon
     new_speed = min(max(state.speed + u_clamped * dt, 0.0), cfg.v_max)
     new_remaining = state.remaining - state.speed * dt
     return VehicleState(remaining=new_remaining, speed=new_speed)
+
+
+@dataclass(frozen=True)
+class PlatoonKernel:
+    """``control_input`` and ``step_dynamics`` over arrays, bit for bit.
+
+    Holds what stays fixed while neither the tree nor the set of controlled
+    vehicles changes.  State arrays are indexed by vehicle id; ``rows`` lists
+    the controlled vehicles.  Column k of ``peers`` and
+    ``offsets`` holds, for every row, its k-th peer in the order
+    ``control_input`` visits it and the desired spacing D_des * (d_j - d_i);
+    rows with fewer peers are padded with their own id and a zero offset,
+    whose terms are exactly zero for finite states.  The per-step work is in
+    methods, not module functions: ``bench/tracer.py`` records every call of
+    a public module function as a span.
+    """
+
+    rows: np.ndarray  # (m,) vehicle ids
+    peers: np.ndarray  # (k, m) peer ids
+    offsets: np.ndarray  # (k, m) D_des * (d_j - d_i)
+    leader_offsets: np.ndarray  # (m,) D_des * (0 - d_i)
+    gains: ControllerGains
+    cfg: IntersectionConfig
+    dt: float
+
+    @classmethod
+    def build(
+        cls,
+        rows: Sequence[int],
+        neighbor_sets: Mapping[int, Iterable[int]],
+        depths: Mapping[int, int],
+        gains: ControllerGains,
+        cfg: IntersectionConfig,
+        dt: float,
+    ) -> "PlatoonKernel":
+        """Links among ``rows``, the active vehicles: as in ``control_input``,
+        peers outside them (absent or crossed) are skipped."""
+        if dt <= 0:
+            raise ContractError("dt must be positive")
+        gap = cfg.desired_gap
+        active = set(rows)
+        lists = [[j for j in neighbor_sets[i] if j in active] for i in rows]
+        width = max(map(len, lists), default=0)
+        pad = [width - len(ps) for ps in lists]
+        peers = [ps + [i] * k for i, ps, k in zip(rows, lists, pad)]
+        offsets = [[gap * (depths[j] - depths[i]) for j in ps] + [0.0] * k
+                   for i, ps, k in zip(rows, lists, pad)]
+        shape = (len(rows), width)
+        return cls(
+            rows=np.array(rows, dtype=np.intp),
+            peers=np.array(peers, dtype=np.intp).reshape(shape).T.copy(),
+            offsets=np.array(offsets, dtype=float).reshape(shape).T.copy(),
+            leader_offsets=np.array([gap * (0 - depths[i]) for i in rows], dtype=float),
+            gains=gains,
+            cfg=cfg,
+            dt=dt,
+        )
+
+    def control_inputs(self, remaining: np.ndarray, speed: np.ndarray,
+                       leader_remaining: float, leader_speed: float) -> np.ndarray:
+        """Input of every row: peer terms in link order, the leader term last."""
+        k_p, k_v = self.gains.k_p, self.gains.k_v
+        p = remaining[self.rows]
+        v = speed[self.rows]
+        spacing = k_p * (remaining[self.peers] - p - self.offsets)
+        damping = k_v * (v - speed[self.peers])
+        u = np.zeros(len(p))
+        for du_p, du_v in zip(spacing, damping):
+            u -= du_p
+            u -= du_v
+        u -= k_p * (leader_remaining - p - self.leader_offsets)
+        u -= k_v * (v - leader_speed)
+        return u
+
+    def euler_step(self, remaining: np.ndarray, speed: np.ndarray,
+                   u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """New (remaining, speed) of the rows whose states and inputs are given.
+
+        The clamps keep Python's ``min``/``max`` tie rules, so a zero keeps its sign.
+        """
+        cfg, dt = self.cfg, self.dt
+        u = _clamp(u, cfg.a_min, cfg.a_max)
+        return remaining - speed * dt, _clamp(speed + u * dt, 0.0, cfg.v_max)
+
+
+def _clamp(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    x = np.where(x < lo, lo, x)
+    return np.where(x > hi, hi, x)
 
 
 def spacing_error(

@@ -10,14 +10,23 @@ stopping line.
 The virtual leader starts ``leader_start`` meters from the stopping line at
 t = 0 and advances at the platoon design speed; a vehicle's slot sits one
 desired gap behind the leader per layer.
+
+One engine runs the closed loop of ``run`` (both modes) and
+``simulate_platoon``: remaining distance, speed and the present and crossed
+masks are numpy arrays indexed by vehicle id, and ``control.PlatoonKernel``
+steps all vehicles in the zone at once, bit for bit as ``control_input`` and
+``step_dynamics`` would.  Its links and spacing offsets are rebuilt only on
+an arrival, a reschedule or a crossing; crossed vehicles leave it and stay
+frozen at their first step past the line.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from itertools import repeat
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -35,9 +44,9 @@ from .conflicts import (
 from .control import (
     LEADER,
     ControllerGains,
+    PlatoonKernel,
     VehicleState,
-    control_input,
-    step_dynamics,
+    build_plf_topology,
 )
 from .scenario import IntersectionConfig
 from .scheduling import (
@@ -97,6 +106,11 @@ class SimConfig:
             raise ContractError("mean_headway must be positive")
         if (self.dt or self.scenario.dt) <= 0:
             raise ContractError("dt must be positive")
+        if (self.algorithm is Algorithm.MCC_BRUTE and self.mode is Mode.ONLINE
+                and self.n_vehicles > self.brute_cap):
+            # online mode reruns the exact cover over every unlocked vehicle
+            raise ContractError(f"mcc-brute in online mode takes at most {self.brute_cap} "
+                                f"vehicles (got {self.n_vehicles}); use mcc-greedy")
 
     @property
     def step(self) -> float:
@@ -193,11 +207,6 @@ class _LooseTree:
         return 0 if node == LEADER else self.depth[node]
 
 
-class _EngineTopology:
-    def __init__(self, neighbor_sets: dict[int, frozenset[int]]):
-        self.neighbor_sets = neighbor_sets
-
-
 @dataclass
 class RunResult:
     metrics: Metrics
@@ -208,13 +217,23 @@ class RunResult:
 
 
 class _Engine:
-    """Shared closed-loop core for both scheduling modes."""
+    """The closed loop of ``run`` and ``simulate_platoon`` (module docstring).
 
-    def __init__(self, cfg: SimConfig):
-        self.cfg = cfg
-        self.scn = cfg.scenario
-        self.dt = cfg.step
-        self.states: dict[int, VehicleState] = {}
+    The schedule stays in the ``depth``/``parent`` maps the schedulers use.
+    ``neighbor_sets`` fixes the links; without it they follow ``parent``.
+    """
+
+    def __init__(self, scn: IntersectionConfig, size: int, *, gains: ControllerGains,
+                 dt: float, leader_start: float, brute_cap: int = 12,
+                 collect_trace: bool = False,
+                 neighbor_sets: Mapping[int, frozenset[int]] | None = None):
+        self.scn, self.gains, self.dt, self.leader_start = scn, gains, dt, leader_start
+        self.brute_cap, self.collect_trace = brute_cap, collect_trace
+        self.fixed_neighbors = neighbor_sets
+        self.remaining, self.speed = np.zeros(size), np.zeros(size)
+        self.present = np.zeros(size, dtype=bool)
+        self.passed = np.zeros(size, dtype=bool)  # crossed the stopping line
+        self.kernel: PlatoonKernel | None = None  # None: rebuild before the next step
         self.depth: dict[int, int] = {}
         self.parent: dict[int, int] = {}
         self.sets: dict[int, ConflictSets] = {}
@@ -225,11 +244,17 @@ class _Engine:
 
     # --- scheduling -----------------------------------------------------
 
+    def enter(self, vehicle: int, remaining: float, speed: float) -> None:
+        self.remaining[vehicle] = remaining
+        self.speed[vehicle] = speed
+        self.present[vehicle] = True
+        self.kernel = None
+
     def in_zone_ids(self) -> list[int]:
-        return sorted(i for i in self.states if i not in self.crossed)
+        return np.flatnonzero(self.present & ~self.passed).tolist()
 
     def live_remaining(self, vehicle: int, _t: float) -> float:
-        return self.states[vehicle].remaining
+        return float(self.remaining[vehicle])
 
     def conflicts_between(self, a: int, b: int) -> bool:
         if self.records[a].movement == self.records[b].movement:
@@ -238,11 +263,8 @@ class _Engine:
         cs = self.sets[hi]
         return lo in cs.crossing or lo in cs.diverging or lo in cs.converging or lo in cs.reachability
 
-    def hard_parents_of(self, v: int) -> frozenset[int]:
-        cs = self.sets[v]
-        return cs.diverging | cs.reachability
-
     def place_incremental(self, record: VehicleRecord, algorithm: Algorithm) -> None:
+        self.kernel = None
         cs = self.sets[record.id]
         tree = _LooseTree(self.depth, self.parent)
         if algorithm is Algorithm.DFST:
@@ -272,9 +294,10 @@ class _Engine:
         Locked vehicles (near the stopping line, or already across) keep
         their depths; recomputed layers slot around them.
         """
+        self.kernel = None
         zone = self.in_zone_ids()
         for i in zone:
-            if reachability_conflict(max(self.states[i].remaining, 0.0), self.scn):
+            if reachability_conflict(max(self.live_remaining(i, 0.0), 0.0), self.scn):
                 self.locked.add(i)
         unlocked = [i for i in zone if i not in self.locked]
         if not unlocked:
@@ -300,7 +323,7 @@ class _Engine:
 
         layers = None
         if algorithm is Algorithm.MCC_BRUTE:
-            covers = minimum_clique_covers(cug, cap=self.cfg.brute_cap)
+            covers = minimum_clique_covers(cug, cap=self.brute_cap)
             for cover in sorted(covers, key=lambda c: (ordering_objective(c), c.canonical())):
                 subsets = [tuple(back[v] for v in s) for s in cover.subsets]
                 layers = order_layers(subsets, lane_lists, conflicted)
@@ -347,13 +370,15 @@ class _Engine:
 
     # --- dynamics -------------------------------------------------------
 
-    def neighbor_sets(self) -> dict[int, frozenset[int]]:
+    def neighbor_sets(self, rows: list[int]) -> Mapping[int, frozenset[int]]:
+        if self.fixed_neighbors is not None:
+            return self.fixed_neighbors
         children: dict[int, set[int]] = {}
         for child, par in self.parent.items():
             if par != LEADER:
                 children.setdefault(par, set()).add(child)
         out = {}
-        for v in self.states:
+        for v in rows:
             peers = set(children.get(v, ()))
             par = self.parent.get(v, LEADER)
             if par != LEADER:
@@ -361,37 +386,43 @@ class _Engine:
             out[v] = frozenset(peers)
         return out
 
-    def control_phase(self, t: float, step_idx: int) -> dict[int, float]:
-        leader = VehicleState(
-            remaining=self.cfg.leader_start - self.scn.platoon_speed * t,
-            speed=self.scn.platoon_speed,
-        )
-        snapshot: dict[int, VehicleState] = {LEADER: leader}
-        snapshot.update(self.states)
-        active = {i for i in self.states if i not in self.crossed}
-        topology = _EngineTopology(self.neighbor_sets())
-        inputs: dict[int, float] = {}
-        for i in sorted(active):
-            u = control_input(i, snapshot, topology, self.depth, self.cfg.gains,
-                              self.scn, active=active)
-            inputs[i] = u
-            if self.cfg.collect_trace:
-                st = self.states[i]
-                self.trace.append(TraceRow(step_idx, i, st.remaining, st.speed, u, self.depth[i]))
-        return inputs
+    def step(self, t: float, step_idx: int) -> None:
+        """Control and integrate the vehicles in the zone over one step."""
+        if self.kernel is None:
+            rows = self.in_zone_ids()
+            self.kernel = PlatoonKernel.build(rows, self.neighbor_sets(rows), self.depth,
+                                              self.gains, self.scn, self.dt)
+        kernel = self.kernel
+        rows = kernel.rows
+        if not rows.size:
+            return
+        u = kernel.control_inputs(self.remaining, self.speed,
+                                  self.leader_start - self.scn.platoon_speed * t,
+                                  self.scn.platoon_speed)
+        p, v = self.remaining[rows], self.speed[rows]
+        new_p, new_v = kernel.euler_step(p, v, u)
+        self.remaining[rows] = new_p
+        self.speed[rows] = new_v
+        if self.collect_trace:
+            ids = rows.tolist()
+            self.trace += map(TraceRow, repeat(step_idx), ids, p.tolist(), v.tolist(),
+                              u.tolist(), [self.depth[i] for i in ids])
+        hits = (p > 0.0) & (new_p <= 0.0)
+        for k in np.flatnonzero(hits).tolist() if hits.any() else ():
+            i, before, after = int(rows[k]), float(p[k]), float(new_p[k])
+            frac = before / max(before - after, 1e-12)
+            self.crossed[i] = t + frac * self.dt
+            self.passed[i] = True
+            self.locked.add(i)
+            self.kernel = None
 
-    def advance(self, inputs: dict[int, float], t: float) -> None:
-        for i, st in list(self.states.items()):
-            u = inputs.get(i, 0.0)
-            if i in self.crossed:
-                new = VehicleState(remaining=st.remaining - st.speed * self.dt, speed=st.speed)
-            else:
-                new = step_dynamics(st, u, self.dt, self.scn)
-            if i not in self.crossed and st.remaining > 0.0 >= new.remaining:
-                frac = st.remaining / max(st.remaining - new.remaining, 1e-12)
-                self.crossed[i] = t + frac * self.dt
-                self.locked.add(i)
-            self.states[i] = new
+    def drive(self, before_step: Callable[[float], bool]) -> None:
+        """The stepping loop: ``before_step(t)`` runs first and returns False to stop."""
+        t, step_idx = 0.0, 0
+        while before_step(t):
+            self.step(t, step_idx)
+            t += self.dt
+            step_idx += 1
 
 
 def run(cfg: SimConfig) -> RunResult:
@@ -401,22 +432,27 @@ def run(cfg: SimConfig) -> RunResult:
     identical metrics and trace.
     """
     arrivals = sample_arrivals(cfg)
-    engine = _Engine(cfg)
+    scn = cfg.scenario
+    engine = _Engine(scn, cfg.n_vehicles + 1, gains=cfg.gains, dt=cfg.step,
+                     leader_start=cfg.leader_start, brute_cap=cfg.brute_cap,
+                     collect_trace=cfg.collect_trace)
     for rec in arrivals:
         engine.records[rec.id] = rec
 
     if cfg.mode is Mode.BATCH:
-        sets = build_conflict_sets(arrivals, cfg.scenario)
+        sets = build_conflict_sets(arrivals, scn)
         tree = schedule_from_graph(build_cdg(sets), cfg.algorithm, cfg.brute_cap)
         engine.depth.update(tree.depth)
         engine.parent.update(tree.parent)
         engine.sets.update({s.vehicle: s for s in sets})
 
-    pending = list(arrivals)
-    t, step_idx = 0.0, 0
+    pending = deque(arrivals)
     eps = 1e-9
     n = cfg.n_vehicles
-    while len(engine.crossed) < n:
+
+    def admit(t: float) -> bool:
+        if len(engine.crossed) >= n:
+            return False
         if t > cfg.horizon:
             raise SimulationTimeout(
                 f"simulation exceeded {cfg.horizon} s with "
@@ -425,29 +461,25 @@ def run(cfg: SimConfig) -> RunResult:
                 records=_completions(engine),
             )
         while pending and pending[0].entry_time <= t + eps:
-            rec = pending.pop(0)
+            rec = pending.popleft()
             if cfg.mode is Mode.ONLINE:
                 earlier = [engine.records[i] for i in engine.in_zone_ids() if i < rec.id]
-                cs = conflict_sets_for(rec, earlier, cfg.scenario, engine.live_remaining)
-                engine.sets[rec.id] = cs
-                engine.states[rec.id] = VehicleState(cfg.scenario.control_zone_length,
-                                                     rec.entry_speed)
-                if cfg.algorithm in (Algorithm.DFST, Algorithm.IDFST):
-                    engine.place_incremental(rec, cfg.algorithm)
-                else:
-                    engine.reschedule_cover(cfg.algorithm)
-                    if rec.id not in engine.depth:
-                        # entering vehicle was somehow already locked; fall
-                        # back to an incremental placement
-                        engine.place_incremental(rec, Algorithm.IDFST)
+                engine.sets[rec.id] = conflict_sets_for(rec, earlier, scn,
+                                                        engine.live_remaining)
+            engine.enter(rec.id, scn.control_zone_length, rec.entry_speed)
+            if cfg.mode is Mode.BATCH:
+                continue
+            if cfg.algorithm in (Algorithm.DFST, Algorithm.IDFST):
+                engine.place_incremental(rec, cfg.algorithm)
             else:
-                engine.states[rec.id] = VehicleState(cfg.scenario.control_zone_length,
-                                                     rec.entry_speed)
-        inputs = engine.control_phase(t, step_idx)
-        engine.advance(inputs, t)
-        t += cfg.step
-        step_idx += 1
+                engine.reschedule_cover(cfg.algorithm)
+                if rec.id not in engine.depth:
+                    # entering vehicle was somehow already locked; fall
+                    # back to an incremental placement
+                    engine.place_incremental(rec, Algorithm.IDFST)
+        return True
 
+    engine.drive(admit)
     records = _completions(engine)
     metrics = Metrics(
         evacuation_time=evacuation_time(records),
@@ -490,29 +522,22 @@ def simulate_platoon(
     t = 0.  Samples the full state each step until every vehicle has crossed
     or the time limit is hit.
     """
-    from .control import build_plf_topology
-
-    dt = dt if dt is not None else cfg.dt
-    topology = build_plf_topology(tree)
-    states = {i: VehicleState(s.remaining, s.speed) for i, s in initial.items()}
-    crossings: dict[int, float] = {}
+    ids = list(initial)
+    engine = _Engine(cfg, max(ids, default=0) + 1, gains=gains,
+                     dt=dt if dt is not None else cfg.dt, leader_start=leader_start,
+                     neighbor_sets=build_plf_topology(tree).neighbor_sets)
+    engine.depth.update(tree.depth)
+    for i, st in initial.items():
+        engine.enter(i, st.remaining, st.speed)
     history: list[PlatoonSample] = []
-    t = 0.0
-    while t < until:
-        leader = VehicleState(leader_start - cfg.platoon_speed * t, cfg.platoon_speed)
-        snapshot = {LEADER: leader, **states}
-        active = {i for i in states if i not in crossings}
-        history.append(PlatoonSample(t=t, states={i: VehicleState(s.remaining, s.speed)
-                                                  for i, s in states.items()},
-                                     crossings=dict(crossings)))
-        if not active:
-            break
-        for i in sorted(active):
-            u = control_input(i, snapshot, topology, tree.depth, gains, cfg, active=active)
-            new = step_dynamics(states[i], u, dt, cfg)
-            if states[i].remaining > 0.0 >= new.remaining:
-                frac = states[i].remaining / max(states[i].remaining - new.remaining, 1e-12)
-                crossings[i] = t + frac * dt
-            states[i] = new
-        t += dt
+
+    def sample(t: float) -> bool:
+        if not t < until:
+            return False
+        states = zip(ids, engine.remaining[ids].tolist(), engine.speed[ids].tolist())
+        history.append(PlatoonSample(t=t, states={i: VehicleState(p, v) for i, p, v in states},
+                                     crossings=dict(engine.crossed)))
+        return len(engine.crossed) < len(ids)
+
+    engine.drive(sample)
     return history

@@ -75,6 +75,25 @@ class TestRunCommand:
         assert code == 1
         assert "--reps" in err
 
+    def test_online_brute_above_cap_is_usage_error(self, capsys):
+        code, out, err = cli(capsys, "run", "--algorithm", "mcc-brute", "--mode", "online",
+                             "--vehicles", "40", "--lambda", "1", "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert "mcc-brute" in err and "12" in err
+
+    def test_online_brute_at_cap_runs(self, capsys):
+        code, out, _ = cli(capsys, "run", "--algorithm", "mcc-brute", "--mode", "online",
+                           "--vehicles", "12", "--lambda", "1", "--seed", "1")
+        assert code == 0
+        assert next(csv.DictReader(out.splitlines()))["n"] == "12"
+
+    def test_batch_brute_above_cap_stays_size_limit(self, capsys):
+        code, _, err = cli(capsys, "run", "--algorithm", "mcc-brute", "--vehicles", "20",
+                           "--seed", "1")
+        assert code == 2
+        assert "capped" in err
+
     def test_single_vehicle_row(self, capsys):
         code, out, _ = cli(capsys, "run", "--vehicles", "1", "--seed", "8")
         assert code == 0
@@ -106,6 +125,21 @@ class TestSweepCommand:
             assert code == 0
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_online_brute_above_cap_is_usage_error(self, capsys):
+        code, out, err = cli(capsys, "sweep", "--algorithms", "dfst,mcc-brute",
+                             "--mode", "online", "--vehicles", "8,40", "--lambda", "1")
+        assert code == 1
+        assert out == ""
+        assert "mcc-brute" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_nonpositive_jobs_is_usage_error(self, capsys, jobs):
+        code, out, err = cli(capsys, "sweep", "--algorithms", "dfst", "--vehicles", "3",
+                             "--jobs", jobs)
+        assert code == 1
+        assert out == ""
+        assert "--jobs" in err
 
     def test_summary_file(self, capsys, tmp_path):
         out = tmp_path / "rows.csv"

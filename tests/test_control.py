@@ -7,12 +7,13 @@ from crossflow.control import (
     LEADER,
     CommTopology,
     ControllerGains,
+    PlatoonKernel,
     VehicleState,
     build_plf_topology,
     control_input,
     step_dynamics,
 )
-from crossflow.scheduling import SpanningTree, idfst_schedule
+from crossflow.scheduling import SpanningTree, dfst_schedule, idfst_schedule
 
 from .oracles import matrix_control_inputs
 
@@ -162,3 +163,79 @@ class TestStepDynamics:
         out = step_dynamics(VehicleState(p, v), u, 0.1, default_cfg)
         assert 0.0 <= out.speed <= default_cfg.v_max
         assert abs(out.speed - v) <= max(default_cfg.a_max, -default_cfg.a_min) * 0.1 + 1e-12
+
+
+def bits(x: float) -> str:
+    return float(x).hex()
+
+
+class TestPlatoonKernel:
+    """The array kernel against the scalar law, the scalar integrator and the matrix form."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.booleans(), st.data())
+    def test_matches_scalar_law_and_integrator(self, default_cfg, seed, baseline, data):
+        from .instances import random_instance
+
+        _, _, cdg = random_instance(seed)
+        tree = dfst_schedule(cdg) if baseline else idfst_schedule(cdg)
+        topo = build_plf_topology(tree)
+        gains = ControllerGains()
+        ids = sorted(tree.depth)
+        active = {v for v in ids if data.draw(st.booleans())}
+        leader = VehicleState(data.draw(st.floats(min_value=-100, max_value=900)),
+                              default_cfg.platoon_speed)
+        speeds = st.one_of(st.sampled_from([0.0, default_cfg.v_max]),
+                           st.floats(min_value=0, max_value=default_cfg.v_max))
+        states = {LEADER: leader}
+        remaining = np.zeros(max(ids) + 1)
+        speed = np.zeros(max(ids) + 1)
+        for v in ids:
+            states[v] = VehicleState(data.draw(st.floats(min_value=-50, max_value=1200)),
+                                     data.draw(speeds))
+            remaining[v], speed[v] = states[v].remaining, states[v].speed
+        rows = sorted(active)
+        kernel = PlatoonKernel.build(rows, topo.neighbor_sets, tree.depth, gains,
+                                     default_cfg, 0.1)
+        u = kernel.control_inputs(remaining, speed, leader.remaining, leader.speed)
+        for k, v in enumerate(rows):
+            want = control_input(v, states, topo, tree.depth, gains, default_cfg, active=active)
+            assert bits(u[k]) == bits(want)
+        if active == set(ids):
+            oracle = matrix_control_inputs(topo, states, tree.depth, gains, default_cfg)
+            for k, v in enumerate(rows):
+                assert u[k] == pytest.approx(oracle[v], rel=1e-9, abs=1e-9)
+
+        # inputs far outside the actuator range exercise both clamps
+        pushed = np.array([data.draw(st.one_of(st.floats(min_value=-1000, max_value=1000),
+                                               st.sampled_from([default_cfg.a_min,
+                                                                default_cfg.a_max])))
+                           for _ in rows])
+        for inputs in (u, pushed):
+            new_p, new_v = kernel.euler_step(remaining[kernel.rows], speed[kernel.rows], inputs)
+            for k, v in enumerate(rows):
+                want = step_dynamics(states[v], float(inputs[k]), 0.1, default_cfg)
+                assert bits(new_p[k]) == bits(want.remaining)
+                assert bits(new_v[k]) == bits(want.speed)
+                assert 0.0 <= new_v[k] <= default_cfg.v_max
+
+    def test_speed_bounds_and_clamps_hit_exactly(self, default_cfg):
+        tree = chain_tree(4)
+        kernel = PlatoonKernel.build([1, 2, 3, 4], build_plf_topology(tree).neighbor_sets,
+                                     tree.depth, ControllerGains(), default_cfg, 0.1)
+        p = np.array([500.0, 500.0, 500.0, 500.0, 500.0])
+        v = np.array([0.0, default_cfg.v_max, 0.05, 24.9, -0.0])
+        u = np.array([-6.0, 5.0, -100.0, 100.0, -0.0])
+        new_p, new_v = kernel.euler_step(p, v, u)
+        for k in range(5):
+            want = step_dynamics(VehicleState(p[k], v[k]), u[k], 0.1, default_cfg)
+            assert bits(new_v[k]) == bits(want.speed)
+            assert bits(new_p[k]) == bits(want.remaining)
+        assert new_v.tolist() == [0.0, default_cfg.v_max, 0.0, default_cfg.v_max, 0.0]
+        assert bits(new_v[4]) == bits(-0.0)  # Python's max(-0.0, 0.0) keeps -0.0
+
+    def test_nonpositive_step_rejected(self, default_cfg):
+        tree = chain_tree(1)
+        with pytest.raises(ContractError):
+            PlatoonKernel.build([1], build_plf_topology(tree).neighbor_sets, tree.depth,
+                                ControllerGains(), default_cfg, 0.0)

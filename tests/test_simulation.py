@@ -1,3 +1,4 @@
+import hashlib
 import statistics
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from crossflow.conflicts import ContractError, VehicleRecord
 from crossflow.control import LEADER, VehicleState
 from crossflow.presets import example1_arrivals, example1_scenario
+from crossflow.conflicts import build_cdg
 from crossflow.scheduling import idfst_schedule
 from crossflow.simulation import (
     Algorithm,
@@ -22,6 +24,8 @@ from crossflow.simulation import (
 from crossflow.scenario import load_scenario, dump_scenario
 
 import yaml
+
+from .conftest import EXAMPLE1_SETS, make_sets
 
 
 def single_lane_scenario():
@@ -137,6 +141,13 @@ class TestRun:
         with pytest.raises(SizeLimitError):
             run(cfg)
 
+    def test_online_brute_above_cap_rejected_up_front(self, default_cfg):
+        with pytest.raises(ContractError, match="mcc-brute"):
+            SimConfig(scenario=default_cfg, algorithm=Algorithm.MCC_BRUTE, n_vehicles=13,
+                      mean_headway=1.0, seed=1, mode=Mode.ONLINE)
+        SimConfig(scenario=default_cfg, algorithm=Algorithm.MCC_BRUTE, n_vehicles=12,
+                  mean_headway=1.0, seed=1, mode=Mode.ONLINE)
+
     def test_mcc_brute_small_run(self, default_cfg):
         cfg = SimConfig(scenario=default_cfg, algorithm=Algorithm.MCC_BRUTE,
                         n_vehicles=8, mean_headway=3.0, seed=4, mode=Mode.ONLINE)
@@ -185,6 +196,72 @@ class TestMatchedSeeds:
         assert 7 <= depths[Algorithm.IDFST] <= 16
         assert 6 <= depths[Algorithm.MCC_GREEDY] <= 15
 
+# SHA-256 pins of closed-loop outputs, captured before the engine moved to
+# arrays: every t_in/t_out (as float hex), depth, parent and trace row must
+# come out bit for bit the same.  n=40, lambda=2, seed 1.
+RUN_GOLDEN = [
+    ("batch", "dfst", 0.0, "8b8e7eb47a1c0fb08c287a651fe9b5864010d737b249eeaee1d6890f924a4477"),
+    ("batch", "dfst", 600.0, "aff8ef235112b73ea8538f1b2b6ae028084296c639c26f2f23e17c67ac1c15ac"),
+    ("batch", "idfst", 0.0, "2a917bf15886388619b20f63f87b0580b169d3b2bb8226f84a68cd1b10da0774"),
+    ("batch", "idfst", 600.0, "8d3869a5c3b9ff63ee2bfe18f6cffd8f163e74eedbabbc717318488ef3c870f6"),
+    ("batch", "mcc-greedy", 0.0, "e85748906edc3c40acca8d1880659dd17a39d5eb2ae1f20c0378844a33c967d4"),
+    ("batch", "mcc-greedy", 600.0, "8f9d7dec7420bc60123404f4e461f7d1bb160264da96201d8c61cd0a6081f012"),
+    ("online", "dfst", 0.0, "8b8e7eb47a1c0fb08c287a651fe9b5864010d737b249eeaee1d6890f924a4477"),
+    ("online", "dfst", 600.0, "aff8ef235112b73ea8538f1b2b6ae028084296c639c26f2f23e17c67ac1c15ac"),
+    ("online", "idfst", 0.0, "2a917bf15886388619b20f63f87b0580b169d3b2bb8226f84a68cd1b10da0774"),
+    ("online", "idfst", 600.0, "8d3869a5c3b9ff63ee2bfe18f6cffd8f163e74eedbabbc717318488ef3c870f6"),
+    ("online", "mcc-greedy", 0.0, "cf610db7508ad641bcb4bfea37f2d855d1dec0fe8faa9a8bb90bbc59ff3756c4"),
+    ("online", "mcc-greedy", 600.0, "3b7153333e3b6792a06fbe59364852f5cb03d0e158cf78f6d7be3990fd44db3b"),
+]
+
+PLATOON_GOLDEN = "33f513c40631a58760df2055b7172db35c89804269261b468bc30853f888623a"
+
+
+def run_digest(result) -> str:
+    h = hashlib.sha256()
+    for r in result.metrics.records:
+        h.update(f"{r.vehicle},{r.t_in.hex()},{r.t_out.hex()},{r.depth}\n".encode())
+    h.update(repr(sorted(result.depths.items())).encode())
+    h.update(repr(sorted(result.parents.items())).encode())
+    for row in result.trace:
+        h.update(f"{row.step},{row.vehicle},{row.p.hex()},{row.v.hex()},"
+                 f"{row.u.hex()},{row.depth}\n".encode())
+    return h.hexdigest()
+
+
+def platoon_digest(history) -> str:
+    h = hashlib.sha256()
+    for sample in history:
+        h.update(sample.t.hex().encode())
+        for i, st in sorted(sample.states.items()):
+            h.update(f"|{i},{st.remaining.hex()},{st.speed.hex()}".encode())
+        for i, t in sorted(sample.crossings.items()):
+            h.update(f"|{i}@{t.hex()}".encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+class TestGolden:
+    @pytest.mark.parametrize("mode,algorithm,leader,digest", RUN_GOLDEN)
+    def test_run_bit_identical(self, default_cfg, mode, algorithm, leader, digest):
+        cfg = SimConfig(scenario=default_cfg, algorithm=Algorithm(algorithm),
+                        n_vehicles=40, mean_headway=2.0, seed=1, mode=Mode(mode),
+                        leader_start=leader, collect_trace=True)
+        result = run(cfg)
+        for row in result.trace[:200] + result.trace[-200:]:
+            assert [type(x) for x in row] == [int, int, float, float, float, int]
+        for r in result.metrics.records:
+            assert (type(r.t_out), type(r.depth)) == (float, int)
+        assert run_digest(result) == digest
+
+    def test_platoon_bit_identical(self, default_cfg):
+        tree = idfst_schedule(build_cdg(make_sets(EXAMPLE1_SETS)))
+        initial = {v: VehicleState(640.0 + 23.0 * v + 7.5 * d, 2.5 * v)
+                   for v, d in sorted(tree.depth.items())}
+        history = simulate_platoon(tree, default_cfg, initial, 600.0, until=150.0)
+        assert len(history) == 722 and set(history[-1].crossings) == set(tree.depth)
+        assert platoon_digest(history) == PLATOON_GOLDEN
+
 
 class TestOnlineLocking:
     def test_locked_vehicle_keeps_depth(self, ex1_scenario):
@@ -194,7 +271,8 @@ class TestOnlineLocking:
         # replay the worked example's arrival pattern through the online engine
         from crossflow.simulation import _Engine
 
-        engine = _Engine(cfg)
+        engine = _Engine(ex1_scenario, cfg.n_vehicles + 1, gains=cfg.gains, dt=cfg.step,
+                         leader_start=cfg.leader_start)
         records = example1_arrivals()
         from crossflow.simulation import run as _run  # noqa: F401  (structure only)
 
@@ -207,17 +285,17 @@ class TestOnlineLocking:
             earlier = [engine.records[i] for i in engine.in_zone_ids() if i < rec.id]
             engine.sets[rec.id] = conflict_sets_for(rec, earlier, ex1_scenario,
                                                     engine.live_remaining)
-            engine.states[rec.id] = VehicleState(ex1_scenario.control_zone_length, 2.0)
+            engine.enter(rec.id, ex1_scenario.control_zone_length, 2.0)
             engine.reschedule_cover(Algorithm.MCC_GREEDY)
         # vehicle 1 is now 300 m from the line: uncatchable for newcomers
-        engine.states[1] = VehicleState(300.0, 10.0)
+        engine.remaining[1], engine.speed[1] = 300.0, 10.0
         depth_before = engine.depth[1]
         rec = records[6]
         engine.records[rec.id] = rec
         earlier = [engine.records[i] for i in engine.in_zone_ids() if i < rec.id]
         engine.sets[rec.id] = conflict_sets_for(rec, earlier, ex1_scenario,
                                                 engine.live_remaining)
-        engine.states[rec.id] = VehicleState(ex1_scenario.control_zone_length, 2.0)
+        engine.enter(rec.id, ex1_scenario.control_zone_length, 2.0)
         engine.reschedule_cover(Algorithm.MCC_GREEDY)
         assert 1 in engine.locked
         assert engine.depth[1] == depth_before
