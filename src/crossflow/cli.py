@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -40,7 +41,7 @@ from .simulation import (
     SimConfig,
     SimulationTimeout,
     run as run_simulation,
-    schedule_batch,
+    schedule_from_graph,
 )
 
 RESULT_COLUMNS = ["algorithm", "seed", "n", "lambda", "mode", "t_evc", "t_attd", "d_all"]
@@ -149,7 +150,7 @@ def _parse_float_list(text: str) -> list[float]:
 
 
 def load_arrivals(path: str, entry_speed: float) -> list[VehicleRecord]:
-    """Arrival file: CSV rows of id, lane (movement id), t_in."""
+    """Arrival file: CSV rows of id, lane (movement id), t_in; ids 1..n, t_in finite, >= 0."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(row for row in fh if not row.startswith("#"))
@@ -160,10 +161,18 @@ def load_arrivals(path: str, entry_speed: float) -> list[VehicleRecord]:
         for line in reader:
             if not line:
                 continue
-            records.append(VehicleRecord(id=int(line[0]), movement=int(line[1]),
-                                         entry_time=float(line[2]),
+            try:
+                vid, movement, t_in = int(line[0]), int(line[1]), float(line[2])
+            except (ValueError, IndexError):
+                raise ParseError(f"arrival file: bad row {line}") from None
+            if not math.isfinite(t_in) or t_in < 0:
+                raise ParseError(f"arrival {vid}: t_in must be finite and >= 0 (got {line[2]})")
+            records.append(VehicleRecord(id=vid, movement=movement, entry_time=t_in,
                                          entry_speed=entry_speed))
     records.sort(key=lambda r: r.id)
+    ids = [r.id for r in records]
+    if ids != list(range(1, len(ids) + 1)):
+        raise ParseError(f"arrival ids must be 1..{len(ids)}, each once (got {ids})")
     return records
 
 
@@ -252,16 +261,14 @@ def cmd_sweep(args) -> int:
 def cmd_schedule(args) -> int:
     scenario = _load_scenario_arg(args.scenario)
     records = load_arrivals(args.arrivals, scenario.initial_speed)
-    algorithm = _ALGORITHM_FLAGS[args.algorithm]
-    tree = schedule_batch(records, scenario, algorithm)
-    sets = build_conflict_sets(records, scenario)
-    cdg = build_cdg(sets)
-    report = verify_feasible(tree, cdg)
+    cdg = build_cdg(build_conflict_sets(records, scenario))
+    cug = build_cug(cdg) if args.dump_graph else None
+    tree = schedule_from_graph(cdg, _ALGORITHM_FLAGS[args.algorithm], cug=cug)
     doc = tree.to_dict()
-    doc["feasible"] = report.ok
-    if args.dump_graph:
+    doc["feasible"] = verify_feasible(tree, cdg).ok
+    if cug is not None:
         doc["conflict_graph"] = cdg.to_dict()
-        doc["coexistence_graph"] = build_cug(cdg).to_dict()
+        doc["coexistence_graph"] = cug.to_dict()
     text = yaml.safe_dump(doc, sort_keys=False)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

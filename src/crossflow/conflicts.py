@@ -11,15 +11,19 @@ edges into unidirectional ones (fixed passing order: same lane, reachability)
 and bidirectional ones (order exchangeable: crossing, converging).  The
 coexistence graph is its complement over the real vehicles; an edge there
 means the two vehicles may cross the stopping line together.
+
+Both graphs keep one adjacency, built once, that every scheduler reads: per
+node a Python-int bitset (bit k is node k) and, on the CDG, the fixed-order
+and exchangeable predecessor sets.  A pair test is a shift, a group test ``&``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Callable, Iterator, Sequence
 
-from .scenario import ConflictClass, IntersectionConfig, ScenarioError, classify_conflict
+from .scenario import ConflictClass, IntersectionConfig, ScenarioError
 
 
 class ContractError(ValueError):
@@ -78,17 +82,18 @@ def reachability_threshold(cfg: IntersectionConfig) -> float:
     """
     if cfg.platoon_speed <= 0 or cfg.v_max <= 0 or cfg.a_max <= 0:
         raise ScenarioError("reachability needs positive v_0, v_max and a_max")
-    horizon = cfg.control_zone_length / cfg.v_max + cfg.v_max / (2.0 * cfg.a_max)
-    return cfg.platoon_speed * horizon
+    return cfg.platoon_speed * _horizon(cfg)
+
+
+def _horizon(cfg: IntersectionConfig) -> float:
+    return cfg.control_zone_length / cfg.v_max + cfg.v_max / (2.0 * cfg.a_max)
 
 
 def reachability_conflict(preceding_distance: float, cfg: IntersectionConfig) -> bool:
     """True when the entering vehicle cannot catch the preceding one in time."""
     if preceding_distance < 0:
         raise ContractError("preceding_distance must be nonnegative")
-    return preceding_distance / cfg.platoon_speed < (
-        cfg.control_zone_length / cfg.v_max + cfg.v_max / (2.0 * cfg.a_max)
-    )
+    return preceding_distance / cfg.platoon_speed < _horizon(cfg)
 
 
 RemainingDistance = Callable[[int, float], float]
@@ -138,18 +143,15 @@ def conflict_sets_for(
     converging: set[int] = set()
     reach: set[int] = set()
     lane_pred: int | None = None
-    mv = cfg.movement(vehicle.movement)
+    classes = cfg.conflict_table[cfg.movement(vehicle.movement).id]
+    horizon = _horizon(cfg)  # reachability_conflict's test, hoisted out of the loop
     for other in earlier:
         if other.id >= vehicle.id:
             raise ContractError("earlier vehicles must have smaller ids (sorted input)")
         distance = remaining(other.id, vehicle.entry_time)
         if distance <= 0:
             continue
-        other_mv = cfg.movement(other.movement)
-        if other_mv.id == mv.id:
-            cls = ConflictClass.DIVERGING
-        else:
-            cls = classify_conflict(mv, other_mv, cfg)
+        cls = classes[other.movement]
         if cls is ConflictClass.DIVERGING:
             if lane_pred is None or other.id > lane_pred:
                 lane_pred = other.id
@@ -157,7 +159,7 @@ def conflict_sets_for(
             crossing.add(other.id)
         elif cls is ConflictClass.CONVERGING:
             converging.add(other.id)
-        elif reachability_conflict(distance, cfg):
+        elif distance / cfg.platoon_speed < horizon:
             reach.add(other.id)
     return ConflictSets(
         vehicle=vehicle.id,
@@ -189,12 +191,30 @@ def build_conflict_sets(
     return out
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Members of a bitset, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _predecessors(n: int, edges: frozenset[tuple[int, int]]) -> tuple[frozenset[int], ...]:
+    preds: list[set[int]] = [set() for _ in range(n + 1)]
+    for i, j in edges:
+        preds[j].add(i)
+    return tuple(frozenset(p) for p in preds)
+
+
 @dataclass(frozen=True)
 class ConflictDirectedGraph:
     """Conflict graph over nodes {0, 1, .., n}; 0 is the virtual leader.
 
     Edge families keep their origin so schedulers can distinguish conflicts
-    with a fixed passing order from exchangeable ones.
+    with a fixed passing order from exchangeable ones.  Every edge joins a
+    node to a later one, so ``fixed`` and ``exchangeable`` (per node, its
+    predecessors) and ``mask`` (per node, the bitset of its neighbours) are
+    the whole graph; they are built from the edges on first use.
     """
 
     n: int
@@ -211,19 +231,32 @@ class ConflictDirectedGraph:
     def bidirectional(self) -> frozenset[tuple[int, int]]:
         return self.crossing_edges | self.converging_edges
 
+    @cached_property
+    def fixed(self) -> tuple[frozenset[int], ...]:
+        """Per node, the predecessors it must follow (same lane, uncatchable)."""
+        return _predecessors(self.n, self.unidirectional)
+
+    @cached_property
+    def exchangeable(self) -> tuple[frozenset[int], ...]:
+        """Per node, the predecessors it may pass (crossing, converging)."""
+        return _predecessors(self.n, self.bidirectional)
+
+    @cached_property
+    def mask(self) -> tuple[int, ...]:
+        """Per node, the bitset of the nodes it shares an edge with."""
+        mask = [0] * (self.n + 1)
+        for i, j in self.unidirectional | self.bidirectional:
+            mask[i] |= 1 << j
+            mask[j] |= 1 << i
+        return tuple(mask)
+
     def connected(self, i: int, j: int) -> bool:
         """True when any edge links i and j, in either sense."""
-        lo, hi = (i, j) if i < j else (j, i)
-        return (
-            (lo, hi) in self.crossing_edges
-            or (lo, hi) in self.converging_edges
-            or (i, j) in self.unidirectional
-            or (j, i) in self.unidirectional
-        )
+        return bool(self.mask[i] >> j & 1)
 
-    def hard_parents(self, j: int) -> set[int]:
+    def hard_parents(self, j: int) -> frozenset[int]:
         """Nodes that must cross strictly before j (same lane or uncatchable)."""
-        return {i for (i, k) in self.unidirectional if k == j}
+        return self.fixed[j]
 
     def lane_chains(self) -> list[list[int]]:
         """Per-lane vehicle sequences in arrival order, derived from lane edges."""
@@ -251,23 +284,29 @@ class ConflictDirectedGraph:
 
 @dataclass(frozen=True)
 class CoexistenceGraph:
-    """Complement of the CDG over real vehicles {1, .., n}."""
+    """Complement of the CDG over real vehicles {1, .., n}, one bitset per vehicle."""
 
     n: int
-    edges: frozenset[tuple[int, int]]  # normalized (low, high)
+    coexist: tuple[int, ...]  # per vehicle, the bitset of those it may cross with; [0] empty
+
+    @classmethod
+    def complement(cls, n: int, conflicts: Sequence[int]) -> CoexistenceGraph:
+        """Graph of the vehicles 1..n whose bits are absent from ``conflicts[i]``."""
+        full = (1 << (n + 1)) - 2
+        return cls(n=n, coexist=(0, *(full & ~(conflicts[i] | 1 << i) for i in range(1, n + 1))))
 
     def adjacent(self, i: int, j: int) -> bool:
-        lo, hi = (i, j) if i < j else (j, i)
-        return (lo, hi) in self.edges
+        return bool(self.coexist[i] >> j & 1)
 
-    def neighbors(self, i: int) -> set[int]:
-        out = set()
-        for a, b in self.edges:
-            if a == i:
-                out.add(b)
-            elif b == i:
-                out.add(a)
-        return out
+    def conflicts(self, i: int) -> int:
+        """Bitset of the vehicles i may not share a layer with."""
+        return ((1 << (self.n + 1)) - 2) & ~(self.coexist[i] | 1 << i)
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Normalized (low, high) pairs, derived on first use."""
+        return frozenset((i, j) for i in range(1, self.n + 1)
+                         for j in _bits(self.coexist[i] >> (i + 1) << (i + 1)))
 
     def to_dict(self) -> dict:
         return {"nodes": list(range(1, self.n + 1)), "edges": sorted(self.edges)}
@@ -303,12 +342,9 @@ def build_cug(cdg: ConflictDirectedGraph) -> CoexistenceGraph:
     one lane can ever cross together, so the whole lane chain is excluded
     from coexistence, not just adjacent pairs.
     """
-    same_lane: set[tuple[int, int]] = set()
+    blocked = list(cdg.mask)
     for chain in cdg.lane_chains():
-        for i, j in itertools.combinations(chain, 2):
-            same_lane.add((i, j) if i < j else (j, i))
-    edges = set()
-    for i, j in itertools.combinations(range(1, cdg.n + 1), 2):
-        if not cdg.connected(i, j) and (i, j) not in same_lane:
-            edges.add((i, j))
-    return CoexistenceGraph(n=cdg.n, edges=frozenset(edges))
+        lane = sum(1 << v for v in chain)
+        for v in chain:
+            blocked[v] |= lane
+    return CoexistenceGraph.complement(cdg.n, blocked)

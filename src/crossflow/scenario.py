@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Mapping
 
 import yaml
@@ -87,6 +88,12 @@ class IntersectionConfig:
             return self._by_id[movement_id]
         except KeyError:
             raise ValidationError(f"unknown movement id {movement_id}") from None
+
+    @cached_property
+    def conflict_table(self) -> dict[int, dict[int, ConflictClass]]:
+        """Class of every movement pair (itself: DIVERGING), built on first use."""
+        return {a.id: {b.id: ConflictClass.DIVERGING if a is b else classify_conflict(a, b, self)
+                       for b in self.movements} for a in self.movements}
 
     @property
     def movement_ids(self) -> list[int]:

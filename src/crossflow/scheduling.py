@@ -15,16 +15,20 @@ Four routes to a layered passing order:
 
 All of them yield a spanning tree rooted at the virtual leader whose depth
 is the vehicle's passing layer; ``verify_feasible`` checks any tree against
-the conflict graph.
+the conflict graph.  Every route reads the graphs' one adjacency: the trees
+take the CDG's ``fixed`` and ``exchangeable`` predecessor sets, and the
+cover, the layer ordering and the feasibility check test its conflict
+bitsets.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
-from .conflicts import CoexistenceGraph, ConflictDirectedGraph, ContractError
+from .conflicts import CoexistenceGraph, ConflictDirectedGraph, ContractError, _bits
 
 
 class SizeLimitError(ValueError):
@@ -134,9 +138,10 @@ def verify_feasible(tree: SpanningTree, cdg: ConflictDirectedGraph) -> Feasibili
         raise ContractError("tree does not span the conflict graph nodes")
     report = FeasibilityReport(ok=True)
     for layer in tree.layers():
-        for i, j in itertools.combinations(layer, 2):
-            if cdg.connected(i, j):
-                report.same_depth_conflicts.append((i, j))
+        members = sum(1 << v for v in layer)
+        for i in layer:
+            later = cdg.mask[i] & members >> (i + 1) << (i + 1)
+            report.same_depth_conflicts.extend((i, j) for j in _bits(later))
     for i, j in cdg.lane_edges:
         if i != 0 and tree.depth[i] >= tree.depth[j]:
             report.order_violations.append((i, j))
@@ -163,22 +168,10 @@ def dfst_schedule(cdg: ConflictDirectedGraph) -> SpanningTree:
         return 0 if node == 0 else depth[node]
 
     for i in range(1, cdg.n + 1):
-        parents = cdg.hard_parents(i)
-        parents |= {j for j in _bidirectional_neighbors(cdg, i) if j < i}
-        k = max(parents, key=lambda n: (d(n), -n))
+        k = max(cdg.fixed[i] | cdg.exchangeable[i], key=lambda n: (d(n), -n))
         parent[i] = k
         depth[i] = d(k) + 1
     return SpanningTree(parent=parent, depth=depth)
-
-
-def _bidirectional_neighbors(cdg: ConflictDirectedGraph, i: int) -> set[int]:
-    out = set()
-    for a, b in cdg.bidirectional:
-        if a == i:
-            out.add(b)
-        elif b == i:
-            out.add(a)
-    return out
 
 
 def find_opt_parent(tree: SpanningTree, fixed: Iterable[int], exchangeable: Iterable[int]) -> int:
@@ -227,10 +220,7 @@ def idfst_schedule(cdg: ConflictDirectedGraph) -> SpanningTree:
     tree = SpanningTree(parent=parent, depth=depth)
 
     for i in range(1, cdg.n + 1):
-        fixed = cdg.hard_parents(i)
-        exchangeable = {a for a, b in cdg.crossing_edges if b == i}
-        exchangeable |= {a for a, b in cdg.converging_edges if b == i}
-        k = find_opt_parent(tree, fixed, exchangeable)
+        k = find_opt_parent(tree, cdg.fixed[i], cdg.exchangeable[i])
         target = tree.depth_of(k) + 1
         chosen = _attach_parent(depth, child_count, target)
         parent[i] = chosen
@@ -239,37 +229,26 @@ def idfst_schedule(cdg: ConflictDirectedGraph) -> SpanningTree:
     return SpanningTree(parent=parent, depth=depth)
 
 
-def _complement_adjacency(cug: CoexistenceGraph) -> dict[int, set[int]]:
-    """Adjacency of the conflict relation over real vehicles."""
-    adj: dict[int, set[int]] = {i: set() for i in range(1, cug.n + 1)}
-    for i, j in itertools.combinations(range(1, cug.n + 1), 2):
-        if not cug.adjacent(i, j):
-            adj[i].add(j)
-            adj[j].add(i)
-    return adj
-
-
-def _bfs_order(adj: dict[int, set[int]]) -> list[int]:
-    """Breadth-first order over the conflict relation.
+def _bfs_order(conflicts: Sequence[int]) -> list[int]:
+    """Breadth-first order over the conflict bitsets of vehicles 1..n.
 
     Each component starts at its most conflicted vehicle so that the hardest
     vehicles are colored while all group indices are still open; the frontier
     expands by ascending id.  Deterministic for a fixed graph.
     """
     order: list[int] = []
-    visited: set[int] = set()
-    for start in sorted(adj, key=lambda v: (-len(adj[v]), v)):
-        if start in visited:
+    visited = 0
+    for start in sorted(range(1, len(conflicts)), key=lambda v: (-conflicts[v].bit_count(), v)):
+        if visited >> start & 1:
             continue
-        queue = [start]
-        visited.add(start)
+        queue = deque([start])
+        visited |= 1 << start
         while queue:
-            node = queue.pop(0)
+            node = queue.popleft()
             order.append(node)
-            for nxt in sorted(adj[node]):
-                if nxt not in visited:
-                    visited.add(nxt)
-                    queue.append(nxt)
+            fresh = conflicts[node] & ~visited
+            visited |= fresh
+            queue.extend(_bits(fresh))
     return order
 
 
@@ -279,18 +258,14 @@ def mcc_greedy(cug: CoexistenceGraph) -> CliqueCover:
     Each vehicle takes the lowest group index not used by any conflicting
     vehicle; groups are cliques of the coexistence graph.
     """
-    adj = _complement_adjacency(cug)
-    color: dict[int, int] = {}
-    for node in _bfs_order(adj):
-        used = {color[nbr] for nbr in adj[node] if nbr in color}
-        c = 0
-        while c in used:
-            c += 1
-        color[node] = c
-    groups: dict[int, set[int]] = {}
-    for node, c in color.items():
-        groups.setdefault(c, set()).add(node)
-    return CliqueCover(subsets=tuple(frozenset(groups[c]) for c in sorted(groups)))
+    conflicts = [0] + [cug.conflicts(v) for v in range(1, cug.n + 1)]
+    groups: list[int] = []  # member bitset per group index
+    for node in _bfs_order(conflicts):
+        c = next((c for c, g in enumerate(groups) if not g & conflicts[node]), len(groups))
+        if c == len(groups):
+            groups.append(0)
+        groups[c] |= 1 << node
+    return CliqueCover(subsets=tuple(frozenset(_bits(g)) for g in groups))
 
 
 def minimum_clique_covers(cug: CoexistenceGraph, cap: int = 12) -> list[CliqueCover]:
@@ -439,6 +414,21 @@ def order_layers(
     return layers_out
 
 
+def conflict_test(masks: Sequence[int]) -> Callable[[tuple[int, ...]], bool]:
+    """``order_layers``' predicate: do any two members of a group conflict?
+
+    ``masks[v]`` is the conflict bitset of vehicle v.
+    """
+    def conflicted(group: tuple[int, ...]) -> bool:
+        seen = 0
+        for v in group:
+            if masks[v] & seen:
+                return True
+            seen |= 1 << v
+        return False
+    return conflicted
+
+
 def _lanes_for(cdg: ConflictDirectedGraph) -> list[list[int]]:
     lanes = [list(chain) for chain in cdg.lane_chains()]
     seen = {v for chain in lanes for v in chain}
@@ -458,11 +448,7 @@ def cover_to_tree(cover: CliqueCover, cdg: ConflictDirectedGraph) -> SpanningTre
     members = sorted(v for s in cover.subsets for v in s)
     if members != list(range(1, cdg.n + 1)):
         raise ContractError("cover is not a partition of the scheduled vehicles")
-
-    def conflicted(group: tuple[int, ...]) -> bool:
-        return any(cdg.connected(a, b) for a, b in itertools.combinations(group, 2))
-
-    layers = order_layers(cover.subsets, _lanes_for(cdg), conflicted)
+    layers = order_layers(cover.subsets, _lanes_for(cdg), conflict_test(cdg.mask))
     if layers is None:
         raise RepairError("no ordering of the cover yields a conflict-free layering")
     return _tree_from_layers(layers, cdg)
@@ -499,9 +485,7 @@ def schedule_cover_tree(cug: CoexistenceGraph, cdg: ConflictDirectedGraph,
     greedy route keeps its single cover and sheds colliding members into
     extra layers instead.
     """
-    def conflicted(group: tuple[int, ...]) -> bool:
-        return any(cdg.connected(a, b) for a, b in itertools.combinations(group, 2))
-
+    conflicted = conflict_test(cdg.mask)
     lanes = _lanes_for(cdg)
     if exact:
         covers = minimum_clique_covers(cug, cap=cap)

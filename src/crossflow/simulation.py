@@ -5,7 +5,8 @@ conditions under the nominal approach profile), computes one schedule and
 then runs the closed loop.  Online mode schedules at every arrival event:
 the spanning-tree methods place the new vehicle incrementally, the clique
 cover methods recompute the cover over all vehicles not yet locked near the
-stopping line.
+stopping line.  The online conflict relation is one bitset per vehicle,
+set on arrival from its conflict sets and its lane.
 
 The virtual leader starts ``leader_start`` meters from the stopping line at
 t = 0 and advances at the platoon design speed; a vehicle's slot sits one
@@ -38,6 +39,7 @@ from .conflicts import (
     build_cdg,
     build_conflict_sets,
     build_cug,
+    _bits,
     conflict_sets_for,
     reachability_conflict,
 )
@@ -51,6 +53,7 @@ from .control import (
 from .scenario import IntersectionConfig
 from .scheduling import (
     SpanningTree,
+    conflict_test,
     dfst_schedule,
     find_opt_parent,
     idfst_schedule,
@@ -153,7 +156,7 @@ def sample_arrivals(cfg: SimConfig) -> list[VehicleRecord]:
     for order, movement in enumerate(lanes):
         gaps = rng.exponential(scale=cfg.mean_headway, size=cfg.n_vehicles)
         t = 0.0
-        for gap in gaps:
+        for gap in gaps.tolist():
             t += gap
             candidates.append((t, order, movement))
     candidates.sort(key=lambda c: (c[0], c[1]))
@@ -179,14 +182,15 @@ def attd(records: Sequence[CompletionRecord], cfg: IntersectionConfig) -> float:
     return sum(r.t_out - r.t_in - free for r in records) / len(records)
 
 
-def schedule_from_graph(cdg, algorithm: Algorithm, brute_cap: int = 12) -> SpanningTree:
+def schedule_from_graph(cdg, algorithm: Algorithm, brute_cap: int = 12,
+                        cug: CoexistenceGraph | None = None) -> SpanningTree:
+    """Schedule a built CDG; the cover routes build its CUG unless given one."""
     if algorithm is Algorithm.DFST:
         return dfst_schedule(cdg)
     if algorithm is Algorithm.IDFST:
         return idfst_schedule(cdg)
-    cug = build_cug(cdg)
-    return schedule_cover_tree(cug, cdg, exact=algorithm is Algorithm.MCC_BRUTE,
-                               cap=brute_cap)
+    return schedule_cover_tree(cug if cug is not None else build_cug(cdg), cdg,
+                               exact=algorithm is Algorithm.MCC_BRUTE, cap=brute_cap)
 
 
 def schedule_batch(records: Sequence[VehicleRecord], cfg: IntersectionConfig,
@@ -237,6 +241,8 @@ class _Engine:
         self.depth: dict[int, int] = {}
         self.parent: dict[int, int] = {}
         self.sets: dict[int, ConflictSets] = {}
+        self.conflict = [0] * size  # online conflict bitset per vehicle
+        self.lane_mask: dict[int, int] = {}  # movement -> bitset of its arrived vehicles
         self.records: dict[int, VehicleRecord] = {}
         self.crossed: dict[int, float] = {}
         self.locked: set[int] = set()
@@ -256,12 +262,20 @@ class _Engine:
     def live_remaining(self, vehicle: int, _t: float) -> float:
         return float(self.remaining[vehicle])
 
-    def conflicts_between(self, a: int, b: int) -> bool:
-        if self.records[a].movement == self.records[b].movement:
-            return True  # whole lane chain, not just the recorded predecessor
-        lo, hi = (a, b) if a < b else (b, a)
-        cs = self.sets[hi]
-        return lo in cs.crossing or lo in cs.diverging or lo in cs.converging or lo in cs.reachability
+    def arrive(self, record: VehicleRecord) -> None:
+        """Online arrival: conflict sets against the zone, then symmetric conflict
+        bitsets with every set member and the whole lane, not just its predecessor."""
+        v = record.id
+        self.records[v] = record
+        earlier = [self.records[i] for i in self.in_zone_ids() if i < v]
+        cs = self.sets[v] = conflict_sets_for(record, earlier, self.scn, self.live_remaining)
+        lane = self.lane_mask.get(record.movement, 0)
+        mask = lane | sum(1 << u for u in cs.crossing | cs.diverging | cs.converging
+                          | cs.reachability if u != LEADER)
+        self.conflict[v] = mask
+        for u in _bits(mask):
+            self.conflict[u] |= 1 << v
+        self.lane_mask[record.movement] = lane | 1 << v
 
     def place_incremental(self, record: VehicleRecord, algorithm: Algorithm) -> None:
         self.kernel = None
@@ -302,24 +316,19 @@ class _Engine:
         unlocked = [i for i in zone if i not in self.locked]
         if not unlocked:
             return
+        # the CUG induced on the unlocked vehicles, renumbered 1..k
         index = {v: k + 1 for k, v in enumerate(unlocked)}
         back = {k + 1: v for k, v in enumerate(unlocked)}
-        edges = set()
-        for x in range(len(unlocked)):
-            for y in range(x + 1, len(unlocked)):
-                a, b = unlocked[x], unlocked[y]
-                if not self.conflicts_between(a, b):
-                    edges.add((index[a], index[b]))
-        cug = CoexistenceGraph(n=len(unlocked), edges=frozenset(edges))
+        members = sum(1 << v for v in unlocked)
+        local = [0] + [sum(1 << index[u] for u in _bits(self.conflict[v] & members))
+                       for v in unlocked]
+        cug = CoexistenceGraph.complement(len(unlocked), local)
 
         lanes: dict[int, list[int]] = {}
         for v in unlocked:
             lanes.setdefault(self.records[v].movement, []).append(v)
         lane_lists = [sorted(group) for _, group in sorted(lanes.items())]
-
-        def conflicted(group: tuple[int, ...]) -> bool:
-            return any(self.conflicts_between(a, b)
-                       for k, a in enumerate(group) for b in group[k + 1:])
+        conflicted = conflict_test(self.conflict)
 
         layers = None
         if algorithm is Algorithm.MCC_BRUTE:
@@ -440,11 +449,9 @@ def run(cfg: SimConfig) -> RunResult:
         engine.records[rec.id] = rec
 
     if cfg.mode is Mode.BATCH:
-        sets = build_conflict_sets(arrivals, scn)
-        tree = schedule_from_graph(build_cdg(sets), cfg.algorithm, cfg.brute_cap)
+        tree = schedule_batch(arrivals, scn, cfg.algorithm, cfg.brute_cap)
         engine.depth.update(tree.depth)
         engine.parent.update(tree.parent)
-        engine.sets.update({s.vehicle: s for s in sets})
 
     pending = deque(arrivals)
     eps = 1e-9
@@ -463,9 +470,7 @@ def run(cfg: SimConfig) -> RunResult:
         while pending and pending[0].entry_time <= t + eps:
             rec = pending.popleft()
             if cfg.mode is Mode.ONLINE:
-                earlier = [engine.records[i] for i in engine.in_zone_ids() if i < rec.id]
-                engine.sets[rec.id] = conflict_sets_for(rec, earlier, scn,
-                                                        engine.live_remaining)
+                engine.arrive(rec)
             engine.enter(rec.id, scn.control_zone_length, rec.entry_speed)
             if cfg.mode is Mode.BATCH:
                 continue

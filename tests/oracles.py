@@ -82,6 +82,88 @@ def shallowest_admissible_layer(cdg: ConflictDirectedGraph, vehicle: int,
             return layer
 
 
+def edge_connected(cdg: ConflictDirectedGraph, i: int, j: int) -> bool:
+    """Any CDG edge between i and j, read off the four edge sets."""
+    lo, hi = (i, j) if i < j else (j, i)
+    return ((lo, hi) in cdg.crossing_edges or (lo, hi) in cdg.converging_edges
+            or (i, j) in cdg.lane_edges or (j, i) in cdg.lane_edges
+            or (i, j) in cdg.reach_edges or (j, i) in cdg.reach_edges)
+
+
+def edge_hard_parents(cdg: ConflictDirectedGraph, j: int) -> set[int]:
+    """Same-lane and reachability predecessors of j, from the edge sets."""
+    return {a for a, b in cdg.lane_edges | cdg.reach_edges if b == j}
+
+
+def edge_exchangeable_parents(cdg: ConflictDirectedGraph, j: int) -> set[int]:
+    """Crossing and converging predecessors of j, from the edge sets."""
+    return {a for a, b in cdg.crossing_edges | cdg.converging_edges if b == j}
+
+
+def edge_coexistence(cdg: ConflictDirectedGraph) -> frozenset[tuple[int, int]]:
+    """Coexisting pairs (low, high): no CDG edge and not on one lane chain.
+
+    Lane chains are followed from the virtual leader along the lane edges.
+    """
+    succ = {a: b for a, b in cdg.lane_edges if a != 0}
+    same_lane = set()
+    for _, head in (e for e in cdg.lane_edges if e[0] == 0):
+        chain = [head]
+        while chain[-1] in succ:
+            chain.append(succ[chain[-1]])
+        same_lane |= set(itertools.combinations(sorted(chain), 2))
+    return frozenset((i, j) for i, j in itertools.combinations(range(1, cdg.n + 1), 2)
+                     if not edge_connected(cdg, i, j) and (i, j) not in same_lane)
+
+
+def edge_greedy_cover(n: int, coexist: frozenset[tuple[int, int]]) -> list[frozenset[int]]:
+    """Greedy clique cover on an edge set: colour the complement in BFS order.
+
+    BFS starts each component at its most conflicted vehicle and expands by
+    ascending id; each vehicle takes the lowest group no conflicting vehicle
+    holds.  Groups are returned in group-index order.
+    """
+    adj: dict[int, set[int]] = {i: set() for i in range(1, n + 1)}
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        if (i, j) not in coexist:
+            adj[i].add(j)
+            adj[j].add(i)
+    order: list[int] = []
+    visited: set[int] = set()
+    for start in sorted(adj, key=lambda v: (-len(adj[v]), v)):
+        if start in visited:
+            continue
+        queue = [start]
+        visited.add(start)
+        while queue:
+            node = queue.pop(0)
+            order.append(node)
+            for nxt in sorted(adj[node]):
+                if nxt not in visited:
+                    visited.add(nxt)
+                    queue.append(nxt)
+    color: dict[int, int] = {}
+    for node in order:
+        used = {color[m] for m in adj[node] if m in color}
+        color[node] = next(c for c in itertools.count() if c not in used)
+    groups: dict[int, set[int]] = {}
+    for node, c in color.items():
+        groups.setdefault(c, set()).add(node)
+    return [frozenset(groups[c]) for c in sorted(groups)]
+
+
+def sets_conflict(records, sets, a: int, b: int) -> bool:
+    """Online conflict rule: one movement (the whole lane), or a member of the later set.
+
+    ``records`` and ``sets`` map vehicle ids to arrival records and conflict sets.
+    """
+    if records[a].movement == records[b].movement:
+        return True
+    lo, hi = (a, b) if a < b else (b, a)
+    cs = sets[hi]
+    return lo in cs.crossing | cs.diverging | cs.converging | cs.reachability
+
+
 def matrix_control_inputs(topology, states, depths, gains, cfg) -> dict[int, float]:
     """Controller written in its matrix form: u = -(L+Q) (k_p e_p + k_v e_v).
 

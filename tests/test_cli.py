@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -194,6 +195,64 @@ class TestScheduleCommand:
         code, _, err = cli(capsys, "schedule", "--arrivals", str(bad))
         assert code == 2
         assert "id,lane,t_in" in err
+
+
+    @pytest.mark.parametrize("rows,needle", [
+        ("1,1,0.0\n3,2,0.5\n", "1..2"),
+        ("0,1,0.0\n1,2,0.5\n", "1..2"),
+        ("1,1,0.0\n1,2,0.5\n", "1..2"),
+        ("1,1,nan\n2,2,0.5\n", "t_in"),
+        ("1,1,0.0\n2,2,-1.0\n", "t_in"),
+        ("1,1,0.0\n2,2,inf\n", "t_in"),
+        ("1,x,0.0\n", "bad row"),
+    ])
+    @pytest.mark.parametrize("algorithm", ["dfst", "idfst", "mcc-greedy"])
+    def test_bad_arrival_rows_exit_2(self, capsys, tmp_path, rows, needle, algorithm):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("id,lane,t_in\n" + rows)
+        code, out, err = cli(capsys, "schedule", "--arrivals", str(bad),
+                             "--algorithm", algorithm)
+        assert code == 2
+        assert out == ""
+        assert needle in err
+
+    # SHA-256 of the YAML written before the graphs were built once per command
+    @pytest.mark.parametrize("scenario,algorithm,dump,digest", [
+        (None, "dfst", False, "9bad5a3eaf264231856e46dc4ed55be941c6bc4a8e959c29f43d88c19dd1fc26"),
+        (None, "dfst", True, "e892d156b38dbfdd673375b62cda5503f42c0589be94f1dbcb6827c0be93df6b"),
+        (None, "idfst", False, "db3621b3c7c363080ccd87628ea32115f49acd6a86210d56a1eb4eb9c68b1972"),
+        (None, "idfst", True, "172fa9bfeb38d744dbcea77f7fa1205397bdd8186e73b4633641743121f2b31b"),
+        (None, "mcc-greedy", False,
+         "b19bb810a17eabfefe3b3808e9a5a79b2e129871533290ec82aa09e9e11c8bac"),
+        (None, "mcc-greedy", True,
+         "0ba6b1491eee31b91fe0876c3389abf8a1bbfaea1d074dd27a976e0c4698993d"),
+        ("example1_scenario.yaml", "dfst", False,
+         "1e82170cfa5904e76493c337009ed52432ebf8b24744aa8fc49f8a3da7d9ba67"),
+        ("example1_scenario.yaml", "dfst", True,
+         "115bab5d74aaa18b0dc0c8dd39ca77f92b6e117860722999f51f7db147a13df3"),
+        ("example1_scenario.yaml", "idfst", False,
+         "eb984e606c9ecb6fa3231dc89244acf2a4e8d133ddd98803d06422bb7d841d1f"),
+        ("example1_scenario.yaml", "idfst", True,
+         "0368cb87a689db0e4d47e15b7bb16fee0e5c51ed33331abf995692c4c047ddc6"),
+        ("example1_scenario.yaml", "mcc-greedy", False,
+         "b629b4576fa59a5efb064d212370db5629f657cd8a662b118fffc1142eac7145"),
+        ("example1_scenario.yaml", "mcc-greedy", True,
+         "850580cd675c27e6fbe3f3a3ac0d14c567a5265b404cbd6c4c47d04c799c9e91"),
+        ("example1_scenario.yaml", "mcc-brute", False,
+         "80a4fe18c3eb6d313210de87c11ad554ec56f718a284da029f582ad6500cc0f5"),
+        ("example1_scenario.yaml", "mcc-brute", True,
+         "22a6e7e5362d112a405e9bdd99f8318f72cb4d631aad828def0fe39ed5d0feb6"),
+    ])
+    def test_example_yaml_bytes_pinned(self, capsys, scenario, algorithm, dump, digest):
+        argv = ["schedule", "--arrivals", str(DATA / "example1_arrivals.csv"),
+                "--algorithm", algorithm]
+        if scenario:
+            argv += ["--scenario", str(DATA / scenario)]
+        if dump:
+            argv.append("--dump-graph")
+        code, out, _ = cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestValidateCommand:

@@ -12,9 +12,16 @@ from crossflow.conflicts import (
     reachability_conflict,
     reachability_threshold,
 )
+from crossflow.scenario import ValidationError
 
 from .conftest import make_sets
-from .instances import random_instance
+from .instances import graph_instances, random_instance, sampled_instance
+from .oracles import (
+    edge_coexistence,
+    edge_connected,
+    edge_exchangeable_parents,
+    edge_hard_parents,
+)
 
 
 def test_reachability_examples(default_cfg):
@@ -163,6 +170,32 @@ def test_eq6_ordering_and_lane_chain(seed):
         by_movement.setdefault(rec.movement, []).append(rec.id)
     for chain in cdg.lane_chains():
         assert chain == sorted(chain)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph_instances())
+def test_adjacency_matches_edge_sets(instance):
+    """Masks, predecessor sets and the CUG equal the edge-set definitions."""
+    _, _, cdg = instance
+    for i in range(cdg.n + 1):
+        assert cdg.hard_parents(i) == edge_hard_parents(cdg, i)
+        assert cdg.exchangeable[i] == edge_exchangeable_parents(cdg, i)
+        for j in range(cdg.n + 1):
+            assert cdg.connected(i, j) is edge_connected(cdg, i, j)
+    assert build_cug(cdg).edges == edge_coexistence(cdg)
+
+
+def test_sampled_fleets_reach_reachability_edges():
+    """The sampled gap-20 fleets of ``graph_instances`` do carry reachability edges."""
+    _, _, cdg = sampled_instance(3, 80, 20.0)
+    assert cdg.reach_edges
+    assert build_cug(cdg).edges == edge_coexistence(cdg)
+
+
+def test_unknown_entering_movement_rejected(default_cfg):
+    records = [VehicleRecord(1, 1, 0.0, 2.0), VehicleRecord(2, 99, 0.5, 2.0)]
+    with pytest.raises(ValidationError, match="99"):
+        build_conflict_sets(records, default_cfg)
 
 
 def test_nominal_remaining_profile(ex1_scenario):

@@ -20,8 +20,15 @@ from crossflow.scheduling import (
 )
 
 from .conftest import make_sets
-from .instances import random_instance
-from .oracles import best_ordering_cost, min_feasible_depth, shallowest_admissible_layer
+from .instances import graph_instances, random_instance
+from .oracles import (
+    best_ordering_cost,
+    edge_coexistence,
+    edge_connected,
+    edge_greedy_cover,
+    min_feasible_depth,
+    shallowest_admissible_layer,
+)
 from crossflow.conflicts import build_cdg
 
 # The six minimum covers of the seven-vehicle example, canonicalized.
@@ -140,6 +147,14 @@ class TestMccGreedy:
         assert cover.max_clique_size == 5
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(graph_instances())
+    def test_matches_edge_set_reference(self, instance):
+        _, _, cdg = instance
+        cover = mcc_greedy(build_cug(cdg))
+        assert list(cover.subsets) == edge_greedy_cover(cdg.n, edge_coexistence(cdg))
+
+
 class TestMccBruteforce:
     def test_example_theta_and_solutions(self, ex1_cug):
         covers = minimum_clique_covers(ex1_cug)
@@ -212,6 +227,20 @@ class TestVerifyFeasible:
         report = verify_feasible(tree, ex1_cdg)
         assert not report.ok
         assert (5, 6) in report.order_violations
+
+    @settings(max_examples=30, deadline=None)
+    @given(graph_instances())
+    def test_one_layer_reports_every_conflict(self, instance):
+        """All vehicles in layer 1: every conflicting pair and lane edge is reported."""
+        _, _, cdg = instance
+        flat = SpanningTree(parent={i: 0 for i in range(1, cdg.n + 1)},
+                            depth={i: 1 for i in range(1, cdg.n + 1)})
+        report = verify_feasible(flat, cdg)
+        pairs = [(i, j) for i in range(1, cdg.n + 1) for j in range(i + 1, cdg.n + 1)
+                 if edge_connected(cdg, i, j)]
+        assert report.same_depth_conflicts == pairs
+        assert sorted(report.order_violations) == sorted(e for e in cdg.lane_edges if e[0])
+        assert report.ok is not (pairs or any(e[0] for e in cdg.lane_edges))
 
     def test_published_example_layout_is_feasible(self, ex1_cdg):
         tree = published_partial_tree(7)

@@ -1,8 +1,10 @@
 import hashlib
 import statistics
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crossflow.conflicts import ContractError, VehicleRecord
 from crossflow.control import LEADER, VehicleState
@@ -20,12 +22,14 @@ from crossflow.simulation import (
     run,
     sample_arrivals,
     simulate_platoon,
+    _Engine,
 )
-from crossflow.scenario import load_scenario, dump_scenario
+from crossflow.scenario import default_intersection, dump_scenario, load_scenario
 
 import yaml
 
 from .conftest import EXAMPLE1_SETS, make_sets
+from .oracles import sets_conflict
 
 
 def single_lane_scenario():
@@ -251,7 +255,8 @@ class TestGolden:
         for row in result.trace[:200] + result.trace[-200:]:
             assert [type(x) for x in row] == [int, int, float, float, float, int]
         for r in result.metrics.records:
-            assert (type(r.t_out), type(r.depth)) == (float, int)
+            assert (type(r.t_in), type(r.t_out), type(r.depth)) == (float, float, int)
+        assert all(type(rec.entry_time) is float for rec in result.arrivals)
         assert run_digest(result) == digest
 
     def test_platoon_bit_identical(self, default_cfg):
@@ -269,37 +274,55 @@ class TestOnlineLocking:
         cfg = SimConfig(scenario=ex1_scenario, algorithm=Algorithm.MCC_GREEDY,
                         n_vehicles=7, mean_headway=3.0, seed=1, mode=Mode.ONLINE)
         # replay the worked example's arrival pattern through the online engine
-        from crossflow.simulation import _Engine
-
         engine = _Engine(ex1_scenario, cfg.n_vehicles + 1, gains=cfg.gains, dt=cfg.step,
                          leader_start=cfg.leader_start)
         records = example1_arrivals()
-        from crossflow.simulation import run as _run  # noqa: F401  (structure only)
-
         # drive manually: place the first six at entry states, then push one
         # deep into the zone and lock it by a seventh arrival
-        from crossflow.conflicts import conflict_sets_for
-
         for rec in records[:6]:
-            engine.records[rec.id] = rec
-            earlier = [engine.records[i] for i in engine.in_zone_ids() if i < rec.id]
-            engine.sets[rec.id] = conflict_sets_for(rec, earlier, ex1_scenario,
-                                                    engine.live_remaining)
+            engine.arrive(rec)
             engine.enter(rec.id, ex1_scenario.control_zone_length, 2.0)
             engine.reschedule_cover(Algorithm.MCC_GREEDY)
         # vehicle 1 is now 300 m from the line: uncatchable for newcomers
         engine.remaining[1], engine.speed[1] = 300.0, 10.0
         depth_before = engine.depth[1]
         rec = records[6]
-        engine.records[rec.id] = rec
-        earlier = [engine.records[i] for i in engine.in_zone_ids() if i < rec.id]
-        engine.sets[rec.id] = conflict_sets_for(rec, earlier, ex1_scenario,
-                                                engine.live_remaining)
+        engine.arrive(rec)
         engine.enter(rec.id, ex1_scenario.control_zone_length, 2.0)
         engine.reschedule_cover(Algorithm.MCC_GREEDY)
         assert 1 in engine.locked
         assert engine.depth[1] == depth_before
         assert 1 in engine.sets[7].reachability
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=80),
+       st.sampled_from((1.0, 5.0)))
+def test_online_conflict_masks_match_set_rule(seed, n, headway):
+    """The engine's conflict masks equal the rule "one lane, or a member of the later set".
+
+    With the leader at the line, vehicles race ahead, so gap 5 s fleets carry
+    reachability members (768 over seeds 0-4 at n = 80).
+    """
+    scn = default_intersection()
+    cfg = SimConfig(scenario=scn, algorithm=Algorithm.IDFST, n_vehicles=n,
+                    mean_headway=headway, seed=seed, mode=Mode.ONLINE)
+    engine = _Engine(scn, n + 1, gains=cfg.gains, dt=cfg.step, leader_start=0.0)
+    pending = deque(sample_arrivals(cfg))
+
+    def admit(t: float) -> bool:
+        while pending and pending[0].entry_time <= t + 1e-9:
+            rec = pending.popleft()
+            engine.arrive(rec)
+            engine.enter(rec.id, scn.control_zone_length, rec.entry_speed)
+            engine.place_incremental(rec, Algorithm.IDFST)
+        return bool(pending)
+
+    engine.drive(admit)
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            expected = a != b and sets_conflict(engine.records, engine.sets, a, b)
+            assert bool(engine.conflict[a] >> b & 1) is expected
 
 
 class TestSimulatePlatoon:
