@@ -133,20 +133,34 @@ def _load_scenario_arg(path: str | None) -> IntersectionConfig:
     return load_scenario_file(path)
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_int_list(text: str, flag: str) -> list[int]:
     out = []
-    for part in text.split(","):
-        part = part.strip()
-        if "-" in part and not part.startswith("-"):
-            lo, hi = part.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
-    return out
+    try:
+        for part in text.split(","):
+            part = part.strip()
+            if "-" in part and not part.startswith("-"):
+                lo, hi = part.split("-", 1)
+                out.extend(range(int(lo), int(hi) + 1))
+            else:
+                out.append(int(part))
+    except ValueError:
+        raise UsageError(f"{flag}: expected a comma list of integers or ranges "
+                         f"(got {text!r})") from None
+    return _nonempty(out, flag, text)
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(p) for p in text.split(",") if p.strip()]
+def _parse_float_list(text: str, flag: str) -> list[float]:
+    try:
+        out = [float(p) for p in text.split(",") if p.strip()]
+    except ValueError:
+        raise UsageError(f"{flag}: expected a comma list of numbers (got {text!r})") from None
+    return _nonempty(out, flag, text)
+
+
+def _nonempty(values: list, flag: str, text: str) -> list:
+    if not values:
+        raise UsageError(f"{flag}: the list {text!r} holds no values")
+    return values
 
 
 def load_arrivals(path: str, entry_speed: float) -> list[VehicleRecord]:
@@ -181,8 +195,8 @@ def _sweep_cell(cfg: SimConfig):
 
 
 def _check_positive(value, flag: str) -> None:
-    if value <= 0:
-        raise UsageError(f"{flag}: must be positive (got {value})")
+    if not 0 < value < math.inf:  # also rejects nan
+        raise UsageError(f"{flag}: must be positive and finite (got {value})")
 
 
 def cmd_run(args) -> int:
@@ -222,8 +236,8 @@ def cmd_sweep(args) -> int:
     for a in algorithms:
         if a not in _ALGORITHM_FLAGS:
             raise UsageError(f"--algorithms: unknown algorithm {a!r}")
-    vehicles = _parse_int_list(args.vehicles)
-    headways = _parse_float_list(getattr(args, "lambda"))
+    vehicles = _parse_int_list(args.vehicles, "--vehicles")
+    headways = _parse_float_list(getattr(args, "lambda"), "--lambda")
     for n in vehicles:
         _check_positive(n, "--vehicles")
     for headway in headways:

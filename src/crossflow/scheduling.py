@@ -19,12 +19,20 @@ the conflict graph.  Every route reads the graphs' one adjacency: the trees
 take the CDG's ``fixed`` and ``exchangeable`` predecessor sets, and the
 cover, the layer ordering and the feasibility check test its conflict
 bitsets.
+
+Batch and online scheduling share one path.  The trees add one vehicle at a
+time with ``_place``, which the online engine calls on its own partial tree
+at each arrival.  The cover routes turn a cover into layers with
+``_cover_layers``, which the engine calls on the unlocked vehicles.  Its
+exact route falls back to the greedy cover with splitting when no minimum
+cover can be ordered, and a layer-ordering search that runs out of budget
+counts as finding no order, so the split still runs.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -149,29 +157,40 @@ def verify_feasible(tree: SpanningTree, cdg: ConflictDirectedGraph) -> Feasibili
     return report
 
 
-def _attach_parent(depth_map: dict[int, int], child_count: dict[int, int], target_depth: int) -> int:
+def _attach_parent(depth_map: dict[int, int], child_count: Counter, target_depth: int) -> int:
     """Pick the parent at the layer above: fewest children, then lowest id."""
     candidates = [n for n, d in depth_map.items() if d == target_depth - 1]
     if target_depth == 1:
         candidates.append(0)
     if not candidates:
         raise ContractError(f"no node available at depth {target_depth - 1}")
-    return min(candidates, key=lambda n: (child_count.get(n, 0), n))
+    return min(candidates, key=lambda n: (child_count[n], n))
+
+
+def _place(tree: SpanningTree, i: int, fixed: frozenset[int], exchangeable: frozenset[int],
+           improved: bool) -> None:
+    """Add vehicle i to a partial tree: the per-vehicle step of dfst and idfst.
+
+    ``fixed`` and ``exchangeable`` are its placed predecessors (the CDG's sets
+    in batch, the online conflict sets in the engine).
+    """
+    if improved:
+        child_count = Counter(tree.parent.values())
+        target = tree.depth_of(_opt_parent(tree, fixed, exchangeable, child_count)) + 1
+        k = _attach_parent(tree.depth, child_count, target)
+    else:
+        k = max(fixed | exchangeable, key=lambda n: (tree.depth_of(n), -n))
+        target = tree.depth_of(k) + 1
+    tree.parent[i] = k
+    tree.depth[i] = target
 
 
 def dfst_schedule(cdg: ConflictDirectedGraph) -> SpanningTree:
     """Baseline tree: one layer below the deepest conflict parent of any kind."""
-    depth: dict[int, int] = {}
-    parent: dict[int, int] = {}
-
-    def d(node: int) -> int:
-        return 0 if node == 0 else depth[node]
-
+    tree = SpanningTree(parent={}, depth={})
     for i in range(1, cdg.n + 1):
-        k = max(cdg.fixed[i] | cdg.exchangeable[i], key=lambda n: (d(n), -n))
-        parent[i] = k
-        depth[i] = d(k) + 1
-    return SpanningTree(parent=parent, depth=depth)
+        _place(tree, i, cdg.fixed[i], cdg.exchangeable[i], improved=False)
+    return tree
 
 
 def find_opt_parent(tree: SpanningTree, fixed: Iterable[int], exchangeable: Iterable[int]) -> int:
@@ -182,22 +201,22 @@ def find_opt_parent(tree: SpanningTree, fixed: Iterable[int], exchangeable: Iter
     depth) and does not coincide with any exchangeable parent's layer.
     Ties break toward fewer children, then the lower id.
     """
-    fixed = set(fixed)
-    exchangeable = set(exchangeable)
+    return _opt_parent(tree, set(fixed), set(exchangeable), Counter(tree.parent.values()))
+
+
+def _opt_parent(tree: SpanningTree, fixed: set[int] | frozenset[int],
+                exchangeable: set[int] | frozenset[int], child_count: Counter) -> int:
     if not fixed and not exchangeable:
         raise ContractError("parent search needs at least one candidate")
     floor = max((tree.depth_of(m) for m in fixed), default=0)
     blocked = {tree.depth_of(n) for n in exchangeable}
-    child_count: dict[int, int] = {}
-    for p in tree.parent.values():
-        child_count[p] = child_count.get(p, 0) + 1
     best: int | None = None
     best_key: tuple[int, int, int] | None = None
     for k in fixed | exchangeable:
         target = tree.depth_of(k) + 1
         if target <= floor or target in blocked:
             continue
-        key = (tree.depth_of(k), child_count.get(k, 0), k)
+        key = (tree.depth_of(k), child_count[k], k)
         if best_key is None or key < best_key:
             best, best_key = k, key
     if best is None:
@@ -214,19 +233,10 @@ def idfst_schedule(cdg: ConflictDirectedGraph) -> SpanningTree:
     the shallowest admissible layer and attaches to the least-loaded node
     one layer up.
     """
-    depth: dict[int, int] = {}
-    parent: dict[int, int] = {}
-    child_count: dict[int, int] = {}
-    tree = SpanningTree(parent=parent, depth=depth)
-
+    tree = SpanningTree(parent={}, depth={})
     for i in range(1, cdg.n + 1):
-        k = find_opt_parent(tree, cdg.fixed[i], cdg.exchangeable[i])
-        target = tree.depth_of(k) + 1
-        chosen = _attach_parent(depth, child_count, target)
-        parent[i] = chosen
-        depth[i] = target
-        child_count[chosen] = child_count.get(chosen, 0) + 1
-    return SpanningTree(parent=parent, depth=depth)
+        _place(tree, i, cdg.fixed[i], cdg.exchangeable[i], improved=True)
+    return tree
 
 
 def _bfs_order(conflicts: Sequence[int]) -> list[int]:
@@ -331,12 +341,14 @@ def mcc_bruteforce(cug: CoexistenceGraph, cap: int = 12) -> CliqueCover:
     return min(covers, key=lambda c: (ordering_objective(c), c.canonical()))
 
 
+_ORDER_BUDGET = 200_000  # backtracking steps of one ``order_layers`` search
+
+
 def order_layers(
     subsets: Iterable[Iterable[int]],
     lanes: list[list[int]],
     conflicted,
     allow_split: bool = False,
-    budget: int = 200_000,
 ) -> list[tuple[int, ...]] | None:
     """Order cover subsets into conflict-free layers via lane-slot substitution.
 
@@ -345,9 +357,10 @@ def order_layers(
     route-interchangeable, so this generalizes the pairwise exchange that
     restores arrival order along a lane.  A substitution can still collide
     with a reachability conflict (those are not lane-symmetric); the search
-    prefers larger subsets first and backtracks over the emission order.
+    prefers larger subsets first and backtracks over the emission order,
+    for at most ``_ORDER_BUDGET`` steps.
 
-    Returns None if no ordering works and splitting is off; with
+    Returns None if no ordering is found and splitting is off; with
     ``allow_split`` a blocked subset sheds its colliding members into
     singleton subsets instead (the layer count may then grow).
     """
@@ -358,12 +371,12 @@ def order_layers(
     shapes = sorted((tuple(sorted(s)) for s in subsets), key=lambda s: (-len(s), s))
     shape_lanes = [tuple(sorted(lane_of[v] for v in s)) for s in shapes]
     layers_out: list[tuple[int, ...]] = []
-    fuel = [budget]
+    fuel = [_ORDER_BUDGET]
 
     def emit(remaining: list[int], heads: list[int]) -> bool:
         fuel[0] -= 1
-        if fuel[0] < 0:
-            raise RepairError("gave up ordering the cover around reachability conflicts")
+        if fuel[0] < 0:  # out of budget: no ordering
+            return False
         if not remaining:
             return True
         for pick, idx in enumerate(remaining):
@@ -474,26 +487,29 @@ def _tree_from_layers(layers: list[tuple[int, ...]], cdg: ConflictDirectedGraph)
     return tree
 
 
-def schedule_cover_tree(cug: CoexistenceGraph, cdg: ConflictDirectedGraph,
-                        exact: bool, cap: int = 12) -> SpanningTree:
-    """Cover-based schedule as a tree, robust to unorderable covers.
+def _cover_layers(cug: CoexistenceGraph, lanes: list[list[int]], masks: Sequence[int],
+                  exact: bool, cap: int = 12) -> list[tuple[int, ...]]:
+    """Conflict-free layers from a clique cover: the cover route of batch and online.
 
     The preferred cover occasionally admits no lane-consistent layer order
     once reachability conflicts enter (they are not lane-symmetric).  The
-    exact route then walks the minimum covers in preference order; one of
-    them is always orderable when the depth-cover equivalence holds.  The
-    greedy route keeps its single cover and sheds colliding members into
-    extra layers instead.
+    exact route walks the minimum covers in preference order and takes the
+    first it can order; when none orders, and always on the greedy route,
+    the greedy cover is ordered with its colliding members shed into extra
+    layers.  ``lanes`` and ``masks`` (conflict bitsets) use the numbering
+    1..n of ``cug``.
     """
-    conflicted = conflict_test(cdg.mask)
-    lanes = _lanes_for(cdg)
+    conflicted = conflict_test(masks)
     if exact:
         covers = minimum_clique_covers(cug, cap=cap)
         for cover in sorted(covers, key=lambda c: (ordering_objective(c), c.canonical())):
             layers = order_layers(cover.subsets, lanes, conflicted)
             if layers is not None:
-                return _tree_from_layers(layers, cdg)
-        raise RepairError("no minimum cover admits a conflict-free ordering")
-    cover = mcc_greedy(cug)
-    layers = order_layers(cover.subsets, lanes, conflicted, allow_split=True)
-    return _tree_from_layers(layers, cdg)
+                return layers
+    return order_layers(mcc_greedy(cug).subsets, lanes, conflicted, allow_split=True)
+
+
+def schedule_cover_tree(cug: CoexistenceGraph, cdg: ConflictDirectedGraph,
+                        exact: bool, cap: int = 12) -> SpanningTree:
+    """Cover-based schedule as a tree, robust to unorderable covers (``_cover_layers``)."""
+    return _tree_from_layers(_cover_layers(cug, _lanes_for(cdg), cdg.mask, exact, cap), cdg)

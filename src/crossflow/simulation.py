@@ -2,11 +2,14 @@
 
 Batch mode analyzes the whole arrival list up front (conflicts from entry
 conditions under the nominal approach profile), computes one schedule and
-then runs the closed loop.  Online mode schedules at every arrival event:
-the spanning-tree methods place the new vehicle incrementally, the clique
-cover methods recompute the cover over all vehicles not yet locked near the
-stopping line.  The online conflict relation is one bitset per vehicle,
-set on arrival from its conflict sets and its lane.
+then runs the closed loop.  Online mode schedules at every arrival event
+through the same scheduling functions as batch: the spanning-tree methods
+place the new vehicle with the trees' own per-vehicle step, and the clique
+cover methods re-layer all vehicles not yet locked near the stopping line
+through the batch cover route (exact covers with the greedy split as
+fallback, or the greedy cover with splitting).  The online conflict
+relation is one bitset per vehicle, set on arrival from its conflict sets
+and its lane.
 
 The virtual leader starts ``leader_start`` meters from the stopping line at
 t = 0 and advances at the platoon design speed; a vehicle's slot sits one
@@ -16,9 +19,10 @@ One engine runs the closed loop of ``run`` (both modes) and
 ``simulate_platoon``: remaining distance, speed and the present and crossed
 masks are numpy arrays indexed by vehicle id, and ``control.PlatoonKernel``
 steps all vehicles in the zone at once, bit for bit as ``control_input`` and
-``step_dynamics`` would.  Its links and spacing offsets are rebuilt only on
-an arrival, a reschedule or a crossing; crossed vehicles leave it and stay
-frozen at their first step past the line.
+``step_dynamics`` would.  Its links (each vehicle's tree parent and
+children) and spacing offsets are rebuilt only on an arrival, a reschedule
+or a crossing; crossed vehicles leave it and stay frozen at their first
+step past the line.
 """
 
 from __future__ import annotations
@@ -43,24 +47,14 @@ from .conflicts import (
     conflict_sets_for,
     reachability_conflict,
 )
-from .control import (
-    LEADER,
-    ControllerGains,
-    PlatoonKernel,
-    VehicleState,
-    build_plf_topology,
-)
+from .control import LEADER, ControllerGains, PlatoonKernel, VehicleState
 from .scenario import IntersectionConfig
 from .scheduling import (
     SpanningTree,
-    conflict_test,
+    _cover_layers,
+    _place,
     dfst_schedule,
-    find_opt_parent,
     idfst_schedule,
-    mcc_greedy,
-    minimum_clique_covers,
-    order_layers,
-    ordering_objective,
     schedule_cover_tree,
 )
 
@@ -200,17 +194,6 @@ def schedule_batch(records: Sequence[VehicleRecord], cfg: IntersectionConfig,
     return schedule_from_graph(cdg, algorithm, brute_cap)
 
 
-class _LooseTree:
-    """Partial-tree view over the live engine maps for parent search."""
-
-    def __init__(self, depth: dict[int, int], parent: dict[int, int]):
-        self.depth = depth
-        self.parent = parent
-
-    def depth_of(self, node: int) -> int:
-        return 0 if node == LEADER else self.depth[node]
-
-
 @dataclass
 class RunResult:
     metrics: Metrics
@@ -223,23 +206,21 @@ class RunResult:
 class _Engine:
     """The closed loop of ``run`` and ``simulate_platoon`` (module docstring).
 
-    The schedule stays in the ``depth``/``parent`` maps the schedulers use.
-    ``neighbor_sets`` fixes the links; without it they follow ``parent``.
+    The schedule is one ``SpanningTree`` whose ``depth``/``parent`` maps the
+    schedulers grow in place; the links follow ``parent``.
     """
 
     def __init__(self, scn: IntersectionConfig, size: int, *, gains: ControllerGains,
                  dt: float, leader_start: float, brute_cap: int = 12,
-                 collect_trace: bool = False,
-                 neighbor_sets: Mapping[int, frozenset[int]] | None = None):
+                 collect_trace: bool = False):
         self.scn, self.gains, self.dt, self.leader_start = scn, gains, dt, leader_start
         self.brute_cap, self.collect_trace = brute_cap, collect_trace
-        self.fixed_neighbors = neighbor_sets
         self.remaining, self.speed = np.zeros(size), np.zeros(size)
         self.present = np.zeros(size, dtype=bool)
         self.passed = np.zeros(size, dtype=bool)  # crossed the stopping line
         self.kernel: PlatoonKernel | None = None  # None: rebuild before the next step
-        self.depth: dict[int, int] = {}
-        self.parent: dict[int, int] = {}
+        self.tree = SpanningTree(parent={}, depth={})
+        self.depth, self.parent = self.tree.depth, self.tree.parent
         self.sets: dict[int, ConflictSets] = {}
         self.conflict = [0] * size  # online conflict bitset per vehicle
         self.lane_mask: dict[int, int] = {}  # movement -> bitset of its arrived vehicles
@@ -278,29 +259,11 @@ class _Engine:
         self.lane_mask[record.movement] = lane | 1 << v
 
     def place_incremental(self, record: VehicleRecord, algorithm: Algorithm) -> None:
+        """Place the arriving vehicle with the trees' own per-vehicle step."""
         self.kernel = None
         cs = self.sets[record.id]
-        tree = _LooseTree(self.depth, self.parent)
-        if algorithm is Algorithm.DFST:
-            union = cs.diverging | cs.reachability | cs.crossing | cs.converging
-            k = max(union, key=lambda n: (tree.depth_of(n), -n))
-            self.parent[record.id] = k
-            self.depth[record.id] = tree.depth_of(k) + 1
-        else:
-            fixed = cs.diverging | cs.reachability
-            k = find_opt_parent(tree, fixed, cs.crossing | cs.converging)
-            target = tree.depth_of(k) + 1
-            self.parent[record.id] = self._attach(target)
-            self.depth[record.id] = target
-
-    def _attach(self, target_depth: int) -> int:
-        child_count: dict[int, int] = {}
-        for p in self.parent.values():
-            child_count[p] = child_count.get(p, 0) + 1
-        candidates = [n for n, d in self.depth.items() if d == target_depth - 1]
-        if target_depth == 1 or not candidates:
-            candidates.append(LEADER)
-        return min(candidates, key=lambda n: (child_count.get(n, 0), n))
+        _place(self.tree, record.id, cs.diverging | cs.reachability, cs.crossing | cs.converging,
+               improved=algorithm is not Algorithm.DFST)
 
     def reschedule_cover(self, algorithm: Algorithm) -> None:
         """Recompute the clique cover over unlocked in-zone vehicles.
@@ -316,36 +279,23 @@ class _Engine:
         unlocked = [i for i in zone if i not in self.locked]
         if not unlocked:
             return
-        # the CUG induced on the unlocked vehicles, renumbered 1..k
-        index = {v: k + 1 for k, v in enumerate(unlocked)}
-        back = {k + 1: v for k, v in enumerate(unlocked)}
-        members = sum(1 << v for v in unlocked)
-        local = [0] + [sum(1 << index[u] for u in _bits(self.conflict[v] & members))
+        # the batch cover route on the unlocked vehicles, renumbered 1..k in
+        # id order (so every tie breaks as it would on the original ids)
+        index = {v: k for k, v in enumerate(unlocked, start=1)}
+        pool = sum(1 << v for v in unlocked)
+        local = [0] + [sum(1 << index[u] for u in _bits(self.conflict[v] & pool))
                        for v in unlocked]
-        cug = CoexistenceGraph.complement(len(unlocked), local)
-
         lanes: dict[int, list[int]] = {}
         for v in unlocked:
-            lanes.setdefault(self.records[v].movement, []).append(v)
-        lane_lists = [sorted(group) for _, group in sorted(lanes.items())]
-        conflicted = conflict_test(self.conflict)
-
-        layers = None
-        if algorithm is Algorithm.MCC_BRUTE:
-            covers = minimum_clique_covers(cug, cap=self.brute_cap)
-            for cover in sorted(covers, key=lambda c: (ordering_objective(c), c.canonical())):
-                subsets = [tuple(back[v] for v in s) for s in cover.subsets]
-                layers = order_layers(subsets, lane_lists, conflicted)
-                if layers is not None:
-                    break
-        if layers is None:
-            cover = mcc_greedy(cug)
-            subsets = [tuple(back[v] for v in s) for s in cover.subsets]
-            layers = order_layers(subsets, lane_lists, conflicted, allow_split=True)
+            lanes.setdefault(self.records[v].movement, []).append(index[v])
+        layers = _cover_layers(CoexistenceGraph.complement(len(unlocked), local),
+                               [lane for _, lane in sorted(lanes.items())], local,
+                               exact=algorithm is Algorithm.MCC_BRUTE, cap=self.brute_cap)
 
         locked_depth = {w: self.depth[w] for w in self.locked if w in self.depth}
         prev = 0
-        for members in layers:
+        for layer in layers:
+            members = [unlocked[k - 1] for k in layer]
             floor = prev
             banned: set[int] = set()
             for m in members:
@@ -380,8 +330,6 @@ class _Engine:
     # --- dynamics -------------------------------------------------------
 
     def neighbor_sets(self, rows: list[int]) -> Mapping[int, frozenset[int]]:
-        if self.fixed_neighbors is not None:
-            return self.fixed_neighbors
         children: dict[int, set[int]] = {}
         for child, par in self.parent.items():
             if par != LEADER:
@@ -529,9 +477,9 @@ def simulate_platoon(
     """
     ids = list(initial)
     engine = _Engine(cfg, max(ids, default=0) + 1, gains=gains,
-                     dt=dt if dt is not None else cfg.dt, leader_start=leader_start,
-                     neighbor_sets=build_plf_topology(tree).neighbor_sets)
+                     dt=dt if dt is not None else cfg.dt, leader_start=leader_start)
     engine.depth.update(tree.depth)
+    engine.parent.update(tree.parent)
     for i, st in initial.items():
         engine.enter(i, st.remaining, st.speed)
     history: list[PlatoonSample] = []

@@ -71,6 +71,13 @@ class TestRunCommand:
         assert code == 1
         assert "--lambda" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_headway_is_usage_error(self, capsys, value):
+        code, out, err = cli(capsys, "run", "--vehicles", "2", "--lambda", value)
+        assert code == 1
+        assert out == ""
+        assert "--lambda" in err
+
     def test_invalid_rep_count_is_usage_error(self, capsys):
         code, _, err = cli(capsys, "sweep", "--vehicles", "2", "--reps", "0")
         assert code == 1
@@ -141,6 +148,24 @@ class TestSweepCommand:
         assert code == 1
         assert out == ""
         assert "--jobs" in err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--vehicles", "abc"), ("--vehicles", ""), ("--vehicles", "10-5"),
+        ("--vehicles", "3,,4"), ("--vehicles", "2-x"), ("--lambda", "x"), ("--lambda", ","),
+        ("--lambda", ""), ("--lambda", "nan"), ("--lambda", "3,inf"),
+    ])
+    @pytest.mark.parametrize("summary", [False, True])
+    def test_bad_list_is_usage_error(self, capsys, tmp_path, flag, value, summary):
+        """Malformed lists and lists that parse to nothing fail before any run."""
+        lists = {"--vehicles": "3", "--lambda": "3", flag: value}
+        extra = ["--summary", str(tmp_path / "summary.csv")] if summary else []
+        code, out, err = cli(capsys, "sweep", "--algorithms", "dfst",
+                             "--vehicles", lists["--vehicles"], "--lambda", lists["--lambda"],
+                             *extra)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and flag in err
+        assert not (tmp_path / "summary.csv").exists()
 
     def test_summary_file(self, capsys, tmp_path):
         out = tmp_path / "rows.csv"

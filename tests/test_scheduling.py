@@ -20,7 +20,7 @@ from crossflow.scheduling import (
 )
 
 from .conftest import make_sets
-from .instances import graph_instances, random_instance
+from .instances import graph_instances, random_instance, sampled_instance
 from .oracles import (
     best_ordering_cost,
     edge_coexistence,
@@ -268,6 +268,15 @@ def test_unorderable_cover_raises():
     with pytest.raises(RepairError):
         cover_to_tree(mcc_greedy(cug), cdg)
     tree = schedule_cover_tree(cug, cdg, exact=False)
+    assert verify_feasible(tree, cdg).ok
+
+
+def test_light_traffic_cover_falls_back_to_split():
+    """Light traffic, n = 60 at gap 20 s, seed 1: ordering the greedy cover
+    runs out of search budget, which counts as no ordering, so the split
+    pass gives a feasible tree instead of an error."""
+    _, _, cdg = sampled_instance(1, 60, 20.0)
+    tree = schedule_cover_tree(build_cug(cdg), cdg, exact=False)
     assert verify_feasible(tree, cdg).ok
 
 

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossflow.conflicts import ContractError, VehicleRecord
-from crossflow.control import LEADER, VehicleState
+from crossflow.conflicts import ContractError, VehicleRecord, nominal_remaining
+from crossflow.control import LEADER, ControllerGains, VehicleState
 from crossflow.presets import example1_arrivals, example1_scenario
 from crossflow.conflicts import build_cdg
-from crossflow.scheduling import idfst_schedule
+from crossflow.scheduling import dfst_schedule, idfst_schedule
 from crossflow.simulation import (
     Algorithm,
     CompletionRecord,
@@ -29,6 +29,7 @@ from crossflow.scenario import default_intersection, dump_scenario, load_scenari
 import yaml
 
 from .conftest import EXAMPLE1_SETS, make_sets
+from .instances import sampled_instance
 from .oracles import sets_conflict
 
 
@@ -323,6 +324,27 @@ def test_online_conflict_masks_match_set_rule(seed, n, headway):
         for b in range(1, n + 1):
             expected = a != b and sets_conflict(engine.records, engine.sets, a, b)
             assert bool(engine.conflict[a] >> b & 1) is expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from(((30, 1.0), (60, 20.0))))
+def test_online_placement_equals_batch_trees(seed, fleet):
+    """With the nominal approach as the live state, placing each arrival in
+    the engine gives exactly the batch dfst and idfst trees."""
+    n, headway = fleet
+    records, _, cdg = sampled_instance(seed, n, headway)
+    scn = default_intersection()
+    for algorithm, schedule in ((Algorithm.DFST, dfst_schedule),
+                                (Algorithm.IDFST, idfst_schedule)):
+        engine = _Engine(scn, n + 1, gains=ControllerGains(), dt=scn.dt, leader_start=0.0)
+        engine.live_remaining = nominal_remaining(records, scn)
+        for rec in records:
+            engine.arrive(rec)
+            engine.enter(rec.id, scn.control_zone_length, rec.entry_speed)
+            engine.place_incremental(rec, algorithm)
+        batch = schedule(cdg)
+        assert engine.depth == batch.depth
+        assert engine.parent == batch.parent
 
 
 class TestSimulatePlatoon:
