@@ -308,6 +308,49 @@ class CoexistenceGraph:
         return frozenset((i, j) for i in range(1, self.n + 1)
                          for j in _bits(self.coexist[i] >> (i + 1) << (i + 1)))
 
+    @cached_property
+    def _minimum_covers(self) -> tuple[tuple[int, ...], ...]:
+        """Every minimum clique cover, each a tuple of member bitsets; found on first use.
+
+        Branch-and-bound set partitioning: vehicles are placed in id order
+        into an open clique whose members all coexist with them (one ``&``
+        with the clique's common coexistence bitset) or into a fresh one, and
+        branches with more cliques than the best cover so far are cut.  Id
+        order reaches every partition once, with its cliques in order of their
+        lowest member, so no cover repeats.  Exponential in n: reach it only
+        through ``scheduling``'s capped wrappers (``minimum_clique_covers``,
+        ``mcc_bruteforce`` and the exact cover route).
+        """
+        best = self.n
+        covers: list[tuple[int, ...]] = []
+        members: list[int] = []
+        common: list[int] = []  # per open clique, the vehicles that coexist with all members
+
+        def place(v: int) -> None:
+            nonlocal best
+            if v > self.n:
+                if len(members) < best:
+                    best = len(members)
+                    covers.clear()
+                covers.append(tuple(members))
+                return
+            bit = 1 << v
+            for c in range(len(members)):
+                m, shared = members[c], common[c]
+                if shared & bit:
+                    members[c], common[c] = m | bit, shared & self.coexist[v]
+                    place(v + 1)
+                    members[c], common[c] = m, shared
+            if len(members) < best:
+                members.append(bit)
+                common.append(self.coexist[v])
+                place(v + 1)
+                members.pop()
+                common.pop()
+
+        place(1)
+        return tuple(covers)
+
     def to_dict(self) -> dict:
         return {"nodes": list(range(1, self.n + 1)), "edges": sorted(self.edges)}
 

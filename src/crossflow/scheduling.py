@@ -11,7 +11,10 @@ Four routes to a layered passing order:
 * ``mcc_greedy``: minimum clique cover of the coexistence graph, solved
   heuristically by greedy coloring of its complement in breadth-first order.
 * ``mcc_bruteforce``: exact minimum clique cover by branch-and-bound set
-  partitioning, capped at small vehicle counts.
+  partitioning, capped at small vehicle counts.  The minimum covers are
+  enumerated once per coexistence graph, as member bitsets, and kept on it
+  (``CoexistenceGraph._minimum_covers``); they are ranked lazily, one
+  objective value at a time.
 
 All of them yield a spanning tree rooted at the virtual leader whose depth
 is the vehicle's passing layer; ``verify_feasible`` checks any tree against
@@ -26,15 +29,17 @@ at each arrival.  The cover routes turn a cover into layers with
 ``_cover_layers``, which the engine calls on the unlocked vehicles.  Its
 exact route falls back to the greedy cover with splitting when no minimum
 cover can be ordered, and a layer-ordering search that runs out of budget
-counts as finding no order, so the split still runs.
+counts as finding no order, so the split still runs.  The ordering search
+remembers the states it has proven dead, so it never repeats a failed
+branch.
 """
 
 from __future__ import annotations
 
-import itertools
+import operator
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .conflicts import CoexistenceGraph, ConflictDirectedGraph, ContractError, _bits
 
@@ -120,9 +125,9 @@ def validate_cover(cover: CliqueCover, cug: CoexistenceGraph) -> None:
     if sorted(members) != list(range(1, cug.n + 1)):
         raise ContractError("cover is not a partition of the vehicles")
     for subset in cover.subsets:
-        for i, j in itertools.combinations(sorted(subset), 2):
-            if not cug.adjacent(i, j):
-                raise ContractError(f"subset {sorted(subset)} is not a coexisting group")
+        group = sum(1 << v for v in subset)
+        if any(group & ~(cug.coexist[v] | 1 << v) for v in subset):
+            raise ContractError(f"subset {sorted(subset)} is not a coexisting group")
 
 
 @dataclass
@@ -278,55 +283,51 @@ def mcc_greedy(cug: CoexistenceGraph) -> CliqueCover:
     return CliqueCover(subsets=tuple(frozenset(_bits(g)) for g in groups))
 
 
-def minimum_clique_covers(cug: CoexistenceGraph, cap: int = 12) -> list[CliqueCover]:
-    """Every minimum clique cover, canonicalized and deduplicated.
-
-    Branch-and-bound set partitioning: vehicles are placed in id order into
-    an existing compatible clique or a fresh one; branches already using more
-    cliques than the incumbent minimum are cut.  The greedy cover seeds the
-    bound.
-    """
-    if cug.n == 0:
-        return [CliqueCover(subsets=())]
+def _check_cap(cug: CoexistenceGraph, cap: int) -> None:
     if cug.n > cap:
         raise SizeLimitError(
             f"exact clique cover capped at {cap} vehicles (got {cug.n}); use mcc_greedy"
         )
-    best_theta = mcc_greedy(cug).theta
-    solutions: list[tuple[frozenset[int], ...]] = []
-    cliques: list[set[int]] = []
 
-    def place(v: int) -> None:
-        nonlocal best_theta
-        if len(cliques) > best_theta:
-            return
-        if v > cug.n:
-            theta = len(cliques)
-            if theta < best_theta:
-                best_theta = theta
-                solutions.clear()
-            if theta == best_theta:
-                solutions.append(tuple(frozenset(c) for c in cliques))
-            return
-        for clique in cliques:
-            if all(cug.adjacent(v, u) for u in clique):
-                clique.add(v)
-                place(v + 1)
-                clique.remove(v)
-        cliques.append({v})
-        place(v + 1)
-        cliques.pop()
 
-    place(1)
-    covers = [CliqueCover(subsets=s) for s in solutions if len(s) == best_theta]
-    unique = {c.canonical(): c for c in covers}
-    return [unique[k] for k in sorted(unique)]
+def _clique_cover(masks: Iterable[int]) -> CliqueCover:
+    return CliqueCover(subsets=tuple(frozenset(_bits(m)) for m in masks))
+
+
+def minimum_clique_covers(cug: CoexistenceGraph, cap: int = 12) -> list[CliqueCover]:
+    """Every minimum clique cover, sorted by canonical form.
+
+    The covers are enumerated once per graph, on bitsets, and kept on it
+    (``CoexistenceGraph._minimum_covers``); set partitioning in id order finds
+    each cover once, so nothing is deduplicated.
+    """
+    _check_cap(cug, cap)
+    return sorted(map(_clique_cover, cug._minimum_covers), key=CliqueCover.canonical)
+
+
+def _layer_rank(sizes: Iterable[int]) -> int:
+    ordered = sorted(sizes, reverse=True)
+    return sum(map(operator.mul, range(1, len(ordered) + 1), ordered))
 
 
 def ordering_objective(cover: CliqueCover) -> int:
     """Total layer rank over vehicles once subsets are ordered largest first."""
-    sizes = sorted((len(s) for s in cover.subsets), reverse=True)
-    return sum((layer + 1) * size for layer, size in enumerate(sizes))
+    return _layer_rank(map(len, cover.subsets))
+
+
+def _ranked_covers(cug: CoexistenceGraph, cap: int) -> Iterator[list[CliqueCover]]:
+    """The minimum covers in preference order, one objective value at a time.
+
+    Buckets of equal ``ordering_objective`` (read off the bitsets' popcounts)
+    come best first, each sorted by canonical form; covers are built only
+    for the buckets a caller walks.
+    """
+    _check_cap(cug, cap)
+    buckets: dict[int, list[tuple[int, ...]]] = {}
+    for masks in cug._minimum_covers:
+        buckets.setdefault(_layer_rank(map(int.bit_count, masks)), []).append(masks)
+    for rank in sorted(buckets):
+        yield sorted(map(_clique_cover, buckets[rank]), key=CliqueCover.canonical)
 
 
 def mcc_bruteforce(cug: CoexistenceGraph, cap: int = 12) -> CliqueCover:
@@ -335,10 +336,7 @@ def mcc_bruteforce(cug: CoexistenceGraph, cap: int = 12) -> CliqueCover:
     Among minimum covers the one minimizing the ordered layer-rank objective
     wins; remaining ties go to the lexicographically smallest canonical form.
     """
-    covers = minimum_clique_covers(cug, cap=cap)
-    if not covers:
-        return CliqueCover(subsets=())
-    return min(covers, key=lambda c: (ordering_objective(c), c.canonical()))
+    return next(_ranked_covers(cug, cap))[0]
 
 
 _ORDER_BUDGET = 200_000  # backtracking steps of one ``order_layers`` search
@@ -360,6 +358,15 @@ def order_layers(
     prefers larger subsets first and backtracks over the emission order,
     for at most ``_ORDER_BUDGET`` steps.
 
+    A subset enters the search only through its lane tuple (the sorted lanes
+    of its members), and the lane heads follow from what was emitted, so a
+    search state is the multiset of lane tuples still to emit.  The search
+    never enters a state it has proven dead (states are keyed by a weighted
+    sum over lane-tuple kinds); siblings with one lane tuple lead to one
+    state, so after the first fails the others are skipped too.  The memo
+    cuts only branches that fail, so the search finds the ordering a plain
+    depth-first search would, with fewer steps.
+
     Returns None if no ordering is found and splitting is off; with
     ``allow_split`` a blocked subset sheds its colliding members into
     singleton subsets instead (the layer count may then grow).
@@ -370,30 +377,43 @@ def order_layers(
             lane_of[v] = ln
     shapes = sorted((tuple(sorted(s)) for s in subsets), key=lambda s: (-len(s), s))
     shape_lanes = [tuple(sorted(lane_of[v] for v in s)) for s in shapes]
+    kind_of: dict[tuple[int, ...], int] = {}
+    kinds = [kind_of.setdefault(t, len(kind_of)) for t in shape_lanes]
+    # mixed-radix weights: a multiset of kinds has exactly one weighted sum
+    weight = [1] * len(kind_of)
+    counts = Counter(kinds)
+    for k in range(1, len(weight)):
+        weight[k] = weight[k - 1] * (counts[k - 1] + 1)
+    dead: set[int] = set()  # keys of states with no ordering
     layers_out: list[tuple[int, ...]] = []
     fuel = [_ORDER_BUDGET]
 
-    def emit(remaining: list[int], heads: list[int]) -> bool:
+    def emit(remaining: list[int], heads: list[int], key: int) -> bool:
         fuel[0] -= 1
         if fuel[0] < 0:  # out of budget: no ordering
             return False
         if not remaining:
             return True
         for pick, idx in enumerate(remaining):
+            rest = key - weight[kinds[idx]]  # the state after emitting this subset
+            if rest in dead:
+                continue
             group = tuple(lanes[ln][heads[ln]] for ln in shape_lanes[idx])
             if conflicted(group):
                 continue
             for ln in shape_lanes[idx]:
                 heads[ln] += 1
             layers_out.append(group)
-            if emit(remaining[:pick] + remaining[pick + 1:], heads):
+            if emit(remaining[:pick] + remaining[pick + 1:], heads, rest):
                 return True
             layers_out.pop()
             for ln in shape_lanes[idx]:
                 heads[ln] -= 1
+        if fuel[0] >= 0:  # searched in full, not cut by the budget
+            dead.add(key)
         return False
 
-    if emit(list(range(len(shapes))), [0] * len(lanes)):
+    if emit(list(range(len(shapes))), [0] * len(lanes), sum(weight[k] for k in kinds)):
         return layers_out
     if not allow_split:
         return None
@@ -501,11 +521,11 @@ def _cover_layers(cug: CoexistenceGraph, lanes: list[list[int]], masks: Sequence
     """
     conflicted = conflict_test(masks)
     if exact:
-        covers = minimum_clique_covers(cug, cap=cap)
-        for cover in sorted(covers, key=lambda c: (ordering_objective(c), c.canonical())):
-            layers = order_layers(cover.subsets, lanes, conflicted)
-            if layers is not None:
-                return layers
+        for bucket in _ranked_covers(cug, cap):
+            for cover in bucket:
+                layers = order_layers(cover.subsets, lanes, conflicted)
+                if layers is not None:
+                    return layers
     return order_layers(mcc_greedy(cug).subsets, lanes, conflicted, allow_split=True)
 
 

@@ -116,6 +116,35 @@ def edge_coexistence(cdg: ConflictDirectedGraph) -> frozenset[tuple[int, int]]:
                      if not edge_connected(cdg, i, j) and (i, j) not in same_lane)
 
 
+def set_partitions(items: list[int]):
+    """Every partition of ``items`` into blocks, each once, without pruning."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for partition in set_partitions(rest):
+        yield [[first], *partition]
+        for k in range(len(partition)):
+            yield [*partition[:k], [first, *partition[k]], *partition[k + 1:]]
+
+
+def minimum_covers_by_partition(n: int, coexist: frozenset[tuple[int, int]]
+                                ) -> list[tuple[tuple[int, ...], ...]]:
+    """Minimum clique covers by filtering every set partition of {1..n}.
+
+    A block is a clique when each pair in it is in ``coexist`` (pairs
+    (low, high)).  Covers come in canonical form (blocks sorted, then by
+    descending size and members), sorted, and listed as often as the
+    partitions produce them.
+    """
+    covers = [p for p in set_partitions(list(range(1, n + 1)))
+              if all(pair in coexist for block in p
+                     for pair in itertools.combinations(sorted(block), 2))]
+    theta = min(len(p) for p in covers)
+    return sorted(tuple(sorted((tuple(sorted(b)) for b in p), key=lambda b: (-len(b), b)))
+                  for p in covers if len(p) == theta)
+
+
 def edge_greedy_cover(n: int, coexist: frozenset[tuple[int, int]]) -> list[frozenset[int]]:
     """Greedy clique cover on an edge set: colour the complement in BFS order.
 
@@ -201,3 +230,71 @@ def max_clique_via_enumeration(n: int, adjacent) -> int:
                 best = size
                 break
     return best
+
+
+def plain_layer_search(subsets, lanes, conflicted, budget=200_000):
+    """Layer ordering by plain depth-first search over the emission order.
+
+    The lane-slot substitution of ``crossflow.scheduling.order_layers``
+    without its pruning: every subset at every node is tried in turn, for at
+    most ``budget`` steps.  Returns the layers, or None when no ordering is
+    found within the budget.
+    """
+    lane_of = {v: ln for ln, chain in enumerate(lanes) for v in chain}
+    shapes = sorted((tuple(sorted(s)) for s in subsets), key=lambda s: (-len(s), s))
+    shape_lanes = [tuple(sorted(lane_of[v] for v in s)) for s in shapes]
+    layers_out = []
+    fuel = [budget]
+
+    def emit(remaining, heads):
+        fuel[0] -= 1
+        if fuel[0] < 0:
+            return False
+        if not remaining:
+            return True
+        for pick, idx in enumerate(remaining):
+            group = tuple(lanes[ln][heads[ln]] for ln in shape_lanes[idx])
+            if conflicted(group):
+                continue
+            for ln in shape_lanes[idx]:
+                heads[ln] += 1
+            layers_out.append(group)
+            if emit(remaining[:pick] + remaining[pick + 1:], heads):
+                return True
+            layers_out.pop()
+            for ln in shape_lanes[idx]:
+                heads[ln] -= 1
+        return False
+
+    return layers_out if emit(list(range(len(shapes))), [0] * len(lanes)) else None
+
+
+def plain_layer_split(subsets, lanes, conflicted):
+    """The split fallback of ``order_layers``: shed colliding members, never fail.
+
+    Subsets are emitted largest first by lane-slot substitution; members that
+    collide with the group built so far go back to the pool as singletons.
+    """
+    lane_of = {v: ln for ln, chain in enumerate(lanes) for v in chain}
+    pool = [sorted(lane_of[v] for v in s) for s in subsets]
+    layers_out = []
+    heads = [0] * len(lanes)
+    while pool:
+        pool.sort(key=lambda s: (-len(s), s))
+        shape = pool.pop(0)
+        group, spill = [], []
+        for ln in shape:
+            candidate = lanes[ln][heads[ln]]
+            if conflicted(tuple(group + [candidate])):
+                spill.append(ln)
+            else:
+                group.append(candidate)
+        if not group:
+            ln = shape[0]
+            group = [lanes[ln][heads[ln]]]
+            spill = shape[1:]
+        for v in group:
+            heads[lane_of[v]] += 1
+        layers_out.append(tuple(sorted(group)))
+        pool.extend([ln] for ln in spill)
+    return layers_out

@@ -7,6 +7,8 @@ from crossflow.scheduling import (
     RepairError,
     SizeLimitError,
     SpanningTree,
+    _lanes_for,
+    conflict_test,
     cover_to_tree,
     dfst_schedule,
     find_opt_parent,
@@ -14,6 +16,8 @@ from crossflow.scheduling import (
     mcc_bruteforce,
     mcc_greedy,
     minimum_clique_covers,
+    order_layers,
+    ordering_objective,
     schedule_cover_tree,
     validate_cover,
     verify_feasible,
@@ -27,6 +31,9 @@ from .oracles import (
     edge_connected,
     edge_greedy_cover,
     min_feasible_depth,
+    minimum_covers_by_partition,
+    plain_layer_search,
+    plain_layer_split,
     shallowest_admissible_layer,
 )
 from crossflow.conflicts import build_cdg
@@ -272,12 +279,76 @@ def test_unorderable_cover_raises():
 
 
 def test_light_traffic_cover_falls_back_to_split():
-    """Light traffic, n = 60 at gap 20 s, seed 1: ordering the greedy cover
-    runs out of search budget, which counts as no ordering, so the split
-    pass gives a feasible tree instead of an error."""
+    """Light traffic, n = 60 at gap 20 s.  Seed 1's greedy cover orders into
+    its θ layers (a plain search ran out of budget on it).  Seed 13's cover
+    has no ordering: the search ends without one, which leads to the split
+    pass, and that gives a feasible tree with extra layers instead of an
+    error."""
     _, _, cdg = sampled_instance(1, 60, 20.0)
-    tree = schedule_cover_tree(build_cug(cdg), cdg, exact=False)
+    cug = build_cug(cdg)
+    tree = schedule_cover_tree(cug, cdg, exact=False)
     assert verify_feasible(tree, cdg).ok
+    assert tree.d_all == mcc_greedy(cug).theta
+
+    _, _, cdg = sampled_instance(13, 60, 20.0)
+    cug = build_cug(cdg)
+    greedy = mcc_greedy(cug)
+    assert order_layers(greedy.subsets, _lanes_for(cdg), conflict_test(cdg.mask)) is None
+    tree = schedule_cover_tree(cug, cdg, exact=False)
+    assert verify_feasible(tree, cdg).ok
+    assert tree.d_all > greedy.theta
+
+
+def tree_of(layers) -> SpanningTree:
+    """Layers as a tree whose parents are the lowest id of the layer above."""
+    parent, depth = {}, {}
+    for d, group in enumerate(layers, start=1):
+        for v in group:
+            parent[v], depth[v] = (0 if d == 1 else min(layers[d - 2])), d
+    return SpanningTree(parent=parent, depth=depth)
+
+
+@settings(max_examples=20, deadline=None)
+@given(graph_instances())
+def test_ordering_search_matches_plain_search(instance):
+    """Where a plain depth-first search orders the greedy cover within the
+    budget, the pruned search returns the same layers; elsewhere its result
+    is feasible and no longer than the plain split."""
+    _, _, cdg = instance
+    subsets = mcc_greedy(build_cug(cdg)).subsets
+    lanes, conflicted = _lanes_for(cdg), conflict_test(cdg.mask)
+    layers = order_layers(subsets, lanes, conflicted, allow_split=True)
+    reference = plain_layer_search(subsets, lanes, conflicted)
+    if reference is not None:
+        assert layers == reference
+    else:
+        assert verify_feasible(tree_of(layers), cdg).ok
+        assert len(layers) <= len(plain_layer_split(subsets, lanes, conflicted))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_exact_covers_match_partition_oracle(seed):
+    """Minimum covers (n <= 9) against every set partition filtered to cliques;
+    the preferred cover and the exact tree follow from them in rank order."""
+    _, _, cdg = random_instance(seed)
+    cug = build_cug(cdg)
+    expected = minimum_covers_by_partition(cdg.n, edge_coexistence(cdg))
+    found = [c.canonical() for c in minimum_clique_covers(cug)]
+    assert len(set(found)) == len(found)
+    assert found == expected
+
+    ranked = sorted(expected, key=lambda c: (
+        ordering_objective(CliqueCover(subsets=tuple(map(frozenset, c)))), c))
+    assert mcc_bruteforce(cug).canonical() == ranked[0]
+
+    lanes, conflicted = _lanes_for(cdg), conflict_test(cdg.mask)
+    layers = next((ordered for cover in ranked
+                   if (ordered := plain_layer_search(cover, lanes, conflicted)) is not None),
+                  None)
+    if layers is None:
+        layers = plain_layer_split(mcc_greedy(cug).subsets, lanes, conflicted)
+    assert schedule_cover_tree(cug, cdg, exact=True) == tree_of(layers)
 
 
 @settings(max_examples=60, deadline=None)
