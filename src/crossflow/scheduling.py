@@ -36,12 +36,14 @@ branch.
 
 from __future__ import annotations
 
-import operator
+import heapq
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import chain
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
-from .conflicts import CoexistenceGraph, ConflictDirectedGraph, ContractError, _bits
+from .conflicts import (CoexistenceGraph, ConflictDirectedGraph, ContractError, _bits,
+                        _layer_rank)
 
 
 class SizeLimitError(ValueError):
@@ -162,40 +164,88 @@ def verify_feasible(tree: SpanningTree, cdg: ConflictDirectedGraph) -> Feasibili
     return report
 
 
-def _attach_parent(depth_map: dict[int, int], child_count: Counter, target_depth: int) -> int:
-    """Pick the parent at the layer above: fewest children, then lowest id."""
-    candidates = [n for n, d in depth_map.items() if d == target_depth - 1]
-    if target_depth == 1:
-        candidates.append(0)
-    if not candidates:
-        raise ContractError(f"no node available at depth {target_depth - 1}")
-    return min(candidates, key=lambda n: (child_count[n], n))
+class _GrowingTree:
+    """A spanning tree grown one vehicle at a time, with the index its step reads.
+
+    ``level`` holds every placed node's depth, the virtual leader's 0
+    included; ``layers[d]`` holds the nodes at depth d, and ``open[d]`` is a
+    heap of (children, node) over them, in which an entry whose count lags
+    the node's ``children`` is stale and skipped.  ``_place`` keeps all of
+    it up to date, so placing a vehicle never rescans the tree.
+    """
+
+    def __init__(self, tree: SpanningTree):
+        self.tree = tree
+        self.level = {0: 0, **tree.depth}
+        self.children = Counter(tree.parent.values())
+        self.layers: list[set[int]] = []
+        self.open: list[list[tuple[int, int]]] = []
+        for node, d in self.level.items():
+            self._enter(node, d)
+
+    def _enter(self, node: int, d: int) -> None:
+        while len(self.layers) <= d:
+            self.layers.append(set())
+            self.open.append([])
+        self.layers[d].add(node)
+        heapq.heappush(self.open[d], (self.children[node], node))
+
+    def least_loaded(self, d: int) -> int:
+        """The node at depth d with the fewest children, then the lowest id."""
+        heap = self.open[d]
+        while heap[0][0] != self.children[heap[0][1]]:
+            heapq.heappop(heap)
+        return heap[0][1]
+
+    def attach(self, i: int, k: int) -> None:
+        """Place vehicle i one layer below node k, as k's child."""
+        target = self.level[k] + 1
+        self.tree.parent[i] = k
+        self.tree.depth[i] = self.level[i] = target
+        self.children[k] += 1
+        heapq.heappush(self.open[target - 1], (self.children[k], k))
+        self._enter(i, target)
 
 
-def _place(tree: SpanningTree, i: int, fixed: frozenset[int], exchangeable: frozenset[int],
-           improved: bool) -> None:
+def _target_depth(level: Mapping[int, int], fixed: Collection[int],
+                  exchangeable: Collection[int]) -> int:
+    """The layer of ``find_opt_parent``'s children: the shallowest one just
+    below some parent that lies below every fixed-order parent and on no
+    exchangeable parent's layer."""
+    if not fixed and not exchangeable:
+        raise ContractError("parent search needs at least one candidate")
+    blocked = set(map(level.__getitem__, exchangeable))
+    d = max(map(level.__getitem__, fixed)) if fixed else min(blocked)
+    while d + 1 in blocked:
+        d += 1
+    return d + 1
+
+
+def _place(growing: _GrowingTree, i: int, fixed: Collection[int],
+           exchangeable: Collection[int], improved: bool) -> None:
     """Add vehicle i to a partial tree: the per-vehicle step of dfst and idfst.
 
     ``fixed`` and ``exchangeable`` are its placed predecessors (the CDG's sets
-    in batch, the online conflict sets in the engine).
+    in batch, the online conflict sets in the engine).  dfst hangs it under
+    its deepest parent (lowest id on ties, read off the per-depth members);
+    idfst takes ``find_opt_parent``'s layer and attaches to the least-loaded
+    node one layer up (read off the per-depth heap).  Neither looks past the
+    parents and the index.
     """
     if improved:
-        child_count = Counter(tree.parent.values())
-        target = tree.depth_of(_opt_parent(tree, fixed, exchangeable, child_count)) + 1
-        k = _attach_parent(tree.depth, child_count, target)
+        k = growing.least_loaded(_target_depth(growing.level, fixed, exchangeable) - 1)
     else:
-        k = max(fixed | exchangeable, key=lambda n: (tree.depth_of(n), -n))
-        target = tree.depth_of(k) + 1
-    tree.parent[i] = k
-    tree.depth[i] = target
+        layer = growing.layers[max(map(growing.level.__getitem__, chain(fixed, exchangeable)))]
+        k = min(layer.intersection(fixed) | layer.intersection(exchangeable))
+    growing.attach(i, k)
 
 
 def dfst_schedule(cdg: ConflictDirectedGraph) -> SpanningTree:
     """Baseline tree: one layer below the deepest conflict parent of any kind."""
-    tree = SpanningTree(parent={}, depth={})
+    growing = _GrowingTree(SpanningTree(parent={}, depth={}))
     for i in range(1, cdg.n + 1):
-        _place(tree, i, cdg.fixed[i], cdg.exchangeable[i], improved=False)
-    return tree
+        _place(growing, i, cdg.fixed[i], cdg.exchangeable[i], improved=False)
+    return growing.tree
 
 
 def find_opt_parent(tree: SpanningTree, fixed: Iterable[int], exchangeable: Iterable[int]) -> int:
@@ -206,27 +256,12 @@ def find_opt_parent(tree: SpanningTree, fixed: Iterable[int], exchangeable: Iter
     depth) and does not coincide with any exchangeable parent's layer.
     Ties break toward fewer children, then the lower id.
     """
-    return _opt_parent(tree, set(fixed), set(exchangeable), Counter(tree.parent.values()))
-
-
-def _opt_parent(tree: SpanningTree, fixed: set[int] | frozenset[int],
-                exchangeable: set[int] | frozenset[int], child_count: Counter) -> int:
-    if not fixed and not exchangeable:
-        raise ContractError("parent search needs at least one candidate")
-    floor = max((tree.depth_of(m) for m in fixed), default=0)
-    blocked = {tree.depth_of(n) for n in exchangeable}
-    best: int | None = None
-    best_key: tuple[int, int, int] | None = None
-    for k in fixed | exchangeable:
-        target = tree.depth_of(k) + 1
-        if target <= floor or target in blocked:
-            continue
-        key = (tree.depth_of(k), child_count[k], k)
-        if best_key is None or key < best_key:
-            best, best_key = k, key
-    if best is None:
-        raise RuntimeError("no feasible parent candidate; conflict sets are inconsistent")
-    return best
+    fixed, exchangeable = set(fixed), set(exchangeable)
+    level = {0: 0, **tree.depth}
+    above = _target_depth(level, fixed, exchangeable) - 1
+    children = Counter(tree.parent.values())
+    return min((k for k in fixed | exchangeable if level[k] == above),
+               key=lambda k: (children[k], k))
 
 
 def idfst_schedule(cdg: ConflictDirectedGraph) -> SpanningTree:
@@ -236,12 +271,15 @@ def idfst_schedule(cdg: ConflictDirectedGraph) -> SpanningTree:
     vehicle; crossing and converging parents only exclude their own layers,
     so the new vehicle may slot in front of them.  Each vehicle then takes
     the shallowest admissible layer and attaches to the least-loaded node
-    one layer up.
+    one layer up.  The step reads each parent's depth once and finds the
+    least-loaded node in a per-depth heap kept as the tree grows
+    (``_GrowingTree``), so a vehicle costs O(parents + log n), not a scan
+    of the tree.
     """
-    tree = SpanningTree(parent={}, depth={})
+    growing = _GrowingTree(SpanningTree(parent={}, depth={}))
     for i in range(1, cdg.n + 1):
-        _place(tree, i, cdg.fixed[i], cdg.exchangeable[i], improved=True)
-    return tree
+        _place(growing, i, cdg.fixed[i], cdg.exchangeable[i], improved=True)
+    return growing.tree
 
 
 def _bfs_order(conflicts: Sequence[int]) -> list[int]:
@@ -305,11 +343,6 @@ def minimum_clique_covers(cug: CoexistenceGraph, cap: int = 12) -> list[CliqueCo
     return sorted(map(_clique_cover, cug._minimum_covers), key=CliqueCover.canonical)
 
 
-def _layer_rank(sizes: Iterable[int]) -> int:
-    ordered = sorted(sizes, reverse=True)
-    return sum(map(operator.mul, range(1, len(ordered) + 1), ordered))
-
-
 def ordering_objective(cover: CliqueCover) -> int:
     """Total layer rank over vehicles once subsets are ordered largest first."""
     return _layer_rank(map(len, cover.subsets))
@@ -318,16 +351,14 @@ def ordering_objective(cover: CliqueCover) -> int:
 def _ranked_covers(cug: CoexistenceGraph, cap: int) -> Iterator[list[CliqueCover]]:
     """The minimum covers in preference order, one objective value at a time.
 
-    Buckets of equal ``ordering_objective`` (read off the bitsets' popcounts)
-    come best first, each sorted by canonical form; covers are built only
-    for the buckets a caller walks.
+    Buckets of equal ``ordering_objective`` come best first, each sorted by
+    canonical form; the ranking is done once per graph
+    (``CoexistenceGraph._covers_by_rank``), and covers are built only for
+    the buckets a caller walks.
     """
     _check_cap(cug, cap)
-    buckets: dict[int, list[tuple[int, ...]]] = {}
-    for masks in cug._minimum_covers:
-        buckets.setdefault(_layer_rank(map(int.bit_count, masks)), []).append(masks)
-    for rank in sorted(buckets):
-        yield sorted(map(_clique_cover, buckets[rank]), key=CliqueCover.canonical)
+    for bucket in cug._covers_by_rank:
+        yield sorted(map(_clique_cover, bucket), key=CliqueCover.canonical)
 
 
 def mcc_bruteforce(cug: CoexistenceGraph, cap: int = 12) -> CliqueCover:

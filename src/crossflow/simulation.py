@@ -44,6 +44,7 @@ from .conflicts import (
     build_conflict_sets,
     build_cug,
     _bits,
+    _horizon,
     conflict_sets_for,
     reachability_conflict,
 )
@@ -51,6 +52,7 @@ from .control import LEADER, ControllerGains, PlatoonKernel, VehicleState
 from .scenario import IntersectionConfig
 from .scheduling import (
     SpanningTree,
+    _GrowingTree,
     _cover_layers,
     _place,
     dfst_schedule,
@@ -221,6 +223,7 @@ class _Engine:
         self.kernel: PlatoonKernel | None = None  # None: rebuild before the next step
         self.tree = SpanningTree(parent={}, depth={})
         self.depth, self.parent = self.tree.depth, self.tree.parent
+        self.growing: _GrowingTree | None = None  # the trees' step index; None: stale
         self.sets: dict[int, ConflictSets] = {}
         self.conflict = [0] * size  # online conflict bitset per vehicle
         self.lane_mask: dict[int, int] = {}  # movement -> bitset of its arrived vehicles
@@ -248,8 +251,15 @@ class _Engine:
         bitsets with every set member and the whole lane, not just its predecessor."""
         v = record.id
         self.records[v] = record
-        earlier = [self.records[i] for i in self.in_zone_ids() if i < v]
-        cs = self.sets[v] = conflict_sets_for(record, earlier, self.scn, self.live_remaining)
+        zone = uncatchable = 0
+        horizon = _horizon(self.scn)  # reachability_conflict's test, hoisted out of the loop
+        for i in self.in_zone_ids():
+            distance = self.live_remaining(i, record.entry_time) if i < v else 0.0
+            if distance > 0:
+                zone |= 1 << i
+                if distance / self.scn.platoon_speed < horizon:
+                    uncatchable |= 1 << i
+        cs = self.sets[v] = conflict_sets_for(record, zone, uncatchable, self.lane_mask, self.scn)
         lane = self.lane_mask.get(record.movement, 0)
         mask = lane | sum(1 << u for u in cs.crossing | cs.diverging | cs.converging
                           | cs.reachability if u != LEADER)
@@ -261,8 +271,10 @@ class _Engine:
     def place_incremental(self, record: VehicleRecord, algorithm: Algorithm) -> None:
         """Place the arriving vehicle with the trees' own per-vehicle step."""
         self.kernel = None
+        if self.growing is None:
+            self.growing = _GrowingTree(self.tree)
         cs = self.sets[record.id]
-        _place(self.tree, record.id, cs.diverging | cs.reachability, cs.crossing | cs.converging,
+        _place(self.growing, record.id, cs.diverging | cs.reachability, cs.crossing | cs.converging,
                improved=algorithm is not Algorithm.DFST)
 
     def reschedule_cover(self, algorithm: Algorithm) -> None:
@@ -272,6 +284,7 @@ class _Engine:
         their depths; recomputed layers slot around them.
         """
         self.kernel = None
+        self.growing = None  # the layers below are written past the trees' step
         zone = self.in_zone_ids()
         for i in zone:
             if reachability_conflict(max(self.live_remaining(i, 0.0), 0.0), self.scn):

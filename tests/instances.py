@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
-from crossflow.conflicts import build_cdg, build_conflict_sets
+from crossflow.conflicts import VehicleRecord, build_cdg, build_conflict_sets
 from crossflow.scenario import default_intersection
 from crossflow.simulation import Algorithm, SimConfig, sample_arrivals
 
@@ -50,3 +50,23 @@ def graph_instances(draw):
         return random_instance(seed)
     return sampled_instance(seed, draw(st.integers(min_value=1, max_value=80)),
                             draw(st.sampled_from((1.0, 5.0, 20.0))))
+
+
+@st.composite
+def mixed_fleets(draw):
+    """Arrival records the sampler never makes, from the default scenario.
+
+    Entry speeds mix a standing start, the default, the design speed and a
+    speed above it (a braking approach); entry gaps mix simultaneous
+    entries, dense ones and gaps long enough for predecessors to cross the
+    line before the next vehicle enters (the zone takes about 90 s).
+    """
+    n = draw(st.integers(min_value=1, max_value=60))
+    movements = draw(st.lists(st.sampled_from(_DEFAULT.movement_ids), min_size=n, max_size=n))
+    speeds = draw(st.lists(st.sampled_from((0.0, 2.0, 10.0, 14.0)), min_size=n, max_size=n))
+    gaps = draw(st.lists(st.sampled_from((0.0, 0.5, 3.0, 40.0, 120.0)), min_size=n, max_size=n))
+    records, t = [], 0.0
+    for vid, (movement, speed, gap) in enumerate(zip(movements, speeds, gaps), start=1):
+        t += gap
+        records.append(VehicleRecord(id=vid, movement=movement, entry_time=t, entry_speed=speed))
+    return records

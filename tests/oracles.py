@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 
-from crossflow.conflicts import ConflictDirectedGraph
+from crossflow.conflicts import ConflictDirectedGraph, ConflictSets, nominal_remaining
 from crossflow.control import LEADER
+from crossflow.scenario import ConflictClass
+from crossflow.scheduling import SpanningTree
 
 
 def min_feasible_depth(cdg: ConflictDirectedGraph) -> int:
@@ -298,3 +302,101 @@ def plain_layer_split(subsets, lanes, conflicted):
         layers_out.append(tuple(sorted(group)))
         pool.extend([ln] for ln in spill)
     return layers_out
+
+
+def pairwise_conflict_sets(vehicles, cfg) -> list[ConflictSets]:
+    """Conflict sets by checking every vehicle against every earlier one.
+
+    Each predecessor's nominal remaining distance at the entrant's entry
+    time decides whether it is still in the zone (positive) and, for a
+    route-conflict-free pair, whether it is uncatchable; the route class
+    comes from the scenario's table.  No bitsets, no sweep.
+    """
+    remaining = nominal_remaining(vehicles, cfg)
+    horizon = cfg.control_zone_length / cfg.v_max + cfg.v_max / (2.0 * cfg.a_max)
+    out = []
+    for idx, vehicle in enumerate(vehicles):
+        classes = cfg.conflict_table[cfg.movement(vehicle.movement).id]
+        crossing, converging, reach = set(), set(), set()
+        lane_pred = None
+        for other in vehicles[:idx]:
+            distance = remaining(other.id, vehicle.entry_time)
+            if distance <= 0:
+                continue
+            cls = classes[other.movement]
+            if cls is ConflictClass.DIVERGING:
+                lane_pred = other.id if lane_pred is None else max(lane_pred, other.id)
+            elif cls is ConflictClass.CROSSING:
+                crossing.add(other.id)
+            elif cls is ConflictClass.CONVERGING:
+                converging.add(other.id)
+            elif distance / cfg.platoon_speed < horizon:
+                reach.add(other.id)
+        out.append(ConflictSets(vehicle=vehicle.id, crossing=frozenset(crossing),
+                                diverging=frozenset({0 if lane_pred is None else lane_pred}),
+                                converging=frozenset(converging),
+                                reachability=frozenset(reach)))
+    return out
+
+
+def edge_set_cdg(sets) -> SimpleNamespace:
+    """The CDG as four edge sets, and the adjacency read off them edge by edge.
+
+    Fields: ``n``, ``lane_edges``, ``reach_edges``, ``crossing_edges``,
+    ``converging_edges`` (crossing and converging normalized (low, high)),
+    and per node ``fixed`` and ``exchangeable`` predecessors and ``mask``,
+    the bitset of its neighbours in either sense.
+    """
+    lane, reach, crossing, converging = set(), set(), set(), set()
+    for cs in sets:
+        j = cs.vehicle
+        lane |= {(i, j) for i in cs.diverging}
+        reach |= {(i, j) for i in cs.reachability}
+        crossing |= {(min(i, j), max(i, j)) for i in cs.crossing}
+        converging |= {(min(i, j), max(i, j)) for i in cs.converging}
+    n = max((cs.vehicle for cs in sets), default=0)
+    fixed = [set() for _ in range(n + 1)]
+    exchangeable = [set() for _ in range(n + 1)]
+    mask = [0] * (n + 1)
+    for family, preds in ((lane | reach, fixed), (crossing | converging, exchangeable)):
+        for i, j in family:
+            preds[j].add(i)
+            mask[i] |= 1 << j
+            mask[j] |= 1 << i
+    return SimpleNamespace(n=n, lane_edges=frozenset(lane), reach_edges=frozenset(reach),
+                           crossing_edges=frozenset(crossing),
+                           converging_edges=frozenset(converging),
+                           fixed=tuple(map(frozenset, fixed)),
+                           exchangeable=tuple(map(frozenset, exchangeable)), mask=tuple(mask))
+
+
+def scanning_tree(cdg, improved: bool) -> SpanningTree:
+    """dfst (``improved`` False) or idfst by rescanning the tree for every vehicle.
+
+    dfst hangs each vehicle under its deepest conflict parent, lowest id on
+    ties.  idfst tries every parent k: its child layer must lie below every
+    fixed-order parent and off every exchangeable parent's layer; the
+    shallowest such k (fewest children, then lowest id) gives the layer, and
+    the vehicle attaches to the node one layer up with the fewest children,
+    then the lowest id, found by scanning every placed node.
+    """
+    tree = SpanningTree(parent={}, depth={})
+    for i in range(1, cdg.n + 1):
+        fixed, exchangeable = cdg.fixed[i], cdg.exchangeable[i]
+        if not improved:
+            k = max(fixed | exchangeable, key=lambda m: (tree.depth_of(m), -m))
+            tree.parent[i], tree.depth[i] = k, tree.depth_of(k) + 1
+            continue
+        child_count = Counter(tree.parent.values())
+        floor = max((tree.depth_of(m) for m in fixed), default=0)
+        blocked = {tree.depth_of(m) for m in exchangeable}
+        best = min((k for k in fixed | exchangeable
+                    if floor < tree.depth_of(k) + 1 and tree.depth_of(k) + 1 not in blocked),
+                   key=lambda k: (tree.depth_of(k), child_count[k], k))
+        target = tree.depth_of(best) + 1
+        candidates = [m for m, d in tree.depth.items() if d == target - 1]
+        if target == 1:
+            candidates.append(0)
+        tree.parent[i] = min(candidates, key=lambda m: (child_count[m], m))
+        tree.depth[i] = target
+    return tree

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import crossflow.conflicts
 from crossflow.conflicts import (
     ConflictSets,
     ContractError,
@@ -12,15 +13,17 @@ from crossflow.conflicts import (
     reachability_conflict,
     reachability_threshold,
 )
-from crossflow.scenario import ValidationError
+from crossflow.scenario import ValidationError, default_intersection
 
 from .conftest import make_sets
-from .instances import graph_instances, random_instance, sampled_instance
+from .instances import graph_instances, mixed_fleets, random_instance, sampled_instance
 from .oracles import (
     edge_coexistence,
     edge_connected,
     edge_exchangeable_parents,
     edge_hard_parents,
+    edge_set_cdg,
+    pairwise_conflict_sets,
 )
 
 
@@ -205,3 +208,56 @@ def test_nominal_remaining_profile(ex1_scenario):
     # ramp from 2 to 10 m/s at 5 m/s^2 covers 9.6 m in 1.6 s
     assert remaining(1, 1.6) == pytest.approx(890.4)
     assert remaining(1, 11.6) == pytest.approx(790.4)
+
+
+def _assert_cdg_matches_edge_sets(sets):
+    cdg, oracle = build_cdg(sets), edge_set_cdg(sets)
+    assert cdg.n == oracle.n
+    assert cdg.mask == oracle.mask
+    assert cdg.fixed == oracle.fixed
+    assert cdg.exchangeable == oracle.exchangeable
+    for family in ("lane_edges", "reach_edges", "crossing_edges", "converging_edges"):
+        assert getattr(cdg, family) == getattr(oracle, family)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_instances())
+def test_sweep_and_cdg_match_pairwise_oracles(instance):
+    """The departure sweep gives the pairwise check's sets; the bitset CDG the edge sets'."""
+    records, sets, _ = instance
+    assert sets == pairwise_conflict_sets(records, default_intersection())
+    _assert_cdg_matches_edge_sets(sets)
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_fleets())
+def test_sweep_matches_pairwise_oracle_on_mixed_fleets(records):
+    """Mixed entry speeds (the sweep's order then differs from entry order),
+    simultaneous entries and predecessors that crossed before the entrant came."""
+    cfg = default_intersection()
+    sets = build_conflict_sets(records, cfg)
+    assert sets == pairwise_conflict_sets(records, cfg)
+    _assert_cdg_matches_edge_sets(sets)
+
+
+def test_sweep_evaluates_the_distance_model_linearly(monkeypatch):
+    """In light traffic most predecessors have left: the sweep asks the nominal
+    model about each vehicle a bounded number of times, not once per pair
+    (n^2/2 = 499 500 calls at n = 1000)."""
+    calls = 0
+    model = crossflow.conflicts.nominal_remaining
+
+    def counted(records, cfg):
+        remaining = model(records, cfg)
+
+        def count(vehicle, t):
+            nonlocal calls
+            calls += 1
+            return remaining(vehicle, t)
+        return count
+
+    monkeypatch.setattr(crossflow.conflicts, "nominal_remaining", counted)
+    n = 1000
+    records, sets, _ = sampled_instance(1, n, 20.0)
+    assert calls <= 5 * n
+    assert sets == pairwise_conflict_sets(records, default_intersection())

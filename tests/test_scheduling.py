@@ -24,7 +24,7 @@ from crossflow.scheduling import (
 )
 
 from .conftest import make_sets
-from .instances import graph_instances, random_instance, sampled_instance
+from .instances import graph_instances, mixed_fleets, random_instance, sampled_instance
 from .oracles import (
     best_ordering_cost,
     edge_coexistence,
@@ -34,9 +34,11 @@ from .oracles import (
     minimum_covers_by_partition,
     plain_layer_search,
     plain_layer_split,
+    scanning_tree,
     shallowest_admissible_layer,
 )
-from crossflow.conflicts import build_cdg
+from crossflow.conflicts import build_cdg, build_conflict_sets
+from crossflow.scenario import default_intersection
 
 # The six minimum covers of the seven-vehicle example, canonicalized.
 EXAMPLE1_MIN_COVERS = {
@@ -390,3 +392,24 @@ def test_tree_serialization(ex1_cdg, ex1_cug):
     assert doc["d_all"] == 4
     assert doc["layers"][0] == [1, 3, 5]
     assert doc["parent"][4] == 1
+
+
+def _assert_trees_match_scanning_oracle(cdg):
+    for schedule, improved in ((dfst_schedule, False), (idfst_schedule, True)):
+        tree, oracle = schedule(cdg), scanning_tree(cdg, improved)
+        assert tree.depth == oracle.depth
+        assert tree.parent == oracle.parent
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_instances())
+def test_trees_match_scanning_oracle(instance):
+    """dfst and idfst from the per-depth index equal the tree-rescanning step."""
+    _assert_trees_match_scanning_oracle(instance[2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_fleets())
+def test_trees_match_scanning_oracle_on_mixed_fleets(records):
+    _assert_trees_match_scanning_oracle(build_cdg(build_conflict_sets(records,
+                                                                     default_intersection())))
