@@ -32,14 +32,7 @@ from .scheduling import (
     schedule_cover_tree,
     verify_feasible,
 )
-from .control import (
-    CommTopology,
-    ControllerGains,
-    VehicleState,
-    build_plf_topology,
-    control_input,
-    step_dynamics,
-)
+from .control import ControllerGains, VehicleState
 from .simulation import (
     Algorithm,
     Metrics,

@@ -318,10 +318,6 @@ class ConflictDirectedGraph:
         """True when any edge links i and j, in either sense."""
         return bool(self.mask[i] >> j & 1)
 
-    def hard_parents(self, j: int) -> frozenset[int]:
-        """Nodes that must cross strictly before j (same lane or uncatchable)."""
-        return self.fixed[j]
-
     def lane_chains(self) -> list[list[int]]:
         """Per-lane vehicle sequences in arrival order, derived from lane edges."""
         succ = {i: j for (i, j) in self.lane_edges if i != 0}

@@ -26,12 +26,13 @@ bitsets.
 Batch and online scheduling share one path.  The trees add one vehicle at a
 time with ``_place``, which the online engine calls on its own partial tree
 at each arrival.  The cover routes turn a cover into layers with
-``_cover_layers``, which the engine calls on the unlocked vehicles.  Its
-exact route falls back to the greedy cover with splitting when no minimum
-cover can be ordered, and a layer-ordering search that runs out of budget
-counts as finding no order, so the split still runs.  The ordering search
-remembers the states it has proven dead, so it never repeats a failed
-branch.
+``_cover_layers``, and the layers into depths and parents with
+``_lay_layers``; the engine calls both on its unlocked vehicles, laying
+them around the locked ones.  The exact route falls back to the greedy
+cover with splitting when no minimum cover can be ordered, and a
+layer-ordering search that runs out of budget counts as finding no order,
+so the split still runs.  The ordering search remembers the states it has
+proven dead, so it never repeats a failed branch.
 """
 
 from __future__ import annotations
@@ -80,14 +81,6 @@ class SpanningTree:
             out[d - 1].append(i)
         for layer in out:
             layer.sort()
-        return out
-
-    def children(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {0: []}
-        for i in self.depth:
-            out.setdefault(i, [])
-        for i, p in self.parent.items():
-            out[p].append(i)
         return out
 
     def to_dict(self) -> dict:
@@ -518,16 +511,49 @@ def cover_to_tree(cover: CliqueCover, cdg: ConflictDirectedGraph) -> SpanningTre
     return _tree_from_layers(layers, cdg)
 
 
+def _lay_layers(parent: dict[int, int], depth: dict[int, int], layers: Iterable[Iterable[int]],
+                predecessors: Callable[[int], tuple[frozenset[int], frozenset[int]]]) -> None:
+    """Write ordered layers into a tree's maps, around the nodes already placed.
+
+    Placed nodes (those in ``depth`` outside ``layers``) keep their depths.
+    Each layer goes one below the previous one, and further down where a
+    member needs it: below every placed node among its fixed predecessors,
+    and off the depth of every placed node exchangeable with it, in either
+    sense (``predecessors(v)`` gives v's fixed and exchangeable sets, as
+    ``_place`` takes them).  A member hangs under the lowest id one layer
+    up, or under the leader 0 when that layer is empty.  Members already in
+    the maps are overwritten in place, so the maps keep their order.
+    """
+    layers = [list(layer) for layer in layers]
+    members = set(chain.from_iterable(layers))
+    placed = {w: dw for w, dw in depth.items() if w not in members}
+    lowest = {0: 0}  # depth -> lowest id there: the parent index
+    banned: dict[int, set[int]] = {}  # member -> depths of later placed nodes it may pass
+    for w, dw in placed.items():
+        lowest[dw] = min(w, lowest.get(dw, w))
+        for m in predecessors(w)[1] & members:
+            banned.setdefault(m, set()).add(dw)
+    d = 0
+    for layer in layers:
+        floors, skip = [d], set()
+        for m in layer:
+            fixed, exchangeable = predecessors(m)
+            floors += map(placed.__getitem__, fixed.intersection(placed))
+            skip.update(map(placed.__getitem__, exchangeable.intersection(placed)))
+            skip.update(banned.get(m, ()))
+        d = max(floors) + 1
+        while d in skip:
+            d += 1
+        anchor = lowest.get(d - 1, 0)
+        for m in layer:
+            depth[m], parent[m] = d, anchor
+        lowest[d] = min(lowest.get(d, layer[0]), *layer)
+
+
 def _tree_from_layers(layers: list[tuple[int, ...]], cdg: ConflictDirectedGraph) -> SpanningTree:
     parent: dict[int, int] = {}
     depth: dict[int, int] = {}
-    previous: tuple[int, ...] = ()
-    for new_depth, group in enumerate(layers, start=1):
-        anchor = 0 if new_depth == 1 else min(previous)
-        for v in group:
-            parent[v] = anchor
-            depth[v] = new_depth
-        previous = group
+    _lay_layers(parent, depth, layers, lambda v: (cdg.fixed[v], cdg.exchangeable[v]))
     tree = SpanningTree(parent=parent, depth=depth)
     report = verify_feasible(tree, cdg)
     if not report.ok:

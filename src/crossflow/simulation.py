@@ -7,7 +7,8 @@ through the same scheduling functions as batch: the spanning-tree methods
 place the new vehicle with the trees' own per-vehicle step, and the clique
 cover methods re-layer all vehicles not yet locked near the stopping line
 through the batch cover route (exact covers with the greedy split as
-fallback, or the greedy cover with splitting).  The online conflict
+fallback, or the greedy cover with splitting) and lay the layers into the
+tree around the locked vehicles with the batch routine.  The online conflict
 relation is one bitset per vehicle, set on arrival from its conflict sets
 and its lane.
 
@@ -17,16 +18,17 @@ desired gap behind the leader per layer.
 
 One engine runs the closed loop of ``run`` (both modes) and
 ``simulate_platoon``: remaining distance, speed and the present and crossed
-masks are numpy arrays indexed by vehicle id, and ``control.PlatoonKernel``
-steps all vehicles in the zone at once, bit for bit as ``control_input`` and
-``step_dynamics`` would.  Its links (each vehicle's tree parent and
-children) and spacing offsets are rebuilt only on an arrival, a reschedule
-or a crossing; crossed vehicles leave it and stay frozen at their first
-step past the line.
+masks are numpy arrays indexed by vehicle id, and ``control.PlatoonKernel``,
+the one implementation of the control law, steps all vehicles in the zone
+at once (the test suite's oracles hold its scalar reference, one vehicle at
+a time).  Its links (each vehicle's tree parent and children) and spacing
+offsets are rebuilt only on an arrival, a reschedule or a crossing; crossed
+vehicles leave it and stay frozen at their first step past the line.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque, namedtuple
 from dataclasses import dataclass
 from enum import Enum
@@ -54,6 +56,7 @@ from .scheduling import (
     SpanningTree,
     _GrowingTree,
     _cover_layers,
+    _lay_layers,
     _place,
     dfst_schedule,
     idfst_schedule,
@@ -101,10 +104,16 @@ class SimConfig:
     def __post_init__(self):
         if self.n_vehicles < 1:
             raise ContractError("n_vehicles must be at least 1")
-        if self.mean_headway <= 0:
-            raise ContractError("mean_headway must be positive")
-        if (self.dt or self.scenario.dt) <= 0:
-            raise ContractError("dt must be positive")
+        if not 0 < self.mean_headway < math.inf:
+            raise ContractError(f"mean_headway must be positive and finite "
+                                f"(got {self.mean_headway})")
+        if not 0 < self.step < math.inf:  # also rejects nan
+            raise ContractError(f"dt must be positive and finite (got {self.step})")
+        if not 0 <= self.entry_speed < math.inf:
+            raise ContractError(f"initial_speed must be finite and nonnegative "
+                                f"(got {self.entry_speed})")
+        if not math.isfinite(self.leader_start):
+            raise ContractError(f"leader_start must be finite (got {self.leader_start})")
         if (self.algorithm is Algorithm.MCC_BRUTE and self.mode is Mode.ONLINE
                 and self.n_vehicles > self.brute_cap):
             # online mode reruns the exact cover over every unlocked vehicle
@@ -273,9 +282,14 @@ class _Engine:
         self.kernel = None
         if self.growing is None:
             self.growing = _GrowingTree(self.tree)
-        cs = self.sets[record.id]
-        _place(self.growing, record.id, cs.diverging | cs.reachability, cs.crossing | cs.converging,
+        _place(self.growing, record.id, *self._predecessors(record.id),
                improved=algorithm is not Algorithm.DFST)
+
+    def _predecessors(self, v: int) -> tuple[frozenset[int], frozenset[int]]:
+        """v's fixed-order (same lane, uncatchable) and exchangeable (crossing,
+        converging) predecessors: what the trees' step and the layering read."""
+        cs = self.sets[v]
+        return cs.diverging | cs.reachability, cs.crossing | cs.converging
 
     def reschedule_cover(self, algorithm: Algorithm) -> None:
         """Recompute the clique cover over unlocked in-zone vehicles.
@@ -305,40 +319,8 @@ class _Engine:
                                [lane for _, lane in sorted(lanes.items())], local,
                                exact=algorithm is Algorithm.MCC_BRUTE, cap=self.brute_cap)
 
-        locked_depth = {w: self.depth[w] for w in self.locked if w in self.depth}
-        prev = 0
-        for layer in layers:
-            members = [unlocked[k - 1] for k in layer]
-            floor = prev
-            banned: set[int] = set()
-            for m in members:
-                for w, dw in locked_depth.items():
-                    lo, hi = (w, m) if w < m else (m, w)
-                    cs = self.sets[hi]
-                    if lo in cs.diverging or lo in cs.reachability:
-                        # a locked predecessor keeps its head start; the
-                        # reverse (locked successor, unlocked predecessor)
-                        # cannot arise because locking is monotone along
-                        # the approach
-                        if w < m:
-                            floor = max(floor, dw)
-                    elif lo in cs.crossing or lo in cs.converging:
-                        banned.add(dw)
-            d = floor + 1
-            while d in banned:
-                d += 1
-            for m in members:
-                self.depth[m] = d
-            prev = d
-        # relink parents for the re-layered vehicles
-        for v in unlocked:
-            self.parent[v] = self._best_parent_at(self.depth[v] - 1, exclude=v)
-
-    def _best_parent_at(self, target_depth: int, exclude: int) -> int:
-        if target_depth == 0:
-            return LEADER
-        candidates = [n for n, d in self.depth.items() if d == target_depth and n != exclude]
-        return min(candidates) if candidates else LEADER
+        _lay_layers(self.parent, self.depth, ([unlocked[k - 1] for k in layer] for layer in layers),
+                    self._predecessors)
 
     # --- dynamics -------------------------------------------------------
 
@@ -440,8 +422,9 @@ def run(cfg: SimConfig) -> RunResult:
             else:
                 engine.reschedule_cover(cfg.algorithm)
                 if rec.id not in engine.depth:
-                    # entering vehicle was somehow already locked; fall
-                    # back to an incremental placement
+                    # locked on entry, as every vehicle is when the zone is
+                    # short for the platoon speed, L/v_0 < L/v_max + v_max/(2 a_max):
+                    # nothing is re-layered, and the vehicle is placed as idfst would
                     engine.place_incremental(rec, Algorithm.IDFST)
         return True
 

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
 from crossflow.conflicts import ConflictDirectedGraph, ConflictSets, nominal_remaining
-from crossflow.control import LEADER
+from crossflow.control import LEADER, VehicleState
 from crossflow.scenario import ConflictClass
 from crossflow.scheduling import SpanningTree
 
@@ -195,6 +196,80 @@ def sets_conflict(records, sets, a: int, b: int) -> bool:
     lo, hi = (a, b) if a < b else (b, a)
     cs = sets[hi]
     return lo in cs.crossing | cs.diverging | cs.converging | cs.reachability
+
+
+@dataclass(frozen=True)
+class CommTopology:
+    """Predecessor-leader-following communication structure.
+
+    ``adjacency``/``pinning``/``laplacian`` are indexed by position in
+    ``ids``; ``neighbor_sets`` maps a vehicle id to the peer ids it exchanges
+    state with (parent and children, never the leader, who enters through the
+    pinning term).
+    """
+
+    ids: tuple[int, ...]
+    adjacency: np.ndarray
+    pinning: np.ndarray
+    laplacian: np.ndarray
+    neighbor_sets: dict[int, frozenset[int]]
+
+
+def build_plf_topology(tree: SpanningTree) -> CommTopology:
+    """Communication topology from a spanning tree: each vehicle talks to its
+    tree parent (both ways, so also to its children) and is pinned to the
+    virtual leader."""
+    ids = tuple(sorted(tree.depth))
+    pos = {v: k for k, v in enumerate(ids)}
+    adjacency = np.zeros((len(ids), len(ids)))
+    for child, parent in tree.parent.items():
+        if parent != LEADER:
+            adjacency[pos[child], pos[parent]] = adjacency[pos[parent], pos[child]] = 1.0
+    return CommTopology(
+        ids=ids,
+        adjacency=adjacency,
+        pinning=np.eye(len(ids)),
+        laplacian=np.diag(adjacency.sum(axis=1)) - adjacency,
+        neighbor_sets={v: frozenset(ids[j] for j in np.flatnonzero(adjacency[pos[v]]))
+                       for v in ids},
+    )
+
+
+def control_input(vehicle: int, states, topology: CommTopology, depths, gains, cfg,
+                  active=None) -> float:
+    """The scalar control law, one vehicle at a time: ``PlatoonKernel``'s reference.
+
+    Spacing error against peer j is p_j - p_i - D_des * (d_j - d_i); the
+    leader term always contributes through the pinning gain.  Peers outside
+    ``active`` (already past the stopping line) are skipped.  Saturation is
+    the integrator's job, not done here.
+    """
+    me = states[vehicle]
+    d_i = depths[vehicle]
+    gap = cfg.desired_gap
+    u = 0.0
+    for j in topology.neighbor_sets[vehicle]:
+        if active is not None and j not in active:
+            continue
+        peer = states[j]
+        u -= gains.k_p * (peer.remaining - me.remaining - gap * (depths[j] - d_i))
+        u -= gains.k_v * (me.speed - peer.speed)
+    leader = states[LEADER]
+    u -= gains.k_p * (leader.remaining - me.remaining - gap * (0 - d_i))
+    u -= gains.k_v * (me.speed - leader.speed)
+    return u
+
+
+def step_dynamics(state: VehicleState, u: float, dt: float, cfg) -> VehicleState:
+    """One forward-Euler step of the saturated second-order model, one vehicle at a time.
+
+    Acceleration is clamped to the actuator range first, then the new speed
+    is projected into [0, v_max]; the remaining distance decreases at the
+    pre-step speed and may go negative past the stopping line.
+    """
+    u_clamped = min(max(u, cfg.a_min), cfg.a_max)
+    new_speed = min(max(state.speed + u_clamped * dt, 0.0), cfg.v_max)
+    return VehicleState(remaining=state.remaining - state.speed * dt, speed=new_speed)
 
 
 def matrix_control_inputs(topology, states, depths, gains, cfg) -> dict[int, float]:
@@ -400,3 +475,34 @@ def scanning_tree(cdg, improved: bool) -> SpanningTree:
         tree.parent[i] = min(candidates, key=lambda m: (child_count[m], m))
         tree.depth[i] = target
     return tree
+
+
+def scanning_relayering(parent: dict[int, int], depth: dict[int, int],
+                        layers: list[list[int]], sets: dict[int, ConflictSets]) -> None:
+    """Ordered layers laid around the placed nodes the way the online engine
+    once did it: every member against every placed node (those in ``depth``
+    outside ``layers``), then each member's parent by a scan of the whole
+    tree, in id order.  ``sets`` maps ids to conflict sets."""
+    members = sorted(m for layer in layers for m in layer)
+    placed = {w: d for w, d in depth.items() if w not in members}
+    prev = 0
+    for layer in layers:
+        floor, banned = prev, set()
+        for m in layer:
+            for w, dw in placed.items():
+                lo, hi = (w, m) if w < m else (m, w)
+                cs = sets[hi]
+                if lo in cs.diverging or lo in cs.reachability:
+                    if w < m:
+                        floor = max(floor, dw)
+                elif lo in cs.crossing or lo in cs.converging:
+                    banned.add(dw)
+        d = floor + 1
+        while d in banned:
+            d += 1
+        for m in layer:
+            depth[m] = d
+        prev = d
+    for v in members:
+        above = [n for n, d in depth.items() if d == depth[v] - 1]
+        parent[v] = min(above) if above and depth[v] > 1 else 0

@@ -78,6 +78,14 @@ class TestRunCommand:
         assert out == ""
         assert "--lambda" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_nonfinite_leader_start_is_usage_error(self, capsys, command, value):
+        code, out, err = cli(capsys, command, "--vehicles", "2", "--leader-start", value)
+        assert code == 1
+        assert out == ""
+        assert "leader_start" in err
+
     def test_invalid_rep_count_is_usage_error(self, capsys):
         code, _, err = cli(capsys, "sweep", "--vehicles", "2", "--reps", "0")
         assert code == 1

@@ -181,7 +181,7 @@ def test_adjacency_matches_edge_sets(instance):
     """Masks, predecessor sets and the CUG equal the edge-set definitions."""
     _, _, cdg = instance
     for i in range(cdg.n + 1):
-        assert cdg.hard_parents(i) == edge_hard_parents(cdg, i)
+        assert cdg.fixed[i] == edge_hard_parents(cdg, i)
         assert cdg.exchangeable[i] == edge_exchangeable_parents(cdg, i)
         for j in range(cdg.n + 1):
             assert cdg.connected(i, j) is edge_connected(cdg, i, j)

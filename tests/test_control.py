@@ -3,19 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossflow.conflicts import ContractError
-from crossflow.control import (
-    LEADER,
-    CommTopology,
-    ControllerGains,
-    PlatoonKernel,
-    VehicleState,
-    build_plf_topology,
-    control_input,
-    step_dynamics,
-)
+from crossflow.control import LEADER, ControllerGains, PlatoonKernel, VehicleState
 from crossflow.scheduling import SpanningTree, dfst_schedule, idfst_schedule
 
-from .oracles import matrix_control_inputs
+from .oracles import build_plf_topology, control_input, matrix_control_inputs, step_dynamics
 
 
 def chain_tree(n: int) -> SpanningTree:
@@ -29,6 +20,29 @@ def equilibrium_states(tree: SpanningTree, cfg, leader_remaining: float) -> dict
     for v, d in tree.depth.items():
         states[v] = VehicleState(leader_remaining + cfg.desired_gap * d, cfg.platoon_speed)
     return states
+
+
+def kernel_inputs(tree: SpanningTree, states: dict, cfg, gains=ControllerGains(),
+                  active=None) -> dict[int, float]:
+    """``PlatoonKernel``'s input of every active vehicle (all of the tree by
+    default) from a state snapshot keyed by id, the leader's included."""
+    rows = sorted(active if active is not None else tree.depth)
+    remaining, speed = np.zeros(max(states) + 1), np.zeros(max(states) + 1)
+    for v, state in states.items():
+        remaining[v], speed[v] = state.remaining, state.speed
+    kernel = PlatoonKernel.build(rows, build_plf_topology(tree).neighbor_sets, tree.depth,
+                                 gains, cfg, cfg.dt)
+    leader = states[LEADER]
+    return dict(zip(rows, kernel.control_inputs(remaining, speed, leader.remaining,
+                                                leader.speed).tolist()))
+
+
+def kernel_step(cfg, state: VehicleState, u: float, dt: float = 0.1) -> VehicleState:
+    """One ``PlatoonKernel.euler_step`` of a single vehicle."""
+    kernel = PlatoonKernel.build([1], {1: ()}, {1: 1}, ControllerGains(), cfg, dt)
+    new_p, new_v = kernel.euler_step(np.array([state.remaining]), np.array([state.speed]),
+                                     np.array([u]))
+    return VehicleState(float(new_p[0]), float(new_v[0]))
 
 
 class TestTopology:
@@ -62,52 +76,36 @@ class TestTopology:
 class TestControlInput:
     def test_equilibrium_is_fixed_point(self, default_cfg, ex1_cdg):
         tree = idfst_schedule(ex1_cdg)
-        topo = build_plf_topology(tree)
         states = equilibrium_states(tree, default_cfg, leader_remaining=500.0)
-        for v in tree.depth:
-            u = control_input(v, states, topo, tree.depth, ControllerGains(), default_cfg)
+        for u in kernel_inputs(tree, states, default_cfg).values():
             assert u == pytest.approx(0.0, abs=1e-12)
 
     def test_spacing_error_gain(self, default_cfg):
         tree = chain_tree(1)
-        topo = build_plf_topology(tree)
         # vehicle one meter closer to the line than its slot
         states = {
             LEADER: VehicleState(500.0, 10.0),
             1: VehicleState(500.0 + 30.0 - 1.0, 10.0),
         }
-        u = control_input(1, states, topo, tree.depth, ControllerGains(), default_cfg)
-        assert u == pytest.approx(-0.1)
+        assert kernel_inputs(tree, states, default_cfg)[1] == pytest.approx(-0.1)
 
     def test_speed_error_gain(self, default_cfg):
         tree = chain_tree(1)
-        topo = build_plf_topology(tree)
         states = {
             LEADER: VehicleState(500.0, 10.0),
             1: VehicleState(530.0, 11.0),
         }
-        u = control_input(1, states, topo, tree.depth, ControllerGains(), default_cfg)
-        assert u == pytest.approx(-0.3)
-
-    def test_missing_neighbor_state_rejected(self, default_cfg):
-        tree = chain_tree(2)
-        topo = build_plf_topology(tree)
-        states = {LEADER: VehicleState(500.0, 10.0), 2: VehicleState(560.0, 10.0)}
-        with pytest.raises(ContractError):
-            control_input(2, states, topo, tree.depth, ControllerGains(), default_cfg)
+        assert kernel_inputs(tree, states, default_cfg)[1] == pytest.approx(-0.3)
 
     def test_crossed_neighbor_skipped(self, default_cfg):
         tree = chain_tree(2)
-        topo = build_plf_topology(tree)
         states = {
             LEADER: VehicleState(0.0, 10.0),
             1: VehicleState(-5.0, 10.0),
             2: VehicleState(60.0, 10.0),
         }
-        with_parent = control_input(2, states, topo, tree.depth, ControllerGains(),
-                                    default_cfg)
-        without = control_input(2, states, topo, tree.depth, ControllerGains(),
-                                default_cfg, active={2})
+        with_parent = kernel_inputs(tree, states, default_cfg)[2]
+        without = kernel_inputs(tree, states, default_cfg, active={2})[2]
         assert with_parent != pytest.approx(without)
         # leader-only term: delta_p = 0 - 60 + 60 = 0, delta_v = 0
         assert without == pytest.approx(0.0)
@@ -129,28 +127,27 @@ class TestControlInput:
                 data.draw(st.floats(min_value=0, max_value=25)),
             )
         oracle = matrix_control_inputs(topo, states, tree.depth, gains, default_cfg)
-        for v in tree.depth:
-            u = control_input(v, states, topo, tree.depth, gains, default_cfg)
+        for v, u in kernel_inputs(tree, states, default_cfg, gains).items():
             assert u == pytest.approx(oracle[v], rel=1e-9, abs=1e-9)
 
 
 class TestStepDynamics:
     def test_euler_step(self, default_cfg):
-        out = step_dynamics(VehicleState(500.0, 10.0), 2.0, 0.1, default_cfg)
+        out = kernel_step(default_cfg, VehicleState(500.0, 10.0), 2.0)
         assert out.speed == pytest.approx(10.2)
         assert out.remaining == pytest.approx(499.0)
 
     def test_speed_ceiling(self, default_cfg):
-        out = step_dynamics(VehicleState(500.0, 25.0), 5.0, 0.1, default_cfg)
+        out = kernel_step(default_cfg, VehicleState(500.0, 25.0), 5.0)
         assert out.speed == 25.0
 
     def test_no_reversing(self, default_cfg):
-        out = step_dynamics(VehicleState(500.0, 0.0), -6.0, 0.1, default_cfg)
+        out = kernel_step(default_cfg, VehicleState(500.0, 0.0), -6.0)
         assert out.speed == 0.0
         assert out.remaining == 500.0
 
     def test_acceleration_clamped_first(self, default_cfg):
-        out = step_dynamics(VehicleState(500.0, 10.0), 50.0, 0.1, default_cfg)
+        out = kernel_step(default_cfg, VehicleState(500.0, 10.0), 50.0)
         assert out.speed == pytest.approx(10.0 + default_cfg.a_max * 0.1)
 
     @settings(max_examples=100, deadline=None)
@@ -160,7 +157,7 @@ class TestStepDynamics:
         st.floats(min_value=-1000, max_value=1000),
     )
     def test_bounds_always_hold(self, default_cfg, p, v, u):
-        out = step_dynamics(VehicleState(p, v), u, 0.1, default_cfg)
+        out = kernel_step(default_cfg, VehicleState(p, v), u)
         assert 0.0 <= out.speed <= default_cfg.v_max
         assert abs(out.speed - v) <= max(default_cfg.a_max, -default_cfg.a_min) * 0.1 + 1e-12
 
@@ -170,7 +167,8 @@ def bits(x: float) -> str:
 
 
 class TestPlatoonKernel:
-    """The array kernel against the scalar law, the scalar integrator and the matrix form."""
+    """The array kernel against the oracles' scalar law and integrator, bit for
+    bit, and against the matrix form."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000), st.booleans(), st.data())

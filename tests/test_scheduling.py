@@ -8,6 +8,7 @@ from crossflow.scheduling import (
     SizeLimitError,
     SpanningTree,
     _lanes_for,
+    _lay_layers,
     conflict_test,
     cover_to_tree,
     dfst_schedule,
@@ -34,6 +35,7 @@ from .oracles import (
     minimum_covers_by_partition,
     plain_layer_search,
     plain_layer_split,
+    scanning_relayering,
     scanning_tree,
     shallowest_admissible_layer,
 )
@@ -399,6 +401,32 @@ def _assert_trees_match_scanning_oracle(cdg):
         tree, oracle = schedule(cdg), scanning_tree(cdg, improved)
         assert tree.depth == oracle.depth
         assert tree.parent == oracle.parent
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_instances(), st.booleans(), st.data())
+def test_layers_laid_around_placed_nodes_match_scanning_oracle(instance, baseline, data):
+    """Re-laying any subset of a tree's vehicles, in any layer order, around
+    the rest (the online cover path, where the rest are the locked vehicles)
+    gives the depths and parents, in map order, of the engine's former
+    member-by-placed loop; the newest member enters the maps as an arrival
+    would.  Shuffled layers put members on the depths of later placed
+    vehicles they may pass, which the tree's own order rarely does."""
+    _, _, cdg = instance
+    tree = dfst_schedule(cdg) if baseline else idfst_schedule(cdg)
+    keep = data.draw(st.integers(min_value=0, max_value=2 ** (cdg.n + 1) - 1))  # bit v: placed
+    layers = [[v for v in layer if not keep >> v & 1] for layer in tree.layers()]
+    layers = data.draw(st.permutations([layer for layer in layers if layer]))
+    maps = []
+    for _ in range(2):
+        parent, depth = dict(tree.parent), dict(tree.depth)
+        if layers:
+            newest = max(map(max, layers))
+            del parent[newest], depth[newest]
+        maps.append((parent, depth))
+    _lay_layers(*maps[0], layers, lambda v: (cdg.fixed[v], cdg.exchangeable[v]))
+    scanning_relayering(*maps[1], layers, {cs.vehicle: cs for cs in cdg.sets})
+    assert [list(m.items()) for m in maps[0]] == [list(m.items()) for m in maps[1]]
 
 
 @settings(max_examples=60, deadline=None)

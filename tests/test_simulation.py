@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossflow.conflicts import ContractError, VehicleRecord, nominal_remaining
+from crossflow.conflicts import ContractError, VehicleRecord, _horizon, nominal_remaining
 from crossflow.control import LEADER, ControllerGains, VehicleState
 from crossflow.presets import example1_arrivals, example1_scenario
 from crossflow.conflicts import build_cdg
@@ -153,6 +153,27 @@ class TestRun:
         SimConfig(scenario=default_cfg, algorithm=Algorithm.MCC_BRUTE, n_vehicles=12,
                   mean_headway=1.0, seed=1, mode=Mode.ONLINE)
 
+    @pytest.mark.parametrize("name,value", [
+        ("dt", 0.0), ("dt", -0.1), ("dt", float("nan")), ("dt", float("inf")),
+        ("initial_speed", -3.0), ("initial_speed", float("nan")),
+        ("initial_speed", float("inf")), ("leader_start", float("nan")),
+        ("leader_start", float("inf")), ("leader_start", float("-inf")),
+        ("mean_headway", float("nan")), ("mean_headway", float("inf")),
+    ])
+    def test_bad_override_rejected_up_front(self, default_cfg, name, value):
+        """The config checks the step, entry speed, leader start and headway
+        it will run with, instead of simulating the horizon and timing out."""
+        base = dict(scenario=default_cfg, algorithm=Algorithm.DFST, n_vehicles=3,
+                    mean_headway=3.0, seed=1)
+        with pytest.raises(ContractError, match=name):
+            SimConfig(**{**base, name: value})
+
+    def test_boundary_overrides_accepted(self, default_cfg):
+        cfg = SimConfig(scenario=default_cfg, algorithm=Algorithm.DFST, n_vehicles=3,
+                        mean_headway=3.0, seed=1, dt=0.05, initial_speed=0.0,
+                        leader_start=-100.0)
+        assert (cfg.step, cfg.entry_speed) == (0.05, 0.0)
+
     def test_mcc_brute_small_run(self, default_cfg):
         cfg = SimConfig(scenario=default_cfg, algorithm=Algorithm.MCC_BRUTE,
                         n_vehicles=8, mean_headway=3.0, seed=4, mode=Mode.ONLINE)
@@ -294,6 +315,26 @@ class TestOnlineLocking:
         assert 1 in engine.locked
         assert engine.depth[1] == depth_before
         assert 1 in engine.sets[7].reachability
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_locked_on_entry_cover_places_as_idfst(seed):
+    """With v_0 = 25 m/s on the default 900 m zone, L/v_0 = 36 s is below the
+    reachability horizon L/v_max + v_max/(2 a_max) = 38.5 s: every vehicle is
+    locked on entry, the cover re-layers nothing, and online mcc-greedy falls
+    back to idfst's placement for every arrival."""
+    doc = yaml.safe_load(dump_scenario(default_intersection()))
+    doc["parameters"]["v_0"] = 25.0
+    scn = load_scenario(yaml.safe_dump(doc))
+    assert scn.control_zone_length / scn.platoon_speed < _horizon(scn)
+    results = {alg: run(SimConfig(scenario=scn, algorithm=alg, n_vehicles=30,
+                                  mean_headway=2.0, seed=seed, mode=Mode.ONLINE))
+               for alg in (Algorithm.IDFST, Algorithm.MCC_GREEDY)}
+    idfst, cover = results[Algorithm.IDFST], results[Algorithm.MCC_GREEDY]
+    assert cover.depths == idfst.depths
+    assert cover.parents == idfst.parents
+    assert ([r.t_out for r in cover.metrics.records]
+            == [r.t_out for r in idfst.metrics.records])
 
 
 @settings(max_examples=20, deadline=None)
