@@ -168,7 +168,7 @@ def load_arrivals(path: str, entry_speed: float) -> list[VehicleRecord]:
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(row for row in fh if not row.startswith("#"))
-        header = next(reader)
+        header = next(reader, [])  # an empty file has no header either
         cols = [c.strip().lower() for c in header]
         if cols != ["id", "lane", "t_in"]:
             raise ParseError(f"arrival file must have header id,lane,t_in (got {header})")

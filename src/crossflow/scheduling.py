@@ -28,11 +28,11 @@ time with ``_place``, which the online engine calls on its own partial tree
 at each arrival.  The cover routes turn a cover into layers with
 ``_cover_layers``, and the layers into depths and parents with
 ``_lay_layers``; the engine calls both on its unlocked vehicles, laying
-them around the locked ones.  The exact route falls back to the greedy
-cover with splitting when no minimum cover can be ordered, and a
-layer-ordering search that runs out of budget counts as finding no order,
-so the split still runs.  The ordering search remembers the states it has
-proven dead, so it never repeats a failed branch.
+them around the locked ones.  When no cover orders (the exact route tries
+every minimum cover, the greedy route its one cover, and a search that runs
+out of budget counts as finding no order), ``schedule_cover_tree`` returns
+idfst's tree.  The ordering search remembers the states it has proven dead,
+so it never repeats a failed branch.
 """
 
 from __future__ import annotations
@@ -370,7 +370,6 @@ def order_layers(
     subsets: Iterable[Iterable[int]],
     lanes: list[list[int]],
     conflicted,
-    allow_split: bool = False,
 ) -> list[tuple[int, ...]] | None:
     """Order cover subsets into conflict-free layers via lane-slot substitution.
 
@@ -391,9 +390,7 @@ def order_layers(
     cuts only branches that fail, so the search finds the ordering a plain
     depth-first search would, with fewer steps.
 
-    Returns None if no ordering is found and splitting is off; with
-    ``allow_split`` a blocked subset sheds its colliding members into
-    singleton subsets instead (the layer count may then grow).
+    Returns None if no ordering is found within the budget.
     """
     lane_of: dict[int, int] = {}
     for ln, chain in enumerate(lanes):
@@ -439,36 +436,7 @@ def order_layers(
 
     if emit(list(range(len(shapes))), [0] * len(lanes), sum(weight[k] for k in kinds)):
         return layers_out
-    if not allow_split:
-        return None
-
-    # forward pass that sheds colliding members; always terminates because
-    # every emission consumes at least one vehicle
-    layers_out = []
-    heads = [0] * len(lanes)
-    pool = [list(s) for s in shape_lanes]
-    while pool:
-        pool.sort(key=lambda s: (-len(s), s))
-        shape = pool.pop(0)
-        group: list[int] = []
-        spill: list[int] = []
-        for ln in shape:
-            candidate = lanes[ln][heads[ln]]
-            if conflicted(tuple(group + [candidate])):
-                spill.append(ln)
-            else:
-                group.append(candidate)
-        if not group:
-            # even a single vehicle always forms a valid layer
-            ln = shape[0]
-            group = [lanes[ln][heads[ln]]]
-            spill = shape[1:]
-        for v in group:
-            heads[lane_of[v]] += 1
-        layers_out.append(tuple(sorted(group)))
-        for ln in spill:
-            pool.append([ln])
-    return layers_out
+    return None
 
 
 def conflict_test(masks: Sequence[int]) -> Callable[[tuple[int, ...]], bool]:
@@ -565,28 +533,27 @@ def _tree_from_layers(layers: list[tuple[int, ...]], cdg: ConflictDirectedGraph)
 
 
 def _cover_layers(cug: CoexistenceGraph, lanes: list[list[int]], masks: Sequence[int],
-                  exact: bool, cap: int = 12) -> list[tuple[int, ...]]:
+                  exact: bool, cap: int = 12) -> list[tuple[int, ...]] | None:
     """Conflict-free layers from a clique cover: the cover route of batch and online.
 
-    The preferred cover occasionally admits no lane-consistent layer order
-    once reachability conflicts enter (they are not lane-symmetric).  The
-    exact route walks the minimum covers in preference order and takes the
-    first it can order; when none orders, and always on the greedy route,
-    the greedy cover is ordered with its colliding members shed into extra
-    layers.  ``lanes`` and ``masks`` (conflict bitsets) use the numbering
-    1..n of ``cug``.
+    The exact route walks the minimum covers in preference order, the greedy
+    route takes the greedy cover; the layers of the first cover that orders
+    are returned, or None when none does (reachability conflicts are not
+    lane-symmetric, so a cover can admit no lane-consistent layer order).
+    ``lanes`` and ``masks`` (conflict bitsets) use the numbering 1..n of
+    ``cug``.
     """
     conflicted = conflict_test(masks)
-    if exact:
-        for bucket in _ranked_covers(cug, cap):
-            for cover in bucket:
-                layers = order_layers(cover.subsets, lanes, conflicted)
-                if layers is not None:
-                    return layers
-    return order_layers(mcc_greedy(cug).subsets, lanes, conflicted, allow_split=True)
+    covers = chain.from_iterable(_ranked_covers(cug, cap)) if exact else [mcc_greedy(cug)]
+    for cover in covers:
+        layers = order_layers(cover.subsets, lanes, conflicted)
+        if layers is not None:
+            return layers
+    return None
 
 
 def schedule_cover_tree(cug: CoexistenceGraph, cdg: ConflictDirectedGraph,
                         exact: bool, cap: int = 12) -> SpanningTree:
-    """Cover-based schedule as a tree, robust to unorderable covers (``_cover_layers``)."""
-    return _tree_from_layers(_cover_layers(cug, _lanes_for(cdg), cdg.mask, exact, cap), cdg)
+    """Cover-based schedule as a tree; idfst's tree when no cover orders (``_cover_layers``)."""
+    layers = _cover_layers(cug, _lanes_for(cdg), cdg.mask, exact, cap)
+    return idfst_schedule(cdg) if layers is None else _tree_from_layers(layers, cdg)

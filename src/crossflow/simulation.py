@@ -6,11 +6,11 @@ then runs the closed loop.  Online mode schedules at every arrival event
 through the same scheduling functions as batch: the spanning-tree methods
 place the new vehicle with the trees' own per-vehicle step, and the clique
 cover methods re-layer all vehicles not yet locked near the stopping line
-through the batch cover route (exact covers with the greedy split as
-fallback, or the greedy cover with splitting) and lay the layers into the
-tree around the locked vehicles with the batch routine.  The online conflict
-relation is one bitset per vehicle, set on arrival from its conflict sets
-and its lane.
+through the batch cover route (the minimum covers in preference order, or
+the greedy cover) and lay the layers into the tree around the locked
+vehicles with the batch routine; among unlocked vehicles every cover
+orders, so the engine needs no fallback.  The online conflict relation is
+one bitset per vehicle, set on arrival from its conflict sets and its lane.
 
 The virtual leader starts ``leader_start`` meters from the stopping line at
 t = 0 and advances at the platoon design speed; a vehicle's slot sits one
@@ -307,7 +307,13 @@ class _Engine:
         if not unlocked:
             return
         # the batch cover route on the unlocked vehicles, renumbered 1..k in
-        # id order (so every tie breaks as it would on the original ids)
+        # id order (so every tie breaks as it would on the original ids).
+        # Its layers are never None here: a predecessor an arrival cannot
+        # catch is already as close to the line as the lock distance
+        # (``reachability_conflict`` above), so it is locked, and no
+        # reachability conflict joins two unlocked vehicles.  The conflicts
+        # left come from the movements alone, alike for every vehicle of a
+        # lane, so lane-slot substitution orders any cover.
         index = {v: k for k, v in enumerate(unlocked, start=1)}
         pool = sum(1 << v for v in unlocked)
         local = [0] + [sum(1 << index[u] for u in _bits(self.conflict[v] & pool))

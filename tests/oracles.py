@@ -348,37 +348,6 @@ def plain_layer_search(subsets, lanes, conflicted, budget=200_000):
     return layers_out if emit(list(range(len(shapes))), [0] * len(lanes)) else None
 
 
-def plain_layer_split(subsets, lanes, conflicted):
-    """The split fallback of ``order_layers``: shed colliding members, never fail.
-
-    Subsets are emitted largest first by lane-slot substitution; members that
-    collide with the group built so far go back to the pool as singletons.
-    """
-    lane_of = {v: ln for ln, chain in enumerate(lanes) for v in chain}
-    pool = [sorted(lane_of[v] for v in s) for s in subsets]
-    layers_out = []
-    heads = [0] * len(lanes)
-    while pool:
-        pool.sort(key=lambda s: (-len(s), s))
-        shape = pool.pop(0)
-        group, spill = [], []
-        for ln in shape:
-            candidate = lanes[ln][heads[ln]]
-            if conflicted(tuple(group + [candidate])):
-                spill.append(ln)
-            else:
-                group.append(candidate)
-        if not group:
-            ln = shape[0]
-            group = [lanes[ln][heads[ln]]]
-            spill = shape[1:]
-        for v in group:
-            heads[lane_of[v]] += 1
-        layers_out.append(tuple(sorted(group)))
-        pool.extend([ln] for ln in spill)
-    return layers_out
-
-
 def pairwise_conflict_sets(vehicles, cfg) -> list[ConflictSets]:
     """Conflict sets by checking every vehicle against every earlier one.
 

@@ -229,6 +229,14 @@ class TestScheduleCommand:
         assert code == 2
         assert "id,lane,t_in" in err
 
+    @pytest.mark.parametrize("text", ["", "# arrivals\n# none yet\n"])
+    def test_arrival_file_without_rows(self, capsys, tmp_path, text):
+        empty = tmp_path / "empty.csv"
+        empty.write_text(text)
+        code, out, err = cli(capsys, "schedule", "--arrivals", str(empty))
+        assert code == 2
+        assert out == ""
+        assert "validation error" in err and "id,lane,t_in" in err
 
     @pytest.mark.parametrize("rows,needle", [
         ("1,1,0.0\n3,2,0.5\n", "1..2"),

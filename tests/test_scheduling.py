@@ -34,7 +34,6 @@ from .oracles import (
     min_feasible_depth,
     minimum_covers_by_partition,
     plain_layer_search,
-    plain_layer_split,
     scanning_relayering,
     scanning_tree,
     shallowest_admissible_layer,
@@ -273,34 +272,37 @@ def test_all_methods_emit_feasible_trees(seed):
 def test_unorderable_cover_raises():
     """A cover can be unorderable when reachability conflicts break the
     lane symmetry; the direct conversion reports it and the scheduling
-    pipeline falls back (sampler seed 4445 is such an instance)."""
+    pipeline falls back to idfst's tree (sampler seed 4445 is such an
+    instance)."""
     _, _, cdg = random_instance(4445, 4, 9)
     cug = build_cug(cdg)
     with pytest.raises(RepairError):
         cover_to_tree(mcc_greedy(cug), cdg)
     tree = schedule_cover_tree(cug, cdg, exact=False)
+    assert tree == idfst_schedule(cdg)
     assert verify_feasible(tree, cdg).ok
 
 
-def test_light_traffic_cover_falls_back_to_split():
+def test_light_traffic_cover_falls_back_to_idfst():
     """Light traffic, n = 60 at gap 20 s.  Seed 1's greedy cover orders into
     its θ layers (a plain search ran out of budget on it).  Seed 13's cover
-    has no ordering: the search ends without one, which leads to the split
-    pass, and that gives a feasible tree with extra layers instead of an
-    error."""
+    has no ordering (the search fails in full) and seed 14's search runs
+    out of budget; both fall back to idfst's tree, 19 and 23 layers deep,
+    where the split pass that preceded it gave 28 and 29."""
     _, _, cdg = sampled_instance(1, 60, 20.0)
     cug = build_cug(cdg)
     tree = schedule_cover_tree(cug, cdg, exact=False)
     assert verify_feasible(tree, cdg).ok
     assert tree.d_all == mcc_greedy(cug).theta
 
-    _, _, cdg = sampled_instance(13, 60, 20.0)
-    cug = build_cug(cdg)
-    greedy = mcc_greedy(cug)
-    assert order_layers(greedy.subsets, _lanes_for(cdg), conflict_test(cdg.mask)) is None
-    tree = schedule_cover_tree(cug, cdg, exact=False)
-    assert verify_feasible(tree, cdg).ok
-    assert tree.d_all > greedy.theta
+    for seed, d_all in ((13, 19), (14, 23)):
+        _, _, cdg = sampled_instance(seed, 60, 20.0)
+        cug = build_cug(cdg)
+        assert order_layers(mcc_greedy(cug).subsets, _lanes_for(cdg),
+                            conflict_test(cdg.mask)) is None
+        tree, idfst = schedule_cover_tree(cug, cdg, exact=False), idfst_schedule(cdg)
+        assert (tree.depth, tree.parent) == (idfst.depth, idfst.parent)
+        assert tree.d_all == d_all
 
 
 def tree_of(layers) -> SpanningTree:
@@ -316,18 +318,17 @@ def tree_of(layers) -> SpanningTree:
 @given(graph_instances())
 def test_ordering_search_matches_plain_search(instance):
     """Where a plain depth-first search orders the greedy cover within the
-    budget, the pruned search returns the same layers; elsewhere its result
-    is feasible and no longer than the plain split."""
+    budget, the pruned search returns the same layers; elsewhere it finds
+    no order or a feasible one."""
     _, _, cdg = instance
     subsets = mcc_greedy(build_cug(cdg)).subsets
     lanes, conflicted = _lanes_for(cdg), conflict_test(cdg.mask)
-    layers = order_layers(subsets, lanes, conflicted, allow_split=True)
+    layers = order_layers(subsets, lanes, conflicted)
     reference = plain_layer_search(subsets, lanes, conflicted)
     if reference is not None:
         assert layers == reference
-    else:
+    elif layers is not None:
         assert verify_feasible(tree_of(layers), cdg).ok
-        assert len(layers) <= len(plain_layer_split(subsets, lanes, conflicted))
 
 
 @settings(max_examples=30, deadline=None)
@@ -350,9 +351,8 @@ def test_exact_covers_match_partition_oracle(seed):
     layers = next((ordered for cover in ranked
                    if (ordered := plain_layer_search(cover, lanes, conflicted)) is not None),
                   None)
-    if layers is None:
-        layers = plain_layer_split(mcc_greedy(cug).subsets, lanes, conflicted)
-    assert schedule_cover_tree(cug, cdg, exact=True) == tree_of(layers)
+    oracle_tree = idfst_schedule(cdg) if layers is None else tree_of(layers)
+    assert schedule_cover_tree(cug, cdg, exact=True) == oracle_tree
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,7 +10,7 @@ from crossflow.conflicts import ContractError, VehicleRecord, _horizon, nominal_
 from crossflow.control import LEADER, ControllerGains, VehicleState
 from crossflow.presets import example1_arrivals, example1_scenario
 from crossflow.conflicts import build_cdg
-from crossflow.scheduling import dfst_schedule, idfst_schedule
+from crossflow.scheduling import _cover_layers, dfst_schedule, idfst_schedule
 from crossflow.simulation import (
     Algorithm,
     CompletionRecord,
@@ -444,3 +444,25 @@ class TestSimulatePlatoon:
                     if a.depth == b.depth or not conflicting(a.vehicle, b.vehicle):
                         continue
                     assert abs(a.p - b.p) >= 0.5 * gap
+
+
+@pytest.mark.parametrize("algorithm,n", [(Algorithm.MCC_GREEDY, 60), (Algorithm.MCC_BRUTE, 12)])
+@pytest.mark.parametrize("headway", [1.0, 20.0])
+@pytest.mark.parametrize("leader_start", [0.0, 600.0])
+def test_online_covers_always_order(monkeypatch, algorithm, n, headway, leader_start):
+    """Online, every cover over the unlocked vehicles orders, so the engine
+    needs no fallback: an uncatchable predecessor is already locked, and the
+    conflicts left among unlocked vehicles are alike for every vehicle of a
+    lane."""
+    calls = []
+
+    def cover_layers(*args, **kwargs):
+        layers = _cover_layers(*args, **kwargs)
+        assert layers is not None
+        calls.append(len(layers))
+        return layers
+
+    monkeypatch.setattr("crossflow.simulation._cover_layers", cover_layers)
+    run(SimConfig(scenario=default_intersection(), algorithm=algorithm, n_vehicles=n,
+                  mean_headway=headway, seed=1, mode=Mode.ONLINE, leader_start=leader_start))
+    assert calls
