@@ -24,7 +24,6 @@ from .scheduling import (
     SpanningTree,
     cover_to_tree,
     dfst_schedule,
-    find_opt_parent,
     idfst_schedule,
     mcc_bruteforce,
     mcc_greedy,

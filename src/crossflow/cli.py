@@ -139,8 +139,10 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         for part in text.split(","):
             part = part.strip()
             if "-" in part and not part.startswith("-"):
-                lo, hi = part.split("-", 1)
-                out.extend(range(int(lo), int(hi) + 1))
+                lo, hi = map(int, part.split("-", 1))
+                if hi < lo:
+                    raise UsageError(f"{flag}: range {part!r} ends below its start")
+                out.extend(range(lo, hi + 1))
             else:
                 out.append(int(part))
     except ValueError:

@@ -22,11 +22,12 @@ and bidirectional ones (order exchangeable: crossing, converging).  The
 coexistence graph is its complement over the real vehicles; an edge there
 means the two vehicles may cross the stopping line together.
 
-Both graphs keep one adjacency, built once, that every scheduler reads: per
-node a Python-int bitset and, on the CDG, the fixed-order and exchangeable
-predecessor sets.  A pair test is a shift, a group test ``&``.  The CDG's
-bitsets are assembled byte-parallel from the conflict sets; its four edge
-families are views derived on first use.
+Conflicts have one representation, the Python-int bitset (bit k is vehicle
+k): the conflict sets, and the one adjacency that every scheduler reads, per
+node its neighbours and, on the CDG, its fixed-order and exchangeable
+predecessors.  A pair test is a shift, a group test ``&``.  The CDG's
+neighbour bitsets are assembled byte-parallel; its four edge families are
+views derived on first use.
 """
 
 from __future__ import annotations
@@ -59,34 +60,30 @@ class VehicleRecord:
 
 @dataclass(frozen=True)
 class ConflictSets:
-    """Conflict sets of one vehicle against its predecessors.
+    """Conflict sets of one vehicle against its predecessors, as bitsets.
 
-    All members are strictly smaller ids; the virtual leader 0 appears only
-    in ``diverging`` and only for the first vehicle scheduled on its lane.
+    Bit k is vehicle k.  All members are strictly smaller ids; the virtual
+    leader 0 (bit 0) appears only in ``diverging`` and only for the first
+    vehicle scheduled on its lane.
     """
 
     vehicle: int
-    crossing: frozenset[int]
-    diverging: frozenset[int]
-    converging: frozenset[int]
-    reachability: frozenset[int]
+    crossing: int
+    diverging: int
+    converging: int
+    reachability: int
 
     def __post_init__(self):
-        groups = [g for g in (self.crossing, self.diverging, self.converging,
-                              self.reachability) if g]
-        if not all(a.isdisjoint(b) for a, b in itertools.combinations(groups, 2)):
+        groups = (self.crossing, self.diverging, self.converging, self.reachability)
+        if min(groups) < 0:
+            raise ContractError(f"vehicle {self.vehicle}: negative conflict bitset")
+        if any(a & b for a, b in itertools.combinations(groups, 2)):
             raise ContractError(f"vehicle {self.vehicle}: conflict sets overlap")
-        top = max(map(max, groups), default=-1)
+        top = max(map(int.bit_length, groups)) - 1
         if top >= self.vehicle:
             raise ContractError(f"vehicle {self.vehicle}: conflict member {top} does not precede it")
-        low = min(map(min, groups), default=0)
-        if low < 0:
-            raise ContractError(f"vehicle {self.vehicle}: negative member {low}")
-        for g in (self.crossing, self.converging, self.reachability):
-            if 0 in g:
-                raise ContractError(
-                    f"vehicle {self.vehicle}: virtual leader allowed only in diverging set"
-                )
+        if (self.crossing | self.converging | self.reachability) & 1:
+            raise ContractError(f"vehicle {self.vehicle}: virtual leader allowed only in diverging set")
 
 
 def reachability_threshold(cfg: IntersectionConfig) -> float:
@@ -193,10 +190,10 @@ def conflict_sets_for(
             free |= members
     return ConflictSets(
         vehicle=vehicle.id,
-        crossing=_members(zone & crossing),
-        diverging=frozenset({max((zone & lane).bit_length() - 1, 0)}),
-        converging=_members(zone & converging),
-        reachability=_members(zone & uncatchable & free),
+        crossing=zone & crossing,
+        diverging=1 << max((zone & lane).bit_length() - 1, 0),
+        converging=zone & converging,
+        reachability=zone & uncatchable & free,
     )
 
 
@@ -247,18 +244,6 @@ def build_conflict_sets(vehicles: Sequence[VehicleRecord],
     return [out[i] for i in ids]
 
 
-def _members(mask: int) -> frozenset[int]:
-    """A bitset as a frozenset: bit by bit when sparse, byte-parallel when dense.
-
-    Bit by bit costs a big-int operation per member, unpacking a fixed numpy
-    overhead; on 400-bit masks they cross near 24 members.
-    """
-    if mask.bit_count() <= 24:
-        return frozenset(_bits(mask))
-    raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), np.uint8)
-    return frozenset(np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist())
-
-
 def _bits(mask: int) -> Iterator[int]:
     """Members of a bitset, ascending."""
     while mask:
@@ -271,40 +256,39 @@ def _bits(mask: int) -> Iterator[int]:
 class ConflictDirectedGraph:
     """Conflict graph over nodes {0, 1, .., n}; 0 is the virtual leader.
 
-    Every edge joins a node to a later one.  The graph is its adjacency:
-    per node the predecessors it must follow (``fixed``: same lane,
-    uncatchable), the predecessors it may pass (``exchangeable``: crossing,
-    converging) and the bitset of all its neighbours in either sense
-    (``mask``).  The four edge families keep their origin for reports and
-    tests; they are views of the conflict sets the graph was built from,
-    derived on first use.
+    Every edge joins a node to a later one.  The graph is its adjacency, per
+    node bitsets of the predecessors it must follow (``fixed``: same lane,
+    uncatchable), of those it may pass (``exchangeable``: crossing,
+    converging) and of its neighbours in either sense (``mask``).  The four
+    edge families keep their origin for reports and tests; they are views of
+    the conflict sets the graph was built from, derived on first use.
     """
 
     n: int
     sets: tuple[ConflictSets, ...]  # what ``build_cdg`` assembled, in its order
-    fixed: tuple[frozenset[int], ...]
-    exchangeable: tuple[frozenset[int], ...]
+    fixed: tuple[int, ...]
+    exchangeable: tuple[int, ...]
     mask: tuple[int, ...]
 
     @cached_property
     def lane_edges(self) -> frozenset[tuple[int, int]]:
         """(predecessor, follower) on one lane; 0 before the first of a lane."""
-        return frozenset((i, cs.vehicle) for cs in self.sets for i in cs.diverging)
+        return frozenset((i, cs.vehicle) for cs in self.sets for i in _bits(cs.diverging))
 
     @cached_property
     def reach_edges(self) -> frozenset[tuple[int, int]]:
         """(uncatchable leader, late entrant)."""
-        return frozenset((i, cs.vehicle) for cs in self.sets for i in cs.reachability)
+        return frozenset((i, cs.vehicle) for cs in self.sets for i in _bits(cs.reachability))
 
     @cached_property
     def crossing_edges(self) -> frozenset[tuple[int, int]]:
         """Normalized (low, high) pairs."""
-        return frozenset((i, cs.vehicle) for cs in self.sets for i in cs.crossing)
+        return frozenset((i, cs.vehicle) for cs in self.sets for i in _bits(cs.crossing))
 
     @cached_property
     def converging_edges(self) -> frozenset[tuple[int, int]]:
         """Normalized (low, high) pairs."""
-        return frozenset((i, cs.vehicle) for cs in self.sets for i in cs.converging)
+        return frozenset((i, cs.vehicle) for cs in self.sets for i in _bits(cs.converging))
 
     @property
     def unidirectional(self) -> frozenset[tuple[int, int]]:
@@ -437,24 +421,24 @@ def _layer_rank(sizes: Iterable[int]) -> int:
 def build_cdg(sets: Sequence[ConflictSets]) -> ConflictDirectedGraph:
     """Assemble the conflict directed graph from per-vehicle conflict sets.
 
-    The predecessor sets are unions of the conflict sets.  The neighbour
-    bitsets need each node's successors too: the predecessors fill one
-    boolean matrix, which is made symmetric and packed into one bitset per
-    row, all byte-parallel, so no pair is visited one at a time.  The matrix
-    takes (n + 1)² bytes for the duration of the call.
+    The predecessor bitsets are ORs of the conflict sets.  The neighbour
+    bitsets need each node's successors too: the predecessor bitsets are
+    unpacked into one boolean matrix, which is made symmetric and packed
+    into one bitset per row, all byte-parallel, so no pair is visited one at
+    a time.  The matrix takes (n + 1)² bytes for the duration of the call.
     """
     sets = tuple(sets)
     n = max((cs.vehicle for cs in sets), default=0)
-    fixed = [frozenset()] * (n + 1)
-    exchangeable = [frozenset()] * (n + 1)
+    fixed = [0] * (n + 1)
+    exchangeable = [0] * (n + 1)
     for cs in sets:
         j = cs.vehicle
-        fixed[j] = fixed[j].union(cs.diverging, cs.reachability)
-        exchangeable[j] = exchangeable[j].union(cs.crossing, cs.converging)
-    linked = np.zeros((n + 1, n + 1), dtype=bool)  # [j, i]: i precedes j
-    rows = np.repeat(np.arange(n + 1), [len(f) + len(x) for f, x in zip(fixed, exchangeable)])
-    preds = itertools.chain.from_iterable(itertools.chain.from_iterable(zip(fixed, exchangeable)))
-    linked[rows, np.fromiter(preds, dtype=np.intp, count=len(rows))] = True
+        fixed[j] |= cs.diverging | cs.reachability
+        exchangeable[j] |= cs.crossing | cs.converging
+    width = (n + 8) // 8  # bytes per row of n + 1 bits
+    preds = b"".join((f | x).to_bytes(width, "little") for f, x in zip(fixed, exchangeable))
+    linked = np.unpackbits(np.frombuffer(preds, np.uint8).reshape(n + 1, width), axis=1,
+                           count=n + 1, bitorder="little").view(bool)  # [j, i]: i precedes j
     linked |= linked.T
     packed = np.packbits(linked, axis=1, bitorder="little")
     return ConflictDirectedGraph(

@@ -18,10 +18,10 @@ Four routes to a layered passing order:
 
 All of them yield a spanning tree rooted at the virtual leader whose depth
 is the vehicle's passing layer; ``verify_feasible`` checks any tree against
-the conflict graph.  Every route reads the graphs' one adjacency: the trees
-take the CDG's ``fixed`` and ``exchangeable`` predecessor sets, and the
-cover, the layer ordering and the feasibility check test its conflict
-bitsets.
+the conflict graph.  Every route reads the graphs' one adjacency, all of it
+bitsets: the trees take the CDG's ``fixed`` and ``exchangeable`` predecessor
+bitsets and test them against a bitset per tree layer, and the cover, the
+layer ordering and the feasibility check test its conflict bitsets.
 
 Batch and online scheduling share one path.  The trees add one vehicle at a
 time with ``_place``, which the online engine calls on its own partial tree
@@ -41,7 +41,7 @@ import heapq
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .conflicts import (CoexistenceGraph, ConflictDirectedGraph, ContractError, _bits,
                         _layer_rank)
@@ -160,27 +160,28 @@ def verify_feasible(tree: SpanningTree, cdg: ConflictDirectedGraph) -> Feasibili
 class _GrowingTree:
     """A spanning tree grown one vehicle at a time, with the index its step reads.
 
-    ``level`` holds every placed node's depth, the virtual leader's 0
-    included; ``layers[d]`` holds the nodes at depth d, and ``open[d]`` is a
-    heap of (children, node) over them, in which an entry whose count lags
-    the node's ``children`` is stale and skipped.  ``_place`` keeps all of
-    it up to date, so placing a vehicle never rescans the tree.
+    ``layers[d]`` is the bitset of the nodes at depth d, the leader's bit 0
+    in ``layers[0]``, and ``placed`` the bitset of all of them; ``open[d]`` is
+    a heap of (children, node) over depth d, in which an entry whose count
+    lags the node's ``children`` is stale and skipped.  ``_place`` keeps all
+    of it up to date, so placing a vehicle never rescans the tree.
     """
 
     def __init__(self, tree: SpanningTree):
         self.tree = tree
-        self.level = {0: 0, **tree.depth}
         self.children = Counter(tree.parent.values())
-        self.layers: list[set[int]] = []
+        self.layers: list[int] = []
+        self.placed = 0
         self.open: list[list[tuple[int, int]]] = []
-        for node, d in self.level.items():
+        for node, d in {0: 0, **tree.depth}.items():
             self._enter(node, d)
 
     def _enter(self, node: int, d: int) -> None:
         while len(self.layers) <= d:
-            self.layers.append(set())
+            self.layers.append(0)
             self.open.append([])
-        self.layers[d].add(node)
+        self.layers[d] |= 1 << node
+        self.placed |= 1 << node
         heapq.heappush(self.open[d], (self.children[node], node))
 
     def least_loaded(self, d: int) -> int:
@@ -190,47 +191,57 @@ class _GrowingTree:
             heapq.heappop(heap)
         return heap[0][1]
 
-    def attach(self, i: int, k: int) -> None:
-        """Place vehicle i one layer below node k, as k's child."""
-        target = self.level[k] + 1
+    def attach(self, i: int, k: int, target: int) -> None:
+        """Place vehicle i at depth ``target``, as the child of node k one layer up."""
         self.tree.parent[i] = k
-        self.tree.depth[i] = self.level[i] = target
+        self.tree.depth[i] = target
         self.children[k] += 1
         heapq.heappush(self.open[target - 1], (self.children[k], k))
         self._enter(i, target)
 
 
-def _target_depth(level: Mapping[int, int], fixed: Collection[int],
-                  exchangeable: Collection[int]) -> int:
-    """The layer of ``find_opt_parent``'s children: the shallowest one just
-    below some parent that lies below every fixed-order parent and on no
-    exchangeable parent's layer."""
-    if not fixed and not exchangeable:
-        raise ContractError("parent search needs at least one candidate")
-    blocked = set(map(level.__getitem__, exchangeable))
-    d = max(map(level.__getitem__, fixed)) if fixed else min(blocked)
-    while d + 1 in blocked:
+def _deepest(layers: list[int], parents: int) -> int:
+    """The deepest depth whose bitset holds one of ``parents``; one must be placed."""
+    d = len(layers) - 1
+    while not layers[d] & parents:
+        d -= 1
+    return d
+
+
+def _target_depth(layers: list[int], fixed: int, exchangeable: int) -> int:
+    """idfst's layer: the shallowest one just below some parent that lies
+    below every fixed-order parent and on no exchangeable parent's layer."""
+    d = _deepest(layers, fixed) if fixed else next(
+        d for d, layer in enumerate(layers) if layer & exchangeable)
+    d += 1
+    while d < len(layers) and layers[d] & exchangeable:
         d += 1
-    return d + 1
+    return d
 
 
-def _place(growing: _GrowingTree, i: int, fixed: Collection[int],
-           exchangeable: Collection[int], improved: bool) -> None:
+def _place(growing: _GrowingTree, i: int, fixed: int, exchangeable: int,
+           improved: bool) -> None:
     """Add vehicle i to a partial tree: the per-vehicle step of dfst and idfst.
 
-    ``fixed`` and ``exchangeable`` are its placed predecessors (the CDG's sets
-    in batch, the online conflict sets in the engine).  dfst hangs it under
-    its deepest parent (lowest id on ties, read off the per-depth members);
-    idfst takes ``find_opt_parent``'s layer and attaches to the least-loaded
-    node one layer up (read off the per-depth heap).  Neither looks past the
-    parents and the index.
+    ``fixed`` and ``exchangeable`` are the bitsets of its placed predecessors
+    (the CDG's in batch, the online conflict sets' in the engine), tested
+    depth by depth against the per-depth bitsets.  dfst hangs it under its
+    deepest parent (the lowest id at the deepest depth holding one); idfst
+    takes ``_target_depth`` and attaches to the least-loaded node one layer
+    up (read off the per-depth heap).  Neither looks past the parents and
+    the index.
     """
+    parents = fixed | exchangeable
+    if not parents or parents & ~growing.placed:
+        raise ContractError(f"vehicle {i}: its parents must be nonempty and already placed")
     if improved:
-        k = growing.least_loaded(_target_depth(growing.level, fixed, exchangeable) - 1)
+        target = _target_depth(growing.layers, fixed, exchangeable)
+        k = growing.least_loaded(target - 1)
     else:
-        layer = growing.layers[max(map(growing.level.__getitem__, chain(fixed, exchangeable)))]
-        k = min(layer.intersection(fixed) | layer.intersection(exchangeable))
-    growing.attach(i, k)
+        target = _deepest(growing.layers, parents) + 1
+        hit = growing.layers[target - 1] & parents
+        k = (hit & -hit).bit_length() - 1
+    growing.attach(i, k, target)
 
 
 def dfst_schedule(cdg: ConflictDirectedGraph) -> SpanningTree:
@@ -241,22 +252,6 @@ def dfst_schedule(cdg: ConflictDirectedGraph) -> SpanningTree:
     return growing.tree
 
 
-def find_opt_parent(tree: SpanningTree, fixed: Iterable[int], exchangeable: Iterable[int]) -> int:
-    """Shallowest placed parent whose child layer clears both constraints.
-
-    The returned node k minimizes its depth subject to: depth(k) + 1 is
-    strictly below none of the fixed-order parents (it exceeds their maximum
-    depth) and does not coincide with any exchangeable parent's layer.
-    Ties break toward fewer children, then the lower id.
-    """
-    fixed, exchangeable = set(fixed), set(exchangeable)
-    level = {0: 0, **tree.depth}
-    above = _target_depth(level, fixed, exchangeable) - 1
-    children = Counter(tree.parent.values())
-    return min((k for k in fixed | exchangeable if level[k] == above),
-               key=lambda k: (children[k], k))
-
-
 def idfst_schedule(cdg: ConflictDirectedGraph) -> SpanningTree:
     """Improved tree: exchangeable-order parents no longer set a depth floor.
 
@@ -264,10 +259,11 @@ def idfst_schedule(cdg: ConflictDirectedGraph) -> SpanningTree:
     vehicle; crossing and converging parents only exclude their own layers,
     so the new vehicle may slot in front of them.  Each vehicle then takes
     the shallowest admissible layer and attaches to the least-loaded node
-    one layer up.  The step reads each parent's depth once and finds the
+    one layer up.  The step tests the parents against one bitset per depth and
+    finds the
     least-loaded node in a per-depth heap kept as the tree grows
-    (``_GrowingTree``), so a vehicle costs O(parents + log n), not a scan
-    of the tree.
+    (``_GrowingTree``), so a vehicle costs O(log n) plus one ``&`` per
+    depth it tests, not a scan of the tree.
     """
     growing = _GrowingTree(SpanningTree(parent={}, depth={}))
     for i in range(1, cdg.n + 1):
@@ -480,34 +476,34 @@ def cover_to_tree(cover: CliqueCover, cdg: ConflictDirectedGraph) -> SpanningTre
 
 
 def _lay_layers(parent: dict[int, int], depth: dict[int, int], layers: Iterable[Iterable[int]],
-                predecessors: Callable[[int], tuple[frozenset[int], frozenset[int]]]) -> None:
+                predecessors: Callable[[int], tuple[int, int]]) -> None:
     """Write ordered layers into a tree's maps, around the nodes already placed.
 
     Placed nodes (those in ``depth`` outside ``layers``) keep their depths.
     Each layer goes one below the previous one, and further down where a
     member needs it: below every placed node among its fixed predecessors,
     and off the depth of every placed node exchangeable with it, in either
-    sense (``predecessors(v)`` gives v's fixed and exchangeable sets, as
-    ``_place`` takes them).  A member hangs under the lowest id one layer
-    up, or under the leader 0 when that layer is empty.  Members already in
-    the maps are overwritten in place, so the maps keep their order.
+    sense (``predecessors(v)`` gives v's fixed and exchangeable bitsets, as
+    ``_place`` takes them, and ``&`` cuts them to the placed nodes).  A member
+    hangs under the lowest id one layer up, or under the leader 0 when that
+    layer is empty.  Members in the maps are overwritten in place.
     """
     layers = [list(layer) for layer in layers]
-    members = set(chain.from_iterable(layers))
-    placed = {w: dw for w, dw in depth.items() if w not in members}
+    members = sum(1 << m for layer in layers for m in layer)
+    placed = sum(1 << w for w in depth) & ~members
     lowest = {0: 0}  # depth -> lowest id there: the parent index
     banned: dict[int, set[int]] = {}  # member -> depths of later placed nodes it may pass
-    for w, dw in placed.items():
-        lowest[dw] = min(w, lowest.get(dw, w))
-        for m in predecessors(w)[1] & members:
-            banned.setdefault(m, set()).add(dw)
+    for w in _bits(placed):
+        lowest[depth[w]] = min(w, lowest.get(depth[w], w))
+        for m in _bits(predecessors(w)[1] & members):
+            banned.setdefault(m, set()).add(depth[w])
     d = 0
     for layer in layers:
         floors, skip = [d], set()
         for m in layer:
             fixed, exchangeable = predecessors(m)
-            floors += map(placed.__getitem__, fixed.intersection(placed))
-            skip.update(map(placed.__getitem__, exchangeable.intersection(placed)))
+            floors += map(depth.__getitem__, _bits(fixed & placed))
+            skip.update(map(depth.__getitem__, _bits(exchangeable & placed)))
             skip.update(banned.get(m, ()))
         d = max(floors) + 1
         while d in skip:

@@ -104,6 +104,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_vehicles < 1:
             raise ContractError("n_vehicles must be at least 1")
+        if self.seed < 0:
+            raise ContractError(f"seed must be nonnegative (got {self.seed})")
         if not 0 < self.mean_headway < math.inf:
             raise ContractError(f"mean_headway must be positive and finite "
                                 f"(got {self.mean_headway})")
@@ -270,8 +272,7 @@ class _Engine:
                     uncatchable |= 1 << i
         cs = self.sets[v] = conflict_sets_for(record, zone, uncatchable, self.lane_mask, self.scn)
         lane = self.lane_mask.get(record.movement, 0)
-        mask = lane | sum(1 << u for u in cs.crossing | cs.diverging | cs.converging
-                          | cs.reachability if u != LEADER)
+        mask = lane | (cs.crossing | cs.diverging | cs.converging | cs.reachability) & ~1
         self.conflict[v] = mask
         for u in _bits(mask):
             self.conflict[u] |= 1 << v
@@ -285,9 +286,9 @@ class _Engine:
         _place(self.growing, record.id, *self._predecessors(record.id),
                improved=algorithm is not Algorithm.DFST)
 
-    def _predecessors(self, v: int) -> tuple[frozenset[int], frozenset[int]]:
+    def _predecessors(self, v: int) -> tuple[int, int]:
         """v's fixed-order (same lane, uncatchable) and exchangeable (crossing,
-        converging) predecessors: what the trees' step and the layering read."""
+        converging) predecessor bitsets: what the trees' step and the layering read."""
         cs = self.sets[v]
         return cs.diverging | cs.reachability, cs.crossing | cs.converging
 

@@ -6,16 +6,19 @@ from crossflow.conflicts import ConflictSets, build_cdg, build_conflict_sets, bu
 from crossflow.presets import example1_arrivals, example1_scenario
 from crossflow.scenario import default_intersection
 
+from .oracles import bitset
+
 
 def make_sets(rows) -> list[ConflictSets]:
-    """rows: (vehicle, crossing, diverging, converging, reachability)."""
+    """rows: (vehicle, crossing, diverging, converging, reachability), each set
+    of member ids turned into its bitset."""
     return [
         ConflictSets(
             vehicle=v,
-            crossing=frozenset(c),
-            diverging=frozenset(d),
-            converging=frozenset(g),
-            reachability=frozenset(r),
+            crossing=bitset(c),
+            diverging=bitset(d),
+            converging=bitset(g),
+            reachability=bitset(r),
         )
         for v, c, d, g, r in rows
     ]

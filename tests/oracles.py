@@ -9,10 +9,21 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from crossflow.conflicts import ConflictDirectedGraph, ConflictSets, nominal_remaining
+from crossflow.conflicts import (ConflictDirectedGraph, ConflictSets, ContractError,
+                                 nominal_remaining)
 from crossflow.control import LEADER, VehicleState
 from crossflow.scenario import ConflictClass
 from crossflow.scheduling import SpanningTree
+
+
+def bitset(ids) -> int:
+    """Vehicle ids as a conflict bitset: bit k is vehicle k."""
+    return sum(1 << k for k in set(ids))
+
+
+def members(mask: int) -> frozenset[int]:
+    """A conflict bitset's vehicle ids, read bit by bit."""
+    return frozenset(k for k in range(mask.bit_length()) if mask >> k & 1)
 
 
 def min_feasible_depth(cdg: ConflictDirectedGraph) -> int:
@@ -195,7 +206,7 @@ def sets_conflict(records, sets, a: int, b: int) -> bool:
         return True
     lo, hi = (a, b) if a < b else (b, a)
     cs = sets[hi]
-    return lo in cs.crossing | cs.diverging | cs.converging | cs.reachability
+    return lo in members(cs.crossing | cs.diverging | cs.converging | cs.reachability)
 
 
 @dataclass(frozen=True)
@@ -376,10 +387,10 @@ def pairwise_conflict_sets(vehicles, cfg) -> list[ConflictSets]:
                 converging.add(other.id)
             elif distance / cfg.platoon_speed < horizon:
                 reach.add(other.id)
-        out.append(ConflictSets(vehicle=vehicle.id, crossing=frozenset(crossing),
-                                diverging=frozenset({0 if lane_pred is None else lane_pred}),
-                                converging=frozenset(converging),
-                                reachability=frozenset(reach)))
+        out.append(ConflictSets(vehicle=vehicle.id, crossing=bitset(crossing),
+                                diverging=bitset({0 if lane_pred is None else lane_pred}),
+                                converging=bitset(converging),
+                                reachability=bitset(reach)))
     return out
 
 
@@ -394,10 +405,10 @@ def edge_set_cdg(sets) -> SimpleNamespace:
     lane, reach, crossing, converging = set(), set(), set(), set()
     for cs in sets:
         j = cs.vehicle
-        lane |= {(i, j) for i in cs.diverging}
-        reach |= {(i, j) for i in cs.reachability}
-        crossing |= {(min(i, j), max(i, j)) for i in cs.crossing}
-        converging |= {(min(i, j), max(i, j)) for i in cs.converging}
+        lane |= {(i, j) for i in members(cs.diverging)}
+        reach |= {(i, j) for i in members(cs.reachability)}
+        crossing |= {(min(i, j), max(i, j)) for i in members(cs.crossing)}
+        converging |= {(min(i, j), max(i, j)) for i in members(cs.converging)}
     n = max((cs.vehicle for cs in sets), default=0)
     fixed = [set() for _ in range(n + 1)]
     exchangeable = [set() for _ in range(n + 1)]
@@ -410,8 +421,8 @@ def edge_set_cdg(sets) -> SimpleNamespace:
     return SimpleNamespace(n=n, lane_edges=frozenset(lane), reach_edges=frozenset(reach),
                            crossing_edges=frozenset(crossing),
                            converging_edges=frozenset(converging),
-                           fixed=tuple(map(frozenset, fixed)),
-                           exchangeable=tuple(map(frozenset, exchangeable)), mask=tuple(mask))
+                           fixed=tuple(map(bitset, fixed)),
+                           exchangeable=tuple(map(bitset, exchangeable)), mask=tuple(mask))
 
 
 def scanning_tree(cdg, improved: bool) -> SpanningTree:
@@ -426,7 +437,7 @@ def scanning_tree(cdg, improved: bool) -> SpanningTree:
     """
     tree = SpanningTree(parent={}, depth={})
     for i in range(1, cdg.n + 1):
-        fixed, exchangeable = cdg.fixed[i], cdg.exchangeable[i]
+        fixed, exchangeable = members(cdg.fixed[i]), members(cdg.exchangeable[i])
         if not improved:
             k = max(fixed | exchangeable, key=lambda m: (tree.depth_of(m), -m))
             tree.parent[i], tree.depth[i] = k, tree.depth_of(k) + 1
@@ -446,14 +457,36 @@ def scanning_tree(cdg, improved: bool) -> SpanningTree:
     return tree
 
 
+def find_opt_parent(tree: SpanningTree, fixed, exchangeable) -> int:
+    """Shallowest placed parent whose child layer clears both constraints.
+
+    The returned node k minimizes its depth subject to: depth(k) + 1 is
+    strictly below none of the fixed-order parents (it exceeds their maximum
+    depth) and does not coincide with any exchangeable parent's layer.
+    Ties break toward fewer children, then the lower id.  Works on id sets
+    and the tree's depth map, independent of the trees' step.
+    """
+    fixed, exchangeable = set(fixed), set(exchangeable)
+    if not fixed and not exchangeable:
+        raise ContractError("parent search needs at least one candidate")
+    level = {0: 0, **tree.depth}
+    blocked = {level[k] for k in exchangeable}
+    above = max(level[k] for k in fixed) if fixed else min(blocked)
+    while above + 1 in blocked:
+        above += 1
+    children = Counter(tree.parent.values())
+    return min((k for k in fixed | exchangeable if level[k] == above),
+               key=lambda k: (children[k], k))
+
+
 def scanning_relayering(parent: dict[int, int], depth: dict[int, int],
                         layers: list[list[int]], sets: dict[int, ConflictSets]) -> None:
     """Ordered layers laid around the placed nodes the way the online engine
     once did it: every member against every placed node (those in ``depth``
     outside ``layers``), then each member's parent by a scan of the whole
     tree, in id order.  ``sets`` maps ids to conflict sets."""
-    members = sorted(m for layer in layers for m in layer)
-    placed = {w: d for w, d in depth.items() if w not in members}
+    laid = sorted(m for layer in layers for m in layer)
+    placed = {w: d for w, d in depth.items() if w not in laid}
     prev = 0
     for layer in layers:
         floor, banned = prev, set()
@@ -461,10 +494,10 @@ def scanning_relayering(parent: dict[int, int], depth: dict[int, int],
             for w, dw in placed.items():
                 lo, hi = (w, m) if w < m else (m, w)
                 cs = sets[hi]
-                if lo in cs.diverging or lo in cs.reachability:
+                if lo in members(cs.diverging | cs.reachability):
                     if w < m:
                         floor = max(floor, dw)
-                elif lo in cs.crossing or lo in cs.converging:
+                elif lo in members(cs.crossing | cs.converging):
                     banned.add(dw)
         d = floor + 1
         while d in banned:
@@ -472,6 +505,6 @@ def scanning_relayering(parent: dict[int, int], depth: dict[int, int],
         for m in layer:
             depth[m] = d
         prev = d
-    for v in members:
+    for v in laid:
         above = [n for n, d in depth.items() if d == depth[v] - 1]
         parent[v] = min(above) if above and depth[v] > 1 else 0

@@ -14,7 +14,9 @@ from crossflow.cli import (
     run_cli,
     summarize,
 )
+from crossflow.conflicts import build_cdg, build_conflict_sets
 from crossflow.scenario import dump_scenario, default_intersection
+from crossflow.simulation import Algorithm, SimConfig, sample_arrivals
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DATA = ROOT / "data"
@@ -85,6 +87,15 @@ class TestRunCommand:
         assert code == 1
         assert out == ""
         assert "leader_start" in err
+
+    @pytest.mark.parametrize("command,extra", [("run", ()), ("sweep", ()),
+                                               ("sweep", ("--jobs", "2"))],
+                             ids=["run", "sweep", "sweep-jobs-2"])
+    def test_negative_seed_is_usage_error(self, capsys, command, extra):
+        code, out, err = cli(capsys, command, "--vehicles", "2", "--seed", "-1", *extra)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "seed" in err
 
     def test_invalid_rep_count_is_usage_error(self, capsys):
         code, _, err = cli(capsys, "sweep", "--vehicles", "2", "--reps", "0")
@@ -159,7 +170,8 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("flag,value", [
         ("--vehicles", "abc"), ("--vehicles", ""), ("--vehicles", "10-5"),
-        ("--vehicles", "3,,4"), ("--vehicles", "2-x"), ("--lambda", "x"), ("--lambda", ","),
+        ("--vehicles", "3,,4"), ("--vehicles", "2-x"), ("--vehicles", "4,6-5"),
+        ("--lambda", "x"), ("--lambda", ","),
         ("--lambda", ""), ("--lambda", "nan"), ("--lambda", "3,inf"),
     ])
     @pytest.mark.parametrize("summary", [False, True])
@@ -292,6 +304,26 @@ class TestScheduleCommand:
         if dump:
             argv.append("--dump-graph")
         code, out, _ = cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # SHA-256 of the YAML of a sampled fleet with reachability edges (n=200,
+    # mean gap 5 s, arrival seed 3), written before the conflict sets became bitsets
+    @pytest.mark.parametrize("algorithm,digest", [
+        ("dfst", "41f8f8e69e3cde3260a72d330f39643e4257e7739480fb3e9543ad30905c988f"),
+        ("idfst", "7da991cad1386cc8370df7693307598832456850797ef8a21b5f2776346f70a7"),
+        ("mcc-greedy", "4267a8b5f06c344c5688ea14539aff171082c15c38a7a2fa89f7e1bb26faa531"),
+    ])
+    def test_sampled_fleet_yaml_bytes_pinned(self, capsys, tmp_path, algorithm, digest):
+        scenario = default_intersection()
+        records = sample_arrivals(SimConfig(scenario=scenario, algorithm=Algorithm.DFST,
+                                            n_vehicles=200, mean_headway=5.0, seed=3))
+        assert build_cdg(build_conflict_sets(records, scenario)).reach_edges
+        arrivals = tmp_path / "arrivals.csv"
+        arrivals.write_text("id,lane,t_in\n" + "".join(
+            f"{r.id},{r.movement},{r.entry_time!r}\n" for r in records))
+        code, out, _ = cli(capsys, "schedule", "--arrivals", str(arrivals),
+                           "--algorithm", algorithm, "--dump-graph")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

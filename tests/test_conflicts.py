@@ -18,11 +18,13 @@ from crossflow.scenario import ValidationError, default_intersection
 from .conftest import make_sets
 from .instances import graph_instances, mixed_fleets, random_instance, sampled_instance
 from .oracles import (
+    bitset,
     edge_coexistence,
     edge_connected,
     edge_exchangeable_parents,
     edge_hard_parents,
     edge_set_cdg,
+    members,
     pairwise_conflict_sets,
 )
 
@@ -60,10 +62,10 @@ def test_example_conflict_sets(ex1_scenario, ex1_records, ex1_sets):
 def test_single_vehicle_sets(ex1_scenario):
     records = [VehicleRecord(1, 1, 0.0, 2.0)]
     (cs,) = build_conflict_sets(records, ex1_scenario)
-    assert cs.crossing == frozenset()
-    assert cs.diverging == frozenset({0})
-    assert cs.converging == frozenset()
-    assert cs.reachability == frozenset()
+    assert members(cs.crossing) == frozenset()
+    assert members(cs.diverging) == frozenset({0})
+    assert members(cs.converging) == frozenset()
+    assert members(cs.reachability) == frozenset()
 
 
 def test_unsorted_records_rejected(ex1_scenario):
@@ -74,18 +76,20 @@ def test_unsorted_records_rejected(ex1_scenario):
 
 def test_conflict_sets_validate_membership():
     with pytest.raises(ContractError):
-        ConflictSets(3, frozenset({4}), frozenset({0}), frozenset(), frozenset())
+        ConflictSets(3, bitset({4}), bitset({0}), 0, 0)
     with pytest.raises(ContractError):
-        ConflictSets(3, frozenset({2}), frozenset({2}), frozenset(), frozenset())
+        ConflictSets(3, bitset({2}), bitset({2}), 0, 0)
     with pytest.raises(ContractError):
-        ConflictSets(3, frozenset({0}), frozenset(), frozenset(), frozenset())
+        ConflictSets(3, bitset({0}), 0, 0, 0)
+    with pytest.raises(ContractError, match="negative"):
+        ConflictSets(3, 0, bitset({0}), 0, -2)
 
 
 def test_departed_predecessor_ignored(ex1_scenario):
     # vehicle 2 enters long after vehicle 1 left the zone on the same lane
     records = [VehicleRecord(1, 3, 0.0, 2.0), VehicleRecord(2, 3, 500.0, 2.0)]
     sets = build_conflict_sets(records, ex1_scenario)
-    assert sets[1].diverging == frozenset({0})
+    assert members(sets[1].diverging) == frozenset({0})
 
 
 def test_example_cdg_edges(ex1_cdg):
@@ -165,8 +169,8 @@ def test_complement_property(seed):
 def test_eq6_ordering_and_lane_chain(seed):
     records, sets, cdg = random_instance(seed)
     for cs in sets:
-        members = cs.crossing | cs.diverging | cs.converging | cs.reachability
-        assert all(m < cs.vehicle for m in members)
+        ids = members(cs.crossing | cs.diverging | cs.converging | cs.reachability)
+        assert all(m < cs.vehicle for m in ids)
     # lane edges follow arrival order along each movement
     by_movement = {}
     for rec in records:
@@ -181,8 +185,8 @@ def test_adjacency_matches_edge_sets(instance):
     """Masks, predecessor sets and the CUG equal the edge-set definitions."""
     _, _, cdg = instance
     for i in range(cdg.n + 1):
-        assert cdg.fixed[i] == edge_hard_parents(cdg, i)
-        assert cdg.exchangeable[i] == edge_exchangeable_parents(cdg, i)
+        assert members(cdg.fixed[i]) == edge_hard_parents(cdg, i)
+        assert members(cdg.exchangeable[i]) == edge_exchangeable_parents(cdg, i)
         for j in range(cdg.n + 1):
             assert cdg.connected(i, j) is edge_connected(cdg, i, j)
     assert build_cug(cdg).edges == edge_coexistence(cdg)

@@ -7,12 +7,13 @@ from crossflow.scheduling import (
     RepairError,
     SizeLimitError,
     SpanningTree,
+    _GrowingTree,
     _lanes_for,
     _lay_layers,
+    _place,
     conflict_test,
     cover_to_tree,
     dfst_schedule,
-    find_opt_parent,
     idfst_schedule,
     mcc_bruteforce,
     mcc_greedy,
@@ -28,9 +29,11 @@ from .conftest import make_sets
 from .instances import graph_instances, mixed_fleets, random_instance, sampled_instance
 from .oracles import (
     best_ordering_cost,
+    bitset,
     edge_coexistence,
     edge_connected,
     edge_greedy_cover,
+    find_opt_parent,
     min_feasible_depth,
     minimum_covers_by_partition,
     plain_layer_search,
@@ -101,6 +104,28 @@ class TestFindOptParent:
     def test_never_fails_on_generated_instances(self, seed):
         _, _, cdg = random_instance(seed)
         idfst_schedule(cdg)  # raises RuntimeError if the search ever fails
+
+
+@pytest.mark.parametrize("up_to,fixed,exchangeable", [
+    (6, {0, 1, 2}, {5, 6}), (3, {0}, {1, 2, 3}), (6, set(), {5, 6}), (6, set(), {1, 3}),
+])
+def test_place_takes_find_opt_parent_layer(up_to, fixed, exchangeable):
+    """idfst's step on bitsets puts a vehicle on the reference's child layer,
+    with and without a fixed-order parent."""
+    tree = published_partial_tree(up_to)
+    expected = tree.depth_of(find_opt_parent(tree, fixed, exchangeable)) + 1
+    _place(_GrowingTree(tree), up_to + 1, bitset(fixed), bitset(exchangeable), improved=True)
+    assert tree.depth[up_to + 1] == expected
+
+
+@pytest.mark.parametrize("improved", [False, True])
+@pytest.mark.parametrize("fixed,exchangeable", [((), ()), ((0,), (5,)), ((7,), (1,))])
+def test_place_rejects_parents_outside_the_tree(improved, fixed, exchangeable):
+    """The trees' step raises on an empty or unplaced parent, never reading a
+    depth that does not exist."""
+    growing = _GrowingTree(published_partial_tree(3))
+    with pytest.raises(ContractError, match="parents"):
+        _place(growing, 4, bitset(fixed), bitset(exchangeable), improved=improved)
 
 
 class TestIdfst:

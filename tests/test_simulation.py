@@ -30,7 +30,7 @@ import yaml
 
 from .conftest import EXAMPLE1_SETS, make_sets
 from .instances import sampled_instance
-from .oracles import sets_conflict
+from .oracles import members, sets_conflict
 
 
 def single_lane_scenario():
@@ -159,10 +159,12 @@ class TestRun:
         ("initial_speed", float("inf")), ("leader_start", float("nan")),
         ("leader_start", float("inf")), ("leader_start", float("-inf")),
         ("mean_headway", float("nan")), ("mean_headway", float("inf")),
+        ("seed", -1),
     ])
     def test_bad_override_rejected_up_front(self, default_cfg, name, value):
-        """The config checks the step, entry speed, leader start and headway
-        it will run with, instead of simulating the horizon and timing out."""
+        """The config checks the step, entry speed, leader start, headway and
+        seed it will run with, instead of simulating the horizon and timing
+        out, or failing in the arrival sampler."""
         base = dict(scenario=default_cfg, algorithm=Algorithm.DFST, n_vehicles=3,
                     mean_headway=3.0, seed=1)
         with pytest.raises(ContractError, match=name):
@@ -314,7 +316,7 @@ class TestOnlineLocking:
         engine.reschedule_cover(Algorithm.MCC_GREEDY)
         assert 1 in engine.locked
         assert engine.depth[1] == depth_before
-        assert 1 in engine.sets[7].reachability
+        assert 1 in members(engine.sets[7].reachability)
 
 
 @pytest.mark.parametrize("seed", range(1, 6))
@@ -430,7 +432,7 @@ class TestSimulatePlatoon:
         def conflicting(a, b):
             lo, hi = (a, b) if a < b else (b, a)
             cs = sets_by_id[hi]
-            return lo in (cs.crossing | cs.diverging | cs.converging | cs.reachability)
+            return lo in members(cs.crossing | cs.diverging | cs.converging | cs.reachability)
 
         by_step = {}
         for row in result.trace:
