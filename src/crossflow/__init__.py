@@ -22,7 +22,6 @@ from .conflicts import (
 from .scheduling import (
     CliqueCover,
     SpanningTree,
-    cover_to_tree,
     dfst_schedule,
     idfst_schedule,
     mcc_bruteforce,

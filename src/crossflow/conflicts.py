@@ -19,8 +19,10 @@ fills the same bitsets from its live state.
 The conflict directed graph (CDG) adds a virtual leader node 0 and splits
 edges into unidirectional ones (fixed passing order: same lane, reachability)
 and bidirectional ones (order exchangeable: crossing, converging).  The
-coexistence graph is its complement over the real vehicles; an edge there
-means the two vehicles may cross the stopping line together.
+coexistence graph is a vertex pool (a bitset of vehicle ids) read against
+per-id conflict bitsets: two pool members may cross the stopping line
+together unless one is in the other's bitset.  Batch pools all of 1..n, the
+online engine its unlocked vehicles; both keep the vehicles' own ids.
 
 Conflicts have one representation, the Python-int bitset (bit k is vehicle
 k): the conflict sets, and the one adjacency that every scheduler reads, per
@@ -41,7 +43,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .scenario import ConflictClass, IntersectionConfig, ScenarioError
+from .scenario import ConflictClass, IntersectionConfig
 
 
 class ContractError(ValueError):
@@ -84,18 +86,6 @@ class ConflictSets:
             raise ContractError(f"vehicle {self.vehicle}: conflict member {top} does not precede it")
         if (self.crossing | self.converging | self.reachability) & 1:
             raise ContractError(f"vehicle {self.vehicle}: virtual leader allowed only in diverging set")
-
-
-def reachability_threshold(cfg: IntersectionConfig) -> float:
-    """Remaining distance below which a preceding vehicle is uncatchable.
-
-    A vehicle entering the zone needs at least L/v_max + v_max/(2*a_max)
-    seconds to reach the stopping line; a conflict-free predecessor closer
-    than v_0 times that horizon will cross first no matter what.
-    """
-    if cfg.platoon_speed <= 0 or cfg.v_max <= 0 or cfg.a_max <= 0:
-        raise ScenarioError("reachability needs positive v_0, v_max and a_max")
-    return cfg.platoon_speed * _horizon(cfg)
 
 
 def _horizon(cfg: IntersectionConfig) -> float:
@@ -328,71 +318,80 @@ class ConflictDirectedGraph:
 
 @dataclass(frozen=True)
 class CoexistenceGraph:
-    """Complement of the CDG over real vehicles {1, .., n}, one bitset per vehicle."""
+    """Coexistence over a vertex pool, read off the callers' conflict bitsets.
 
-    n: int
-    coexist: tuple[int, ...]  # per vehicle, the bitset of those it may cross with; [0] empty
+    ``pool`` is the bitset of the vehicles in the graph and ``conflict[i]``
+    the bitset of those vehicle i may not share a layer with, both over the
+    vehicles' own ids; bits outside the pool are ignored.  Members coexist
+    when neither is in the other's bitset, so the coexistence and conflict
+    views of a member are each one ``&``, and nothing is stored beyond the
+    two fields.
+    """
 
-    @classmethod
-    def complement(cls, n: int, conflicts: Sequence[int]) -> CoexistenceGraph:
-        """Graph of the vehicles 1..n whose bits are absent from ``conflicts[i]``."""
-        full = (1 << (n + 1)) - 2
-        return cls(n=n, coexist=(0, *(full & ~(conflicts[i] | 1 << i) for i in range(1, n + 1))))
+    pool: int
+    conflict: Sequence[int]  # per vehicle id; read, never copied
 
-    def adjacent(self, i: int, j: int) -> bool:
-        return bool(self.coexist[i] >> j & 1)
+    def coexist(self, i: int) -> int:
+        """Bitset of the pool's vehicles i may cross with."""
+        return self.pool & ~(self.conflict[i] | 1 << i)
 
     def conflicts(self, i: int) -> int:
-        """Bitset of the vehicles i may not share a layer with."""
-        return ((1 << (self.n + 1)) - 2) & ~(self.coexist[i] | 1 << i)
+        """Bitset of the pool's vehicles i may not share a layer with."""
+        return self.pool & self.conflict[i] & ~(1 << i)
+
+    def adjacent(self, i: int, j: int) -> bool:
+        return bool(self.coexist(i) >> j & 1)
 
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
         """Normalized (low, high) pairs, derived on first use."""
-        return frozenset((i, j) for i in range(1, self.n + 1)
-                         for j in _bits(self.coexist[i] >> (i + 1) << (i + 1)))
+        return frozenset((i, j) for i in _bits(self.pool)
+                         for j in _bits(self.coexist(i) >> (i + 1) << (i + 1)))
 
     @cached_property
     def _minimum_covers(self) -> tuple[tuple[int, ...], ...]:
         """Every minimum clique cover, each a tuple of member bitsets; found on first use.
 
-        Branch-and-bound set partitioning: vehicles are placed in id order
-        into an open clique whose members all coexist with them (one ``&``
-        with the clique's common coexistence bitset) or into a fresh one, and
-        branches with more cliques than the best cover so far are cut.  Id
-        order reaches every partition once, with its cliques in order of their
-        lowest member, so no cover repeats.  Exponential in n: reach it only
-        through ``scheduling``'s capped wrappers (``minimum_clique_covers``,
-        ``mcc_bruteforce`` and the exact cover route).
+        Branch-and-bound set partitioning: the pool's vehicles are placed in
+        id order into an open clique whose members all coexist with them (one
+        ``&`` with the clique's common coexistence bitset) or into a fresh
+        one, and branches with more cliques than the best cover so far are
+        cut.  Id order reaches every partition once, with its cliques in
+        order of their lowest member, so no cover repeats.  Exponential in
+        the pool's size: reach it only through ``scheduling``'s capped
+        wrappers (``minimum_clique_covers``, ``mcc_bruteforce`` and the exact
+        cover route).
         """
-        best = self.n
+        vertices = list(_bits(self.pool))
+        coexist = [self.coexist(v) for v in vertices]
+        best = len(vertices)
         covers: list[tuple[int, ...]] = []
         members: list[int] = []
         common: list[int] = []  # per open clique, the vehicles that coexist with all members
 
-        def place(v: int) -> None:
+        def place(k: int) -> None:
             nonlocal best
-            if v > self.n:
+            if k == len(vertices):
                 if len(members) < best:
                     best = len(members)
                     covers.clear()
                 covers.append(tuple(members))
                 return
-            bit = 1 << v
+            bit = 1 << vertices[k]
             for c in range(len(members)):
                 m, shared = members[c], common[c]
                 if shared & bit:
-                    members[c], common[c] = m | bit, shared & self.coexist[v]
-                    place(v + 1)
+                    members[c], common[c] = m | bit, shared & coexist[k]
+                    place(k + 1)
                     members[c], common[c] = m, shared
             if len(members) < best:
                 members.append(bit)
-                common.append(self.coexist[v])
-                place(v + 1)
+                common.append(coexist[k])
+                place(k + 1)
                 members.pop()
                 common.pop()
 
-        place(1)
+        place(0)
         return tuple(covers)
 
     @cached_property
@@ -409,7 +408,7 @@ class CoexistenceGraph:
         return tuple(buckets[rank] for rank in sorted(buckets))
 
     def to_dict(self) -> dict:
-        return {"nodes": list(range(1, self.n + 1)), "edges": sorted(self.edges)}
+        return {"nodes": list(_bits(self.pool)), "edges": sorted(self.edges)}
 
 
 def _layer_rank(sizes: Iterable[int]) -> int:
@@ -451,15 +450,15 @@ def build_cdg(sets: Sequence[ConflictSets]) -> ConflictDirectedGraph:
 
 
 def build_cug(cdg: ConflictDirectedGraph) -> CoexistenceGraph:
-    """Complement the CDG over real vehicles: an edge means "may coexist".
+    """The coexistence graph of the real vehicles 1..n: an edge means "may coexist".
 
     Lane edges only record the immediate predecessor, but no two vehicles of
-    one lane can ever cross together, so the whole lane chain is excluded
-    from coexistence, not just adjacent pairs.
+    one lane can ever cross together, so the whole lane chain is added to
+    each member's conflict bitset, not just adjacent pairs.
     """
     blocked = list(cdg.mask)
     for chain in cdg.lane_chains():
         lane = sum(1 << v for v in chain)
         for v in chain:
             blocked[v] |= lane
-    return CoexistenceGraph.complement(cdg.n, blocked)
+    return CoexistenceGraph(pool=(1 << cdg.n + 1) - 2, conflict=blocked)

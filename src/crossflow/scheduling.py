@@ -43,8 +43,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .conflicts import (CoexistenceGraph, ConflictDirectedGraph, ContractError, _bits,
-                        _layer_rank)
+from .conflicts import CoexistenceGraph, ConflictDirectedGraph, ContractError, _bits
 
 
 class SizeLimitError(ValueError):
@@ -71,9 +70,6 @@ class SpanningTree:
     @property
     def d_all(self) -> int:
         return max(self.depth.values(), default=0)
-
-    def depth_of(self, node: int) -> int:
-        return 0 if node == 0 else self.depth[node]
 
     def layers(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.d_all)]
@@ -102,10 +98,6 @@ class CliqueCover:
     def theta(self) -> int:
         return len(self.subsets)
 
-    @property
-    def max_clique_size(self) -> int:
-        return max((len(s) for s in self.subsets), default=0)
-
     def canonical(self) -> tuple[tuple[int, ...], ...]:
         """Subsets sorted internally, then by descending size and member order."""
         return tuple(sorted((tuple(sorted(s)) for s in self.subsets),
@@ -113,16 +105,6 @@ class CliqueCover:
 
     def to_dict(self) -> dict:
         return {"theta": self.theta, "subsets": [list(s) for s in self.canonical()]}
-
-
-def validate_cover(cover: CliqueCover, cug: CoexistenceGraph) -> None:
-    members = [v for s in cover.subsets for v in s]
-    if sorted(members) != list(range(1, cug.n + 1)):
-        raise ContractError("cover is not a partition of the vehicles")
-    for subset in cover.subsets:
-        group = sum(1 << v for v in subset)
-        if any(group & ~(cug.coexist[v] | 1 << v) for v in subset):
-            raise ContractError(f"subset {sorted(subset)} is not a coexisting group")
 
 
 @dataclass
@@ -271,16 +253,18 @@ def idfst_schedule(cdg: ConflictDirectedGraph) -> SpanningTree:
     return growing.tree
 
 
-def _bfs_order(conflicts: Sequence[int]) -> list[int]:
-    """Breadth-first order over the conflict bitsets of vehicles 1..n.
+def _bfs_order(cug: CoexistenceGraph) -> list[int]:
+    """Breadth-first order over the pool's members along their conflicts.
 
-    Each component starts at its most conflicted vehicle so that the hardest
-    vehicles are colored while all group indices are still open; the frontier
-    expands by ascending id.  Deterministic for a fixed graph.
+    Each component starts at its most conflicted vehicle (conflicts counted
+    within the pool) so that the hardest vehicles are colored while all
+    group indices are still open; the frontier expands by ascending id.
+    Deterministic for a fixed graph.
     """
+    conflicts = {v: cug.conflicts(v) for v in _bits(cug.pool)}
     order: list[int] = []
     visited = 0
-    for start in sorted(range(1, len(conflicts)), key=lambda v: (-conflicts[v].bit_count(), v)):
+    for start in sorted(conflicts, key=lambda v: (-conflicts[v].bit_count(), v)):
         if visited >> start & 1:
             continue
         queue = deque([start])
@@ -300,10 +284,10 @@ def mcc_greedy(cug: CoexistenceGraph) -> CliqueCover:
     Each vehicle takes the lowest group index not used by any conflicting
     vehicle; groups are cliques of the coexistence graph.
     """
-    conflicts = [0] + [cug.conflicts(v) for v in range(1, cug.n + 1)]
     groups: list[int] = []  # member bitset per group index
-    for node in _bfs_order(conflicts):
-        c = next((c for c, g in enumerate(groups) if not g & conflicts[node]), len(groups))
+    for node in _bfs_order(cug):
+        conflicts = cug.conflicts(node)
+        c = next((c for c, g in enumerate(groups) if not g & conflicts), len(groups))
         if c == len(groups):
             groups.append(0)
         groups[c] |= 1 << node
@@ -311,9 +295,10 @@ def mcc_greedy(cug: CoexistenceGraph) -> CliqueCover:
 
 
 def _check_cap(cug: CoexistenceGraph, cap: int) -> None:
-    if cug.n > cap:
+    size = cug.pool.bit_count()
+    if size > cap:
         raise SizeLimitError(
-            f"exact clique cover capped at {cap} vehicles (got {cug.n}); use mcc_greedy"
+            f"exact clique cover capped at {cap} vehicles (got {size}); use mcc_greedy"
         )
 
 
@@ -332,16 +317,11 @@ def minimum_clique_covers(cug: CoexistenceGraph, cap: int = 12) -> list[CliqueCo
     return sorted(map(_clique_cover, cug._minimum_covers), key=CliqueCover.canonical)
 
 
-def ordering_objective(cover: CliqueCover) -> int:
-    """Total layer rank over vehicles once subsets are ordered largest first."""
-    return _layer_rank(map(len, cover.subsets))
-
-
 def _ranked_covers(cug: CoexistenceGraph, cap: int) -> Iterator[list[CliqueCover]]:
     """The minimum covers in preference order, one objective value at a time.
 
-    Buckets of equal ``ordering_objective`` come best first, each sorted by
-    canonical form; the ranking is done once per graph
+    Buckets of equal layer rank (``conflicts._layer_rank``) come best first,
+    each sorted by canonical form; the ranking is done once per graph
     (``CoexistenceGraph._covers_by_rank``), and covers are built only for
     the buckets a caller walks.
     """
@@ -459,22 +439,6 @@ def _lanes_for(cdg: ConflictDirectedGraph) -> list[list[int]]:
     return lanes
 
 
-def cover_to_tree(cover: CliqueCover, cdg: ConflictDirectedGraph) -> SpanningTree:
-    """Turn a clique cover into a feasible layered spanning tree.
-
-    Subsets are emitted largest first (front-loading minimizes the summed
-    layer rank), with same-lane order restored by the lane-slot substitution
-    of ``order_layers``.  Parents are the lowest id in the layer above.
-    """
-    members = sorted(v for s in cover.subsets for v in s)
-    if members != list(range(1, cdg.n + 1)):
-        raise ContractError("cover is not a partition of the scheduled vehicles")
-    layers = order_layers(cover.subsets, _lanes_for(cdg), conflict_test(cdg.mask))
-    if layers is None:
-        raise RepairError("no ordering of the cover yields a conflict-free layering")
-    return _tree_from_layers(layers, cdg)
-
-
 def _lay_layers(parent: dict[int, int], depth: dict[int, int], layers: Iterable[Iterable[int]],
                 predecessors: Callable[[int], tuple[int, int]]) -> None:
     """Write ordered layers into a tree's maps, around the nodes already placed.
@@ -528,7 +492,7 @@ def _tree_from_layers(layers: list[tuple[int, ...]], cdg: ConflictDirectedGraph)
     return tree
 
 
-def _cover_layers(cug: CoexistenceGraph, lanes: list[list[int]], masks: Sequence[int],
+def _cover_layers(cug: CoexistenceGraph, lanes: list[list[int]],
                   exact: bool, cap: int = 12) -> list[tuple[int, ...]] | None:
     """Conflict-free layers from a clique cover: the cover route of batch and online.
 
@@ -536,10 +500,11 @@ def _cover_layers(cug: CoexistenceGraph, lanes: list[list[int]], masks: Sequence
     route takes the greedy cover; the layers of the first cover that orders
     are returned, or None when none does (reachability conflicts are not
     lane-symmetric, so a cover can admit no lane-consistent layer order).
-    ``lanes`` and ``masks`` (conflict bitsets) use the numbering 1..n of
-    ``cug``.
+    ``lanes`` are chains of the pool's members, and groups are tested
+    against the graph's own conflict bitsets; batch and online alike keep
+    the vehicles' ids throughout.
     """
-    conflicted = conflict_test(masks)
+    conflicted = conflict_test(cug.conflict)
     covers = chain.from_iterable(_ranked_covers(cug, cap)) if exact else [mcc_greedy(cug)]
     for cover in covers:
         layers = order_layers(cover.subsets, lanes, conflicted)
@@ -551,5 +516,5 @@ def _cover_layers(cug: CoexistenceGraph, lanes: list[list[int]], masks: Sequence
 def schedule_cover_tree(cug: CoexistenceGraph, cdg: ConflictDirectedGraph,
                         exact: bool, cap: int = 12) -> SpanningTree:
     """Cover-based schedule as a tree; idfst's tree when no cover orders (``_cover_layers``)."""
-    layers = _cover_layers(cug, _lanes_for(cdg), cdg.mask, exact, cap)
+    layers = _cover_layers(cug, _lanes_for(cdg), exact, cap)
     return idfst_schedule(cdg) if layers is None else _tree_from_layers(layers, cdg)

@@ -307,27 +307,22 @@ class _Engine:
         unlocked = [i for i in zone if i not in self.locked]
         if not unlocked:
             return
-        # the batch cover route on the unlocked vehicles, renumbered 1..k in
-        # id order (so every tie breaks as it would on the original ids).
+        # the batch cover route on a pool of the unlocked vehicles, read
+        # against the engine's own conflict bitsets, ids unchanged.
         # Its layers are never None here: a predecessor an arrival cannot
         # catch is already as close to the line as the lock distance
         # (``reachability_conflict`` above), so it is locked, and no
         # reachability conflict joins two unlocked vehicles.  The conflicts
         # left come from the movements alone, alike for every vehicle of a
         # lane, so lane-slot substitution orders any cover.
-        index = {v: k for k, v in enumerate(unlocked, start=1)}
-        pool = sum(1 << v for v in unlocked)
-        local = [0] + [sum(1 << index[u] for u in _bits(self.conflict[v] & pool))
-                       for v in unlocked]
         lanes: dict[int, list[int]] = {}
         for v in unlocked:
-            lanes.setdefault(self.records[v].movement, []).append(index[v])
-        layers = _cover_layers(CoexistenceGraph.complement(len(unlocked), local),
-                               [lane for _, lane in sorted(lanes.items())], local,
+            lanes.setdefault(self.records[v].movement, []).append(v)
+        layers = _cover_layers(CoexistenceGraph(pool=sum(1 << v for v in unlocked),
+                                                conflict=self.conflict),
+                               [lane for _, lane in sorted(lanes.items())],
                                exact=algorithm is Algorithm.MCC_BRUTE, cap=self.brute_cap)
-
-        _lay_layers(self.parent, self.depth, ([unlocked[k - 1] for k in layer] for layer in layers),
-                    self._predecessors)
+        _lay_layers(self.parent, self.depth, layers, self._predecessors)
 
     # --- dynamics -------------------------------------------------------
 

@@ -1,4 +1,5 @@
-"""Independent oracles: brute-force routes that never touch the code they check."""
+"""Independent oracles: brute-force routes that never touch the code they check,
+and the test-only helpers and routes kept beside them."""
 
 from __future__ import annotations
 
@@ -9,11 +10,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from crossflow.conflicts import (ConflictDirectedGraph, ConflictSets, ContractError,
-                                 nominal_remaining)
+from crossflow.conflicts import (CoexistenceGraph, ConflictDirectedGraph, ConflictSets,
+                                 ContractError, nominal_remaining)
 from crossflow.control import LEADER, VehicleState
-from crossflow.scenario import ConflictClass
-from crossflow.scheduling import SpanningTree
+from crossflow.scenario import ConflictClass, ScenarioError
+from crossflow.scheduling import (RepairError, SpanningTree, _cover_layers, _lanes_for,
+                                  _tree_from_layers, conflict_test, mcc_greedy, order_layers)
 
 
 def bitset(ids) -> int:
@@ -24,6 +26,24 @@ def bitset(ids) -> int:
 def members(mask: int) -> frozenset[int]:
     """A conflict bitset's vehicle ids, read bit by bit."""
     return frozenset(k for k in range(mask.bit_length()) if mask >> k & 1)
+
+
+def depth_of(tree: SpanningTree, node: int) -> int:
+    """A node's depth in a tree, 0 for the virtual leader."""
+    return 0 if node == 0 else tree.depth[node]
+
+
+def reachability_threshold(cfg) -> float:
+    """Remaining distance below which a preceding vehicle is uncatchable.
+
+    A vehicle entering the zone needs at least L/v_max + v_max/(2*a_max)
+    seconds to reach the stopping line; a conflict-free predecessor closer
+    than v_0 times that horizon will cross first no matter what.
+    """
+    if cfg.platoon_speed <= 0 or cfg.v_max <= 0 or cfg.a_max <= 0:
+        raise ScenarioError("reachability needs positive v_0, v_max and a_max")
+    return cfg.platoon_speed * (cfg.control_zone_length / cfg.v_max
+                                + cfg.v_max / (2.0 * cfg.a_max))
 
 
 def min_feasible_depth(cdg: ConflictDirectedGraph) -> int:
@@ -130,6 +150,61 @@ def edge_coexistence(cdg: ConflictDirectedGraph) -> frozenset[tuple[int, int]]:
         same_lane |= set(itertools.combinations(sorted(chain), 2))
     return frozenset((i, j) for i, j in itertools.combinations(range(1, cdg.n + 1), 2)
                      if not edge_connected(cdg, i, j) and (i, j) not in same_lane)
+
+
+def validate_cover(cover, cug: CoexistenceGraph) -> None:
+    """Raise ``ContractError`` unless the cover partitions the graph's pool
+    into groups whose members pairwise coexist."""
+    if sorted(v for s in cover.subsets for v in s) != sorted(members(cug.pool)):
+        raise ContractError("cover is not a partition of the vehicles")
+    for subset in cover.subsets:
+        if not all(cug.adjacent(a, b) for a, b in itertools.combinations(subset, 2)):
+            raise ContractError(f"subset {sorted(subset)} is not a coexisting group")
+
+
+def cover_to_tree(cover, cdg: ConflictDirectedGraph) -> SpanningTree:
+    """One clique cover as a feasible layered tree, or ``RepairError``.
+
+    The cover route for a single given cover: its subsets ordered by the
+    lane-slot substitution of ``order_layers`` and laid as batch lays them,
+    with no fallback.
+    """
+    if sorted(v for s in cover.subsets for v in s) != list(range(1, cdg.n + 1)):
+        raise ContractError("cover is not a partition of the scheduled vehicles")
+    layers = order_layers(cover.subsets, _lanes_for(cdg), conflict_test(cdg.mask))
+    if layers is None:
+        raise RepairError("no ordering of the cover yields a conflict-free layering")
+    return _tree_from_layers(layers, cdg)
+
+
+def ordering_objective(subsets) -> int:
+    """Total layer rank over vehicles once subsets are ordered largest first."""
+    sizes = sorted(map(len, subsets), reverse=True)
+    return sum(rank * size for rank, size in enumerate(sizes, start=1))
+
+
+def _renumbered(pool: int, conflict) -> tuple[list[int], dict[int, int], CoexistenceGraph]:
+    """The pool's vehicles in id order, their local ids 1..k, and the graph
+    over all of 1..k with each conflict bitset rebuilt bit by bit on them."""
+    ids = sorted(members(pool))
+    index = {v: k for k, v in enumerate(ids, start=1)}
+    local = [0] + [bitset(index[u] for u in members(conflict[v] & pool)) for v in ids]
+    return ids, index, CoexistenceGraph(pool=(1 << len(ids) + 1) - 2, conflict=local)
+
+
+def renumbered_greedy_cover(pool: int, conflict) -> list[frozenset[int]]:
+    """``mcc_greedy`` on the renumbered graph, its subsets mapped back to vehicle ids."""
+    ids, _, graph = _renumbered(pool, conflict)
+    return [frozenset(ids[k - 1] for k in s) for s in mcc_greedy(graph).subsets]
+
+
+def renumbered_cover_layers(pool: int, conflict, lanes, exact: bool):
+    """The cover route as the online engine once ran it: renumber the pool
+    1..k, run ``_cover_layers`` on the local graph, lanes and bitsets, and
+    map the layers back to vehicle ids (None when no cover orders)."""
+    ids, index, graph = _renumbered(pool, conflict)
+    layers = _cover_layers(graph, [[index[v] for v in lane] for lane in lanes], exact)
+    return None if layers is None else [tuple(ids[k - 1] for k in layer) for layer in layers]
 
 
 def set_partitions(items: list[int]):
@@ -439,16 +514,16 @@ def scanning_tree(cdg, improved: bool) -> SpanningTree:
     for i in range(1, cdg.n + 1):
         fixed, exchangeable = members(cdg.fixed[i]), members(cdg.exchangeable[i])
         if not improved:
-            k = max(fixed | exchangeable, key=lambda m: (tree.depth_of(m), -m))
-            tree.parent[i], tree.depth[i] = k, tree.depth_of(k) + 1
+            k = max(fixed | exchangeable, key=lambda m: (depth_of(tree, m), -m))
+            tree.parent[i], tree.depth[i] = k, depth_of(tree, k) + 1
             continue
         child_count = Counter(tree.parent.values())
-        floor = max((tree.depth_of(m) for m in fixed), default=0)
-        blocked = {tree.depth_of(m) for m in exchangeable}
+        floor = max((depth_of(tree, m) for m in fixed), default=0)
+        blocked = {depth_of(tree, m) for m in exchangeable}
         best = min((k for k in fixed | exchangeable
-                    if floor < tree.depth_of(k) + 1 and tree.depth_of(k) + 1 not in blocked),
-                   key=lambda k: (tree.depth_of(k), child_count[k], k))
-        target = tree.depth_of(best) + 1
+                    if floor < depth_of(tree, k) + 1 and depth_of(tree, k) + 1 not in blocked),
+                   key=lambda k: (depth_of(tree, k), child_count[k], k))
+        target = depth_of(tree, best) + 1
         candidates = [m for m, d in tree.depth.items() if d == target - 1]
         if target == 1:
             candidates.append(0)

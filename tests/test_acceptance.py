@@ -19,7 +19,6 @@ from crossflow.conflicts import build_cdg, build_conflict_sets, build_cug
 from crossflow.control import ControllerGains, VehicleState
 from crossflow.scheduling import (
     CliqueCover,
-    cover_to_tree,
     dfst_schedule,
     idfst_schedule,
     mcc_bruteforce,
@@ -39,7 +38,7 @@ from crossflow.simulation import (
 from crossflow.cli import run_cli
 
 from .instances import random_instance
-from .oracles import min_feasible_depth, shallowest_admissible_layer
+from .oracles import cover_to_tree, min_feasible_depth, shallowest_admissible_layer
 from .test_scheduling import EXAMPLE1_MIN_COVERS, published_partial_tree
 
 # Layer gate: vehicles enter far enough behind the virtual leader that every

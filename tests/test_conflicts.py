@@ -11,7 +11,6 @@ from crossflow.conflicts import (
     build_cug,
     nominal_remaining,
     reachability_conflict,
-    reachability_threshold,
 )
 from crossflow.scenario import ValidationError, default_intersection
 
@@ -26,6 +25,7 @@ from .oracles import (
     edge_set_cdg,
     members,
     pairwise_conflict_sets,
+    reachability_threshold,
 )
 
 

@@ -12,16 +12,13 @@ from crossflow.scheduling import (
     _lay_layers,
     _place,
     conflict_test,
-    cover_to_tree,
     dfst_schedule,
     idfst_schedule,
     mcc_bruteforce,
     mcc_greedy,
     minimum_clique_covers,
     order_layers,
-    ordering_objective,
     schedule_cover_tree,
-    validate_cover,
     verify_feasible,
 )
 
@@ -30,16 +27,20 @@ from .instances import graph_instances, mixed_fleets, random_instance, sampled_i
 from .oracles import (
     best_ordering_cost,
     bitset,
+    cover_to_tree,
+    depth_of,
     edge_coexistence,
     edge_connected,
     edge_greedy_cover,
     find_opt_parent,
     min_feasible_depth,
     minimum_covers_by_partition,
+    ordering_objective,
     plain_layer_search,
     scanning_relayering,
     scanning_tree,
     shallowest_admissible_layer,
+    validate_cover,
 )
 from crossflow.conflicts import build_cdg, build_conflict_sets
 from crossflow.scenario import default_intersection
@@ -113,7 +114,7 @@ def test_place_takes_find_opt_parent_layer(up_to, fixed, exchangeable):
     """idfst's step on bitsets puts a vehicle on the reference's child layer,
     with and without a fixed-order parent."""
     tree = published_partial_tree(up_to)
-    expected = tree.depth_of(find_opt_parent(tree, fixed, exchangeable)) + 1
+    expected = depth_of(tree, find_opt_parent(tree, fixed, exchangeable)) + 1
     _place(_GrowingTree(tree), up_to + 1, bitset(fixed), bitset(exchangeable), improved=True)
     assert tree.depth[up_to + 1] == expected
 
@@ -172,14 +173,14 @@ class TestMccGreedy:
         cug = build_cug(build_cdg(make_sets(rows)))
         cover = mcc_greedy(cug)
         assert cover.theta == 5
-        assert cover.max_clique_size == 1
+        assert max(map(len, cover.subsets)) == 1
 
     def test_complete_graph_is_one_clique(self):
         rows = [(j, (), (0,), (), ()) for j in range(1, 6)]
         cug = build_cug(build_cdg(make_sets(rows)))
         cover = mcc_greedy(cug)
         assert cover.theta == 1
-        assert cover.max_clique_size == 5
+        assert max(map(len, cover.subsets)) == 5
 
 
     @settings(max_examples=40, deadline=None)
@@ -368,8 +369,7 @@ def test_exact_covers_match_partition_oracle(seed):
     assert len(set(found)) == len(found)
     assert found == expected
 
-    ranked = sorted(expected, key=lambda c: (
-        ordering_objective(CliqueCover(subsets=tuple(map(frozenset, c)))), c))
+    ranked = sorted(expected, key=lambda c: (ordering_objective(c), c))
     assert mcc_bruteforce(cug).canonical() == ranked[0]
 
     lanes, conflicted = _lanes_for(cdg), conflict_test(cdg.mask)

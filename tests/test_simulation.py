@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossflow.conflicts import ContractError, VehicleRecord, _horizon, nominal_remaining
+from crossflow.conflicts import (CoexistenceGraph, ContractError, VehicleRecord, _horizon,
+                                 nominal_remaining)
 from crossflow.control import LEADER, ControllerGains, VehicleState
 from crossflow.presets import example1_arrivals, example1_scenario
 from crossflow.conflicts import build_cdg
-from crossflow.scheduling import _cover_layers, dfst_schedule, idfst_schedule
+from crossflow.scheduling import _cover_layers, dfst_schedule, idfst_schedule, mcc_greedy
 from crossflow.simulation import (
     Algorithm,
     CompletionRecord,
@@ -30,7 +31,8 @@ import yaml
 
 from .conftest import EXAMPLE1_SETS, make_sets
 from .instances import sampled_instance
-from .oracles import members, sets_conflict
+from .oracles import (bitset, members, renumbered_cover_layers, renumbered_greedy_cover,
+                      sets_conflict)
 
 
 def single_lane_scenario():
@@ -244,6 +246,15 @@ RUN_GOLDEN = [
 
 PLATOON_GOLDEN = "33f513c40631a58760df2055b7172db35c89804269261b468bc30853f888623a"
 
+# SHA-256 pins of online cover runs (``run_digest`` without a trace: records,
+# depths and parents), captured while the engine still renumbered its
+# unlocked vehicles to 1..k: they pin the exact path through
+# ``_Engine.reschedule_cover``.  lambda=1, seed 1.
+ONLINE_COVER_GOLDEN = [
+    ("mcc-greedy", 200, 600.0, "e685c5eca10c94c21f3bc497dca1a8430a856bc817fb77d077cd31a2da77d700"),
+    ("mcc-brute", 12, 0.0, "b76a3bcc22db48be340e617614ac02f58c189b0954839c93d4d3f1037f8006f4"),
+]
+
 
 def run_digest(result) -> str:
     h = hashlib.sha256()
@@ -281,6 +292,13 @@ class TestGolden:
         for r in result.metrics.records:
             assert (type(r.t_in), type(r.t_out), type(r.depth)) == (float, float, int)
         assert all(type(rec.entry_time) is float for rec in result.arrivals)
+        assert run_digest(result) == digest
+
+    @pytest.mark.parametrize("algorithm,n,leader,digest", ONLINE_COVER_GOLDEN)
+    def test_online_cover_bit_identical(self, default_cfg, algorithm, n, leader, digest):
+        result = run(SimConfig(scenario=default_cfg, algorithm=Algorithm(algorithm),
+                               n_vehicles=n, mean_headway=1.0, seed=1, mode=Mode.ONLINE,
+                               leader_start=leader))
         assert run_digest(result) == digest
 
     def test_platoon_bit_identical(self, default_cfg):
@@ -468,3 +486,33 @@ def test_online_covers_always_order(monkeypatch, algorithm, n, headway, leader_s
     run(SimConfig(scenario=default_intersection(), algorithm=algorithm, n_vehicles=n,
                   mean_headway=headway, seed=1, mode=Mode.ONLINE, leader_start=leader_start))
     assert calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.sampled_from(((12, 1.0), (40, 1.0), (40, 20.0))), st.data())
+def test_pool_cover_route_matches_renumbered_route(seed, fleet, data):
+    """The cover route on a pool over the vehicles' own ids gives what the
+    route that renumbers the pool 1..k gives: the greedy cover, its layers
+    and, on pools of at most 12, the exact route's layers.  Pools are random
+    subsets of a sampled fleet, read against the engine's conflict bitsets
+    (gap 20 s fleets carry reachability conflicts, so some covers do not
+    order and both routes give None)."""
+    n, headway = fleet
+    records, _, _ = sampled_instance(seed, n, headway)
+    scn = default_intersection()
+    engine = _Engine(scn, n + 1, gains=ControllerGains(), dt=scn.dt, leader_start=0.0)
+    engine.live_remaining = nominal_remaining(records, scn)
+    for rec in records:
+        engine.arrive(rec)
+        engine.enter(rec.id, scn.control_zone_length, rec.entry_speed)
+    pool = bitset(data.draw(st.sets(st.integers(min_value=1, max_value=n))))
+    by_movement: dict[int, list[int]] = {}
+    for v in sorted(members(pool)):
+        by_movement.setdefault(engine.records[v].movement, []).append(v)
+    lanes = [lane for _, lane in sorted(by_movement.items())]
+    cug = CoexistenceGraph(pool=pool, conflict=engine.conflict)
+    assert list(mcc_greedy(cug).subsets) == renumbered_greedy_cover(pool, engine.conflict)
+    for exact in (False, True) if pool.bit_count() <= 12 else (False,):
+        assert (_cover_layers(cug, lanes, exact)
+                == renumbered_cover_layers(pool, engine.conflict, lanes, exact))
