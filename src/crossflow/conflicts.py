@@ -87,6 +87,16 @@ class ConflictSets:
         if (self.crossing | self.converging | self.reachability) & 1:
             raise ContractError(f"vehicle {self.vehicle}: virtual leader allowed only in diverging set")
 
+    @property
+    def fixed(self) -> int:
+        """Predecessors it must follow: same lane, uncatchable."""
+        return self.diverging | self.reachability
+
+    @property
+    def exchangeable(self) -> int:
+        """Predecessors it may pass: crossing, converging."""
+        return self.crossing | self.converging
+
 
 def _horizon(cfg: IntersectionConfig) -> float:
     return cfg.control_zone_length / cfg.v_max + cfg.v_max / (2.0 * cfg.a_max)
@@ -432,8 +442,8 @@ def build_cdg(sets: Sequence[ConflictSets]) -> ConflictDirectedGraph:
     exchangeable = [0] * (n + 1)
     for cs in sets:
         j = cs.vehicle
-        fixed[j] |= cs.diverging | cs.reachability
-        exchangeable[j] |= cs.crossing | cs.converging
+        fixed[j] |= cs.fixed
+        exchangeable[j] |= cs.exchangeable
     width = (n + 8) // 8  # bytes per row of n + 1 bits
     preds = b"".join((f | x).to_bytes(width, "little") for f, x in zip(fixed, exchangeable))
     linked = np.unpackbits(np.frombuffer(preds, np.uint8).reshape(n + 1, width), axis=1,

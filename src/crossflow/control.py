@@ -8,9 +8,10 @@ proportional to the layer difference, so all vehicles of one layer align and
 consecutive layers stay one design gap apart.
 
 ``PlatoonKernel`` is the one implementation: it applies the law and a
-saturated forward-Euler step to every controlled vehicle at once.  Its
-scalar reference (one vehicle, one peer at a time) lives in the test
-suite's oracles, which check the kernel against it bit for bit.
+saturated forward-Euler step, over the scenario's step ``dt``, to every
+controlled vehicle at once.  Its scalar reference (one vehicle, one peer at
+a time) lives in the test suite's oracles, which check the kernel against
+it bit for bit.
 """
 
 from __future__ import annotations
@@ -64,8 +65,7 @@ class PlatoonKernel:
     offsets: np.ndarray  # (k, m) D_des * (d_j - d_i)
     leader_offsets: np.ndarray  # (m,) D_des * (0 - d_i)
     gains: ControllerGains
-    cfg: IntersectionConfig
-    dt: float
+    cfg: IntersectionConfig  # its ``dt`` is the integration step
 
     @classmethod
     def build(
@@ -75,12 +75,9 @@ class PlatoonKernel:
         depths: Mapping[int, int],
         gains: ControllerGains,
         cfg: IntersectionConfig,
-        dt: float,
     ) -> "PlatoonKernel":
         """Links among ``rows``, the active vehicles: peers outside them
         (absent or crossed) are skipped."""
-        if dt <= 0:
-            raise ContractError("dt must be positive")
         gap = cfg.desired_gap
         active = set(rows)
         lists = [[j for j in neighbor_sets[i] if j in active] for i in rows]
@@ -97,7 +94,6 @@ class PlatoonKernel:
             leader_offsets=np.array([gap * (0 - depths[i]) for i in rows], dtype=float),
             gains=gains,
             cfg=cfg,
-            dt=dt,
         )
 
     def control_inputs(self, remaining: np.ndarray, speed: np.ndarray,
@@ -129,9 +125,9 @@ class PlatoonKernel:
         may go negative past the stopping line.  The clamps keep Python's
         ``min``/``max`` tie rules, so a zero keeps its sign.
         """
-        cfg, dt = self.cfg, self.dt
+        cfg = self.cfg
         u = _clamp(u, cfg.a_min, cfg.a_max)
-        return remaining - speed * dt, _clamp(speed + u * dt, 0.0, cfg.v_max)
+        return remaining - speed * cfg.dt, _clamp(speed + u * cfg.dt, 0.0, cfg.v_max)
 
 
 def _clamp(x: np.ndarray, lo: float, hi: float) -> np.ndarray:

@@ -9,6 +9,7 @@ enforces symmetry and the no-shared-lane rule instead.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -108,8 +109,32 @@ def _normalize_pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
+_PARAM_FIELDS = {
+    # file key -> (attribute, human name, the sign its finite value must have)
+    "L_ctrl": ("control_zone_length", "control_zone_length", "positive"),
+    "v_max": ("v_max", "maximum_speed", "positive"),
+    "a_max": ("a_max", "maximum_acceleration", "positive"),
+    "a_min": ("a_min", "minimum_acceleration", "negative"),
+    "v_0": ("platoon_speed", "platoon_speed", "positive"),
+    "D_des": ("desired_gap", "desired_gap", "positive"),
+}
+_OPTIONAL_PARAM_FIELDS = {
+    "dt": ("dt", "simulation_step", "positive"),
+    "initial_speed": ("initial_speed", "initial_speed", "nonnegative"),
+}
+_SIGNS = {
+    "positive": lambda x: x > 0,
+    "negative": lambda x: x < 0,
+    "nonnegative": lambda x: x >= 0,
+}
+
+
 def validate_config(cfg: IntersectionConfig) -> None:
-    """Check every structural invariant; raise ValidationError naming the field."""
+    """Check every structural invariant; raise ValidationError naming the field.
+
+    The one check of the parameters, the step and the entry speed included:
+    each must be finite, with the sign ``_PARAM_FIELDS`` gives it.
+    """
     seen_ids: set[int] = set()
     seen_lanes: set[tuple[Leg, int]] = set()
     for m in cfg.movements:
@@ -144,22 +169,10 @@ def validate_config(cfg: IntersectionConfig) -> None:
                 f"crossing_pairs: ({a},{b}) shares an exit lane (that is converging)"
             )
 
-    if cfg.control_zone_length <= 0:
-        raise ValidationError("parameters.L_ctrl: must be positive")
-    if cfg.v_max <= 0:
-        raise ValidationError("parameters.v_max: must be positive")
-    if cfg.a_max <= 0:
-        raise ValidationError("parameters.a_max: must be positive")
-    if cfg.a_min >= 0:
-        raise ValidationError("parameters.a_min: must be negative")
-    if cfg.platoon_speed <= 0:
-        raise ValidationError("parameters.v_0: must be positive")
-    if cfg.desired_gap <= 0:
-        raise ValidationError("parameters.D_des: must be positive")
-    if cfg.dt <= 0:
-        raise ValidationError("parameters.dt: must be positive")
-    if cfg.initial_speed < 0:
-        raise ValidationError("parameters.initial_speed: must be nonnegative")
+    for key, (attr, _, sign) in {**_PARAM_FIELDS, **_OPTIONAL_PARAM_FIELDS}.items():
+        value = getattr(cfg, attr)
+        if not (math.isfinite(value) and _SIGNS[sign](value)):
+            raise ValidationError(f"parameters.{key}: must be finite and {sign} (got {value})")
 
 
 def classify_conflict(a: Movement, b: Movement, cfg: IntersectionConfig) -> ConflictClass:
@@ -276,21 +289,6 @@ def default_intersection() -> IntersectionConfig:
     return cfg
 
 
-_PARAM_FIELDS = {
-    # file key -> (attribute, human name)
-    "L_ctrl": ("control_zone_length", "control_zone_length"),
-    "v_max": ("v_max", "maximum_speed"),
-    "a_max": ("a_max", "maximum_acceleration"),
-    "a_min": ("a_min", "minimum_acceleration"),
-    "v_0": ("platoon_speed", "platoon_speed"),
-    "D_des": ("desired_gap", "desired_gap"),
-}
-_OPTIONAL_PARAM_FIELDS = {
-    "dt": ("dt", "simulation_step"),
-    "initial_speed": ("initial_speed", "initial_speed"),
-}
-
-
 def load_scenario(source: str) -> IntersectionConfig:
     """Parse a scenario document (YAML text) into a validated config.
 
@@ -309,9 +307,12 @@ def load_scenario(source: str) -> IntersectionConfig:
             raise ParseError(f"missing required section '{key}'")
 
     legs = doc["legs"]
-    valid_legs = {leg.value for leg in Leg}
-    if not isinstance(legs, list) or not set(legs) <= valid_legs:
-        raise ParseError(f"legs: expected a list drawn from {sorted(valid_legs)}")
+    valid_legs = sorted(leg.value for leg in Leg)
+    if not isinstance(legs, list) or not all(leg in valid_legs for leg in legs):
+        raise ParseError(f"legs: expected a list drawn from {valid_legs}")
+    for key in ("movements", "crossing_pairs"):
+        if not isinstance(doc[key], list):
+            raise ParseError(f"{key}: expected a list")
 
     movements = []
     for idx, entry in enumerate(doc["movements"]):
@@ -329,7 +330,7 @@ def load_scenario(source: str) -> IntersectionConfig:
             )
         except KeyError as exc:
             raise ParseError(f"movements[{idx}]: missing field {exc.args[0]!r}") from exc
-        except ValueError as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"movements[{idx}]: {exc}") from exc
         if movements[-1].approach_leg.value not in legs or movements[-1].exit_leg.value not in legs:
             raise ParseError(f"movements[{idx}]: references a leg absent from 'legs'")
@@ -338,19 +339,25 @@ def load_scenario(source: str) -> IntersectionConfig:
     for idx, entry in enumerate(doc["crossing_pairs"]):
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise ParseError(f"crossing_pairs[{idx}]: expected an id pair")
-        pairs.add(_normalize_pair(int(entry[0]), int(entry[1])))
+        try:
+            pairs.add(_normalize_pair(int(entry[0]), int(entry[1])))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"crossing_pairs[{idx}]: {exc}") from exc
 
     params = doc["parameters"]
     if not isinstance(params, dict):
         raise ParseError("parameters: expected a mapping")
     kwargs = {}
-    for key, (attr, human) in _PARAM_FIELDS.items():
+    for key, (attr, human, _) in {**_PARAM_FIELDS, **_OPTIONAL_PARAM_FIELDS}.items():
         if key not in params:
-            raise ParseError(f"parameters.{key} ({human}) is required")
-        kwargs[attr] = float(params[key])
-    for key, (attr, _) in _OPTIONAL_PARAM_FIELDS.items():
-        if key in params:
+            if key in _PARAM_FIELDS:
+                raise ParseError(f"parameters.{key} ({human}) is required")
+            continue
+        try:
             kwargs[attr] = float(params[key])
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"parameters.{key} ({human}): expected a number "
+                             f"(got {params[key]!r})") from exc
 
     return IntersectionConfig(
         movements=tuple(movements),

@@ -11,7 +11,7 @@ Four routes to a layered passing order:
 * ``mcc_greedy``: minimum clique cover of the coexistence graph, solved
   heuristically by greedy coloring of its complement in breadth-first order.
 * ``mcc_bruteforce``: exact minimum clique cover by branch-and-bound set
-  partitioning, capped at small vehicle counts.  The minimum covers are
+  partitioning, capped at ``BRUTE_CAP`` vehicles.  The minimum covers are
   enumerated once per coexistence graph, as member bitsets, and kept on it
   (``CoexistenceGraph._minimum_covers``); they are ranked lazily, one
   objective value at a time.
@@ -294,11 +294,15 @@ def mcc_greedy(cug: CoexistenceGraph) -> CliqueCover:
     return CliqueCover(subsets=tuple(frozenset(_bits(g)) for g in groups))
 
 
-def _check_cap(cug: CoexistenceGraph, cap: int) -> None:
+BRUTE_CAP = 12  # most vehicles the exact cover takes, in batch and online
+_ORDER_BUDGET = 200_000  # backtracking steps of one ``order_layers`` search
+
+
+def _check_cap(cug: CoexistenceGraph) -> None:
     size = cug.pool.bit_count()
-    if size > cap:
+    if size > BRUTE_CAP:
         raise SizeLimitError(
-            f"exact clique cover capped at {cap} vehicles (got {size}); use mcc_greedy"
+            f"exact clique cover capped at {BRUTE_CAP} vehicles (got {size}); use mcc_greedy"
         )
 
 
@@ -306,18 +310,18 @@ def _clique_cover(masks: Iterable[int]) -> CliqueCover:
     return CliqueCover(subsets=tuple(frozenset(_bits(m)) for m in masks))
 
 
-def minimum_clique_covers(cug: CoexistenceGraph, cap: int = 12) -> list[CliqueCover]:
+def minimum_clique_covers(cug: CoexistenceGraph) -> list[CliqueCover]:
     """Every minimum clique cover, sorted by canonical form.
 
     The covers are enumerated once per graph, on bitsets, and kept on it
     (``CoexistenceGraph._minimum_covers``); set partitioning in id order finds
     each cover once, so nothing is deduplicated.
     """
-    _check_cap(cug, cap)
+    _check_cap(cug)
     return sorted(map(_clique_cover, cug._minimum_covers), key=CliqueCover.canonical)
 
 
-def _ranked_covers(cug: CoexistenceGraph, cap: int) -> Iterator[list[CliqueCover]]:
+def _ranked_covers(cug: CoexistenceGraph) -> Iterator[list[CliqueCover]]:
     """The minimum covers in preference order, one objective value at a time.
 
     Buckets of equal layer rank (``conflicts._layer_rank``) come best first,
@@ -325,21 +329,18 @@ def _ranked_covers(cug: CoexistenceGraph, cap: int) -> Iterator[list[CliqueCover
     (``CoexistenceGraph._covers_by_rank``), and covers are built only for
     the buckets a caller walks.
     """
-    _check_cap(cug, cap)
+    _check_cap(cug)
     for bucket in cug._covers_by_rank:
         yield sorted(map(_clique_cover, bucket), key=CliqueCover.canonical)
 
 
-def mcc_bruteforce(cug: CoexistenceGraph, cap: int = 12) -> CliqueCover:
+def mcc_bruteforce(cug: CoexistenceGraph) -> CliqueCover:
     """Exact minimum clique cover; prefers front-loaded covers.
 
     Among minimum covers the one minimizing the ordered layer-rank objective
     wins; remaining ties go to the lexicographically smallest canonical form.
     """
-    return next(_ranked_covers(cug, cap))[0]
-
-
-_ORDER_BUDGET = 200_000  # backtracking steps of one ``order_layers`` search
+    return next(_ranked_covers(cug))[0]
 
 
 def order_layers(
@@ -493,7 +494,7 @@ def _tree_from_layers(layers: list[tuple[int, ...]], cdg: ConflictDirectedGraph)
 
 
 def _cover_layers(cug: CoexistenceGraph, lanes: list[list[int]],
-                  exact: bool, cap: int = 12) -> list[tuple[int, ...]] | None:
+                  exact: bool) -> list[tuple[int, ...]] | None:
     """Conflict-free layers from a clique cover: the cover route of batch and online.
 
     The exact route walks the minimum covers in preference order, the greedy
@@ -505,7 +506,7 @@ def _cover_layers(cug: CoexistenceGraph, lanes: list[list[int]],
     the vehicles' ids throughout.
     """
     conflicted = conflict_test(cug.conflict)
-    covers = chain.from_iterable(_ranked_covers(cug, cap)) if exact else [mcc_greedy(cug)]
+    covers = chain.from_iterable(_ranked_covers(cug)) if exact else [mcc_greedy(cug)]
     for cover in covers:
         layers = order_layers(cover.subsets, lanes, conflicted)
         if layers is not None:
@@ -514,7 +515,7 @@ def _cover_layers(cug: CoexistenceGraph, lanes: list[list[int]],
 
 
 def schedule_cover_tree(cug: CoexistenceGraph, cdg: ConflictDirectedGraph,
-                        exact: bool, cap: int = 12) -> SpanningTree:
+                        exact: bool) -> SpanningTree:
     """Cover-based schedule as a tree; idfst's tree when no cover orders (``_cover_layers``)."""
-    layers = _cover_layers(cug, _lanes_for(cdg), exact, cap)
+    layers = _cover_layers(cug, _lanes_for(cdg), exact)
     return idfst_schedule(cdg) if layers is None else _tree_from_layers(layers, cdg)

@@ -24,6 +24,14 @@ at once (the test suite's oracles hold its scalar reference, one vehicle at
 a time).  Its links (each vehicle's tree parent and children) and spacing
 offsets are rebuilt only on an arrival, a reschedule or a crossing; crossed
 vehicles leave it and stay frozen at their first step past the line.
+
+Each setting has one home.  The scenario holds the physics, the step ``dt``
+and the entry speed ``initial_speed`` included, and checks them where it is
+made.  ``SimConfig`` holds only what one run draws or chooses: algorithm,
+fleet, headway, seed, mode, the leader's start, the horizon and tracing.
+``run`` uses the default ``ControllerGains``; ``simulate_platoon`` takes
+others for controller studies.  The exact cover's size limit is
+``scheduling.BRUTE_CAP``.
 """
 
 from __future__ import annotations
@@ -53,6 +61,7 @@ from .conflicts import (
 from .control import LEADER, ControllerGains, PlatoonKernel, VehicleState
 from .scenario import IntersectionConfig
 from .scheduling import (
+    BRUTE_CAP,
     SpanningTree,
     _GrowingTree,
     _cover_layers,
@@ -87,18 +96,16 @@ class SimulationTimeout(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One run: what it draws and chooses; the physics are the scenario's."""
+
     scenario: IntersectionConfig
     algorithm: Algorithm
     n_vehicles: int
     mean_headway: float  # mean arrival gap per lane, seconds
     seed: int
     mode: Mode = Mode.BATCH
-    dt: float | None = None  # defaults to the scenario step
-    initial_speed: float | None = None  # defaults to the scenario entry speed
     leader_start: float = 0.0  # leader's distance to the line at t = 0
     horizon: float = 3600.0
-    gains: ControllerGains = ControllerGains()
-    brute_cap: int = 12
     collect_trace: bool = False
 
     def __post_init__(self):
@@ -109,26 +116,13 @@ class SimConfig:
         if not 0 < self.mean_headway < math.inf:
             raise ContractError(f"mean_headway must be positive and finite "
                                 f"(got {self.mean_headway})")
-        if not 0 < self.step < math.inf:  # also rejects nan
-            raise ContractError(f"dt must be positive and finite (got {self.step})")
-        if not 0 <= self.entry_speed < math.inf:
-            raise ContractError(f"initial_speed must be finite and nonnegative "
-                                f"(got {self.entry_speed})")
         if not math.isfinite(self.leader_start):
             raise ContractError(f"leader_start must be finite (got {self.leader_start})")
         if (self.algorithm is Algorithm.MCC_BRUTE and self.mode is Mode.ONLINE
-                and self.n_vehicles > self.brute_cap):
+                and self.n_vehicles > BRUTE_CAP):
             # online mode reruns the exact cover over every unlocked vehicle
-            raise ContractError(f"mcc-brute in online mode takes at most {self.brute_cap} "
+            raise ContractError(f"mcc-brute in online mode takes at most {BRUTE_CAP} "
                                 f"vehicles (got {self.n_vehicles}); use mcc-greedy")
-
-    @property
-    def step(self) -> float:
-        return self.dt if self.dt is not None else self.scenario.dt
-
-    @property
-    def entry_speed(self) -> float:
-        return self.initial_speed if self.initial_speed is not None else self.scenario.initial_speed
 
 
 @dataclass(frozen=True)
@@ -170,7 +164,7 @@ def sample_arrivals(cfg: SimConfig) -> list[VehicleRecord]:
     records = []
     for idx, (t, _, movement) in enumerate(candidates[: cfg.n_vehicles], start=1):
         records.append(VehicleRecord(id=idx, movement=movement, entry_time=t,
-                                     entry_speed=cfg.entry_speed))
+                                     entry_speed=cfg.scenario.initial_speed))
     return records
 
 
@@ -189,7 +183,7 @@ def attd(records: Sequence[CompletionRecord], cfg: IntersectionConfig) -> float:
     return sum(r.t_out - r.t_in - free for r in records) / len(records)
 
 
-def schedule_from_graph(cdg, algorithm: Algorithm, brute_cap: int = 12,
+def schedule_from_graph(cdg, algorithm: Algorithm,
                         cug: CoexistenceGraph | None = None) -> SpanningTree:
     """Schedule a built CDG; the cover routes build its CUG unless given one."""
     if algorithm is Algorithm.DFST:
@@ -197,14 +191,14 @@ def schedule_from_graph(cdg, algorithm: Algorithm, brute_cap: int = 12,
     if algorithm is Algorithm.IDFST:
         return idfst_schedule(cdg)
     return schedule_cover_tree(cug if cug is not None else build_cug(cdg), cdg,
-                               exact=algorithm is Algorithm.MCC_BRUTE, cap=brute_cap)
+                               exact=algorithm is Algorithm.MCC_BRUTE)
 
 
 def schedule_batch(records: Sequence[VehicleRecord], cfg: IntersectionConfig,
-                   algorithm: Algorithm, brute_cap: int = 12) -> SpanningTree:
+                   algorithm: Algorithm) -> SpanningTree:
     """One-shot schedule from entry conditions (no dynamics)."""
     cdg = build_cdg(build_conflict_sets(records, cfg))
-    return schedule_from_graph(cdg, algorithm, brute_cap)
+    return schedule_from_graph(cdg, algorithm)
 
 
 @dataclass
@@ -224,10 +218,9 @@ class _Engine:
     """
 
     def __init__(self, scn: IntersectionConfig, size: int, *, gains: ControllerGains,
-                 dt: float, leader_start: float, brute_cap: int = 12,
-                 collect_trace: bool = False):
-        self.scn, self.gains, self.dt, self.leader_start = scn, gains, dt, leader_start
-        self.brute_cap, self.collect_trace = brute_cap, collect_trace
+                 leader_start: float, collect_trace: bool = False):
+        self.scn, self.gains, self.leader_start = scn, gains, leader_start
+        self.collect_trace = collect_trace
         self.remaining, self.speed = np.zeros(size), np.zeros(size)
         self.present = np.zeros(size, dtype=bool)
         self.passed = np.zeros(size, dtype=bool)  # crossed the stopping line
@@ -272,7 +265,7 @@ class _Engine:
                     uncatchable |= 1 << i
         cs = self.sets[v] = conflict_sets_for(record, zone, uncatchable, self.lane_mask, self.scn)
         lane = self.lane_mask.get(record.movement, 0)
-        mask = lane | (cs.crossing | cs.diverging | cs.converging | cs.reachability) & ~1
+        mask = lane | (cs.fixed | cs.exchangeable) & ~1
         self.conflict[v] = mask
         for u in _bits(mask):
             self.conflict[u] |= 1 << v
@@ -287,10 +280,10 @@ class _Engine:
                improved=algorithm is not Algorithm.DFST)
 
     def _predecessors(self, v: int) -> tuple[int, int]:
-        """v's fixed-order (same lane, uncatchable) and exchangeable (crossing,
-        converging) predecessor bitsets: what the trees' step and the layering read."""
+        """v's fixed and exchangeable predecessor bitsets (``ConflictSets``):
+        what the trees' step and the layering read."""
         cs = self.sets[v]
-        return cs.diverging | cs.reachability, cs.crossing | cs.converging
+        return cs.fixed, cs.exchangeable
 
     def reschedule_cover(self, algorithm: Algorithm) -> None:
         """Recompute the clique cover over unlocked in-zone vehicles.
@@ -321,7 +314,7 @@ class _Engine:
         layers = _cover_layers(CoexistenceGraph(pool=sum(1 << v for v in unlocked),
                                                 conflict=self.conflict),
                                [lane for _, lane in sorted(lanes.items())],
-                               exact=algorithm is Algorithm.MCC_BRUTE, cap=self.brute_cap)
+                               exact=algorithm is Algorithm.MCC_BRUTE)
         _lay_layers(self.parent, self.depth, layers, self._predecessors)
 
     # --- dynamics -------------------------------------------------------
@@ -345,7 +338,7 @@ class _Engine:
         if self.kernel is None:
             rows = self.in_zone_ids()
             self.kernel = PlatoonKernel.build(rows, self.neighbor_sets(rows), self.depth,
-                                              self.gains, self.scn, self.dt)
+                                              self.gains, self.scn)
         kernel = self.kernel
         rows = kernel.rows
         if not rows.size:
@@ -365,17 +358,17 @@ class _Engine:
         for k in np.flatnonzero(hits).tolist() if hits.any() else ():
             i, before, after = int(rows[k]), float(p[k]), float(new_p[k])
             frac = before / max(before - after, 1e-12)
-            self.crossed[i] = t + frac * self.dt
+            self.crossed[i] = t + frac * self.scn.dt
             self.passed[i] = True
             self.locked.add(i)
             self.kernel = None
 
     def drive(self, before_step: Callable[[float], bool]) -> None:
         """The stepping loop: ``before_step(t)`` runs first and returns False to stop."""
-        t, step_idx = 0.0, 0
+        t, step_idx, dt = 0.0, 0, self.scn.dt
         while before_step(t):
             self.step(t, step_idx)
-            t += self.dt
+            t += dt
             step_idx += 1
 
 
@@ -387,14 +380,13 @@ def run(cfg: SimConfig) -> RunResult:
     """
     arrivals = sample_arrivals(cfg)
     scn = cfg.scenario
-    engine = _Engine(scn, cfg.n_vehicles + 1, gains=cfg.gains, dt=cfg.step,
-                     leader_start=cfg.leader_start, brute_cap=cfg.brute_cap,
-                     collect_trace=cfg.collect_trace)
+    engine = _Engine(scn, cfg.n_vehicles + 1, gains=ControllerGains(),
+                     leader_start=cfg.leader_start, collect_trace=cfg.collect_trace)
     for rec in arrivals:
         engine.records[rec.id] = rec
 
     if cfg.mode is Mode.BATCH:
-        tree = schedule_batch(arrivals, scn, cfg.algorithm, cfg.brute_cap)
+        tree = schedule_batch(arrivals, scn, cfg.algorithm)
         engine.depth.update(tree.depth)
         engine.parent.update(tree.parent)
 
@@ -465,7 +457,6 @@ def simulate_platoon(
     leader_start: float,
     gains: ControllerGains = ControllerGains(),
     until: float = 300.0,
-    dt: float | None = None,
 ) -> list[PlatoonSample]:
     """Closed loop over a fixed tree from explicit initial states.
 
@@ -474,8 +465,7 @@ def simulate_platoon(
     or the time limit is hit.
     """
     ids = list(initial)
-    engine = _Engine(cfg, max(ids, default=0) + 1, gains=gains,
-                     dt=dt if dt is not None else cfg.dt, leader_start=leader_start)
+    engine = _Engine(cfg, max(ids, default=0) + 1, gains=gains, leader_start=leader_start)
     engine.depth.update(tree.depth)
     engine.parent.update(tree.parent)
     for i, st in initial.items():

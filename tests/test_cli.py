@@ -346,6 +346,33 @@ class TestValidateCommand:
         assert code == 2
         assert "desired_gap" in err
 
+    @pytest.mark.parametrize("section,edit", [
+        ("parameters.L_ctrl", lambda doc: doc["parameters"].update(L_ctrl="abc")),
+        ("parameters.D_des", lambda doc: doc["parameters"].update(D_des=[1, 2])),
+        ("crossing_pairs[0]", lambda doc: doc["crossing_pairs"].__setitem__(0, ["x", 3])),
+        ("crossing_pairs[0]", lambda doc: doc["crossing_pairs"].__setitem__(0, [[1], 3])),
+        ("movements", lambda doc: doc.update(movements=5)),
+        ("movements[0]", lambda doc: doc["movements"][0].update(id=[1])),
+        ("legs", lambda doc: doc.update(legs=[["East"]])),
+        ("crossing_pairs", lambda doc: doc.update(crossing_pairs=None)),
+        ("parameters.L_ctrl", lambda doc: doc["parameters"].update(L_ctrl=float("nan"))),
+        ("parameters.dt", lambda doc: doc["parameters"].update(dt=float("nan"))),
+        ("parameters.v_0", lambda doc: doc["parameters"].update(v_0=float("inf"))),
+    ], ids=["L_ctrl-text", "D_des-list", "pair-text", "pair-list", "movements-int",
+            "movement-id-list", "legs-nested", "crossing_pairs-null", "L_ctrl-nan",
+            "dt-nan", "v_0-inf"])
+    def test_malformed_scenario_exit_2(self, capsys, tmp_path, section, edit):
+        """A malformed or non-finite document is a validation error naming its
+        section, not a traceback, and a run stops on it before simulating."""
+        doc = yaml.safe_load((DATA / "example1_scenario.yaml").read_text())
+        edit(doc)
+        path = tmp_path / "scn.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        for argv in (["validate", str(path)], ["run", "--scenario", str(path), "--vehicles", "5"]):
+            code, _, err = cli(capsys, *argv)
+            assert code == 2
+            assert err.startswith(f"validation error: {section}")
+
 
 class TestSummarize:
     def test_statistics(self):

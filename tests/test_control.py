@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossflow.conflicts import ContractError
 from crossflow.control import LEADER, ControllerGains, PlatoonKernel, VehicleState
+from crossflow.scenario import ValidationError
 from crossflow.scheduling import SpanningTree, dfst_schedule, idfst_schedule
 
 from .oracles import build_plf_topology, control_input, matrix_control_inputs, step_dynamics
@@ -31,15 +33,15 @@ def kernel_inputs(tree: SpanningTree, states: dict, cfg, gains=ControllerGains()
     for v, state in states.items():
         remaining[v], speed[v] = state.remaining, state.speed
     kernel = PlatoonKernel.build(rows, build_plf_topology(tree).neighbor_sets, tree.depth,
-                                 gains, cfg, cfg.dt)
+                                 gains, cfg)
     leader = states[LEADER]
     return dict(zip(rows, kernel.control_inputs(remaining, speed, leader.remaining,
                                                 leader.speed).tolist()))
 
 
-def kernel_step(cfg, state: VehicleState, u: float, dt: float = 0.1) -> VehicleState:
-    """One ``PlatoonKernel.euler_step`` of a single vehicle."""
-    kernel = PlatoonKernel.build([1], {1: ()}, {1: 1}, ControllerGains(), cfg, dt)
+def kernel_step(cfg, state: VehicleState, u: float) -> VehicleState:
+    """One ``PlatoonKernel.euler_step`` of a single vehicle, over the scenario's step."""
+    kernel = PlatoonKernel.build([1], {1: ()}, {1: 1}, ControllerGains(), cfg)
     new_p, new_v = kernel.euler_step(np.array([state.remaining]), np.array([state.speed]),
                                      np.array([u]))
     return VehicleState(float(new_p[0]), float(new_v[0]))
@@ -193,8 +195,7 @@ class TestPlatoonKernel:
                                      data.draw(speeds))
             remaining[v], speed[v] = states[v].remaining, states[v].speed
         rows = sorted(active)
-        kernel = PlatoonKernel.build(rows, topo.neighbor_sets, tree.depth, gains,
-                                     default_cfg, 0.1)
+        kernel = PlatoonKernel.build(rows, topo.neighbor_sets, tree.depth, gains, default_cfg)
         u = kernel.control_inputs(remaining, speed, leader.remaining, leader.speed)
         for k, v in enumerate(rows):
             want = control_input(v, states, topo, tree.depth, gains, default_cfg, active=active)
@@ -212,7 +213,7 @@ class TestPlatoonKernel:
         for inputs in (u, pushed):
             new_p, new_v = kernel.euler_step(remaining[kernel.rows], speed[kernel.rows], inputs)
             for k, v in enumerate(rows):
-                want = step_dynamics(states[v], float(inputs[k]), 0.1, default_cfg)
+                want = step_dynamics(states[v], float(inputs[k]), default_cfg.dt, default_cfg)
                 assert bits(new_p[k]) == bits(want.remaining)
                 assert bits(new_v[k]) == bits(want.speed)
                 assert 0.0 <= new_v[k] <= default_cfg.v_max
@@ -220,20 +221,24 @@ class TestPlatoonKernel:
     def test_speed_bounds_and_clamps_hit_exactly(self, default_cfg):
         tree = chain_tree(4)
         kernel = PlatoonKernel.build([1, 2, 3, 4], build_plf_topology(tree).neighbor_sets,
-                                     tree.depth, ControllerGains(), default_cfg, 0.1)
+                                     tree.depth, ControllerGains(), default_cfg)
         p = np.array([500.0, 500.0, 500.0, 500.0, 500.0])
         v = np.array([0.0, default_cfg.v_max, 0.05, 24.9, -0.0])
         u = np.array([-6.0, 5.0, -100.0, 100.0, -0.0])
         new_p, new_v = kernel.euler_step(p, v, u)
         for k in range(5):
-            want = step_dynamics(VehicleState(p[k], v[k]), u[k], 0.1, default_cfg)
+            want = step_dynamics(VehicleState(p[k], v[k]), u[k], default_cfg.dt, default_cfg)
             assert bits(new_v[k]) == bits(want.speed)
             assert bits(new_p[k]) == bits(want.remaining)
         assert new_v.tolist() == [0.0, default_cfg.v_max, 0.0, default_cfg.v_max, 0.0]
         assert bits(new_v[4]) == bits(-0.0)  # Python's max(-0.0, 0.0) keeps -0.0
 
     def test_nonpositive_step_rejected(self, default_cfg):
-        tree = chain_tree(1)
-        with pytest.raises(ContractError):
-            PlatoonKernel.build([1], build_plf_topology(tree).neighbor_sets, tree.depth,
-                                ControllerGains(), default_cfg, 0.0)
+        """The step is the scenario's, checked where the scenario is made."""
+        for step in (0.0, -0.1):
+            with pytest.raises(ValidationError, match="dt"):
+                dataclasses.replace(default_cfg, dt=step)
+
+    def test_kernel_steps_with_the_scenario_step(self, default_cfg):
+        out = kernel_step(dataclasses.replace(default_cfg, dt=0.5), VehicleState(500.0, 10.0), 2.0)
+        assert (out.remaining, out.speed) == (495.0, 11.0)

@@ -4,7 +4,8 @@ import ast
 from collections import Counter
 from pathlib import Path
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "crossflow"
+ROOT = Path(__file__).resolve().parents[1]
+SOURCE = ROOT / "src" / "crossflow"
 
 # Functions and methods kept although nothing in the package calls them, with the reason.
 ALLOWED_UNREFERENCED = {
@@ -48,3 +49,28 @@ def test_every_function_is_used_by_the_package():
                       or fn.name.startswith("__") and fn.name.endswith("__")
                       or fn.name in ALLOWED_UNREFERENCED)]
     assert not unused, "referenced nowhere in the package: " + ", ".join(unused)
+
+
+# Defaulted SimConfig fields kept although no caller passes them, with the reason.
+ALLOWED_UNSET_SETTINGS = {
+    "horizon": "the timeout test reaches SimulationTimeout through it",
+}
+
+
+def test_every_setting_is_set_by_a_caller():
+    """A defaulted field of ``SimConfig`` is passed by keyword to ``SimConfig``
+    somewhere in the package, the scripts or the benchmark, or is on the
+    allowlist; a setting only tests change belongs in the scenario or in
+    the tests."""
+    simulation = ast.parse((SOURCE / "simulation.py").read_text())
+    config = next(node for node in simulation.body
+                  if isinstance(node, ast.ClassDef) and node.name == "SimConfig")
+    defaulted = {node.target.id for node in config.body
+                 if isinstance(node, ast.AnnAssign) and node.value is not None}
+    passed = set()
+    for path in sorted(p for d in ("src", "scripts", "bench") for p in (ROOT / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "SimConfig" in _names(node.func):
+                passed.update(kw.arg for kw in node.keywords)
+    unset = sorted(defaulted - passed - set(ALLOWED_UNSET_SETTINGS))
+    assert not unset, "SimConfig settings no caller sets: " + ", ".join(unset)

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+import yaml
 from hypothesis import given, strategies as st
 
 from crossflow.scenario import (
@@ -169,3 +170,14 @@ def test_nonpositive_zone_rejected(bad_length):
             v_max=25.0, a_max=5.0, a_min=-6.0,
             platoon_speed=10.0, desired_gap=30.0,
         )
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("key", ["L_ctrl", "v_max", "a_max", "a_min", "v_0", "D_des",
+                                 "dt", "initial_speed"])
+def test_nonfinite_parameter_rejected(default_cfg, key, value):
+    """Every parameter must be finite; NaN slips past a ``<= 0`` test."""
+    doc = yaml.safe_load(dump_scenario(default_cfg))
+    doc["parameters"][key] = value
+    with pytest.raises(ValidationError, match=f"parameters.{key}: must be finite"):
+        load_scenario(yaml.safe_dump(doc))

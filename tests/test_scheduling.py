@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from crossflow.conflicts import ContractError, build_cug
 from crossflow.scheduling import (
+    BRUTE_CAP,
     CliqueCover,
     RepairError,
     SizeLimitError,
@@ -206,9 +207,20 @@ class TestMccBruteforce:
         cug = build_cug(build_cdg(make_sets(rows)))
         assert mcc_bruteforce(cug).theta == 1
 
-    def test_cap_guards_blowup(self, ex1_cug):
-        with pytest.raises(SizeLimitError, match="mcc_greedy"):
-            mcc_bruteforce(ex1_cug, cap=3)
+    def test_cap_guards_blowup(self):
+        """Every exact route refuses a pool above ``BRUTE_CAP`` and takes one at it."""
+        assert BRUTE_CAP == 12
+        for n in (BRUTE_CAP + 1, BRUTE_CAP):
+            _, _, cdg = sampled_instance(1, n, 3.0)
+            cug = build_cug(cdg)
+            routes = (lambda: mcc_bruteforce(cug), lambda: minimum_clique_covers(cug),
+                      lambda: schedule_cover_tree(cug, cdg, exact=True))
+            for route in routes:
+                if n > BRUTE_CAP:
+                    with pytest.raises(SizeLimitError, match="mcc_greedy"):
+                        route()
+                else:
+                    route()
 
 
 class TestCoverToTree:

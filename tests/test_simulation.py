@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import statistics
 from collections import deque
@@ -25,7 +26,8 @@ from crossflow.simulation import (
     simulate_platoon,
     _Engine,
 )
-from crossflow.scenario import default_intersection, dump_scenario, load_scenario
+from crossflow.scenario import (ValidationError, default_intersection, dump_scenario,
+                                load_scenario)
 
 import yaml
 
@@ -164,19 +166,24 @@ class TestRun:
         ("seed", -1),
     ])
     def test_bad_override_rejected_up_front(self, default_cfg, name, value):
-        """The config checks the step, entry speed, leader start, headway and
-        seed it will run with, instead of simulating the horizon and timing
-        out, or failing in the arrival sampler."""
+        """The scenario checks the step and entry speed, the config the leader
+        start, headway and seed it will run with, instead of simulating the
+        horizon and timing out, or failing in the arrival sampler."""
+        if name in ("dt", "initial_speed"):
+            with pytest.raises(ValidationError, match=name):
+                dataclasses.replace(default_cfg, **{name: value})
+            return
         base = dict(scenario=default_cfg, algorithm=Algorithm.DFST, n_vehicles=3,
                     mean_headway=3.0, seed=1)
         with pytest.raises(ContractError, match=name):
             SimConfig(**{**base, name: value})
 
     def test_boundary_overrides_accepted(self, default_cfg):
-        cfg = SimConfig(scenario=default_cfg, algorithm=Algorithm.DFST, n_vehicles=3,
-                        mean_headway=3.0, seed=1, dt=0.05, initial_speed=0.0,
-                        leader_start=-100.0)
-        assert (cfg.step, cfg.entry_speed) == (0.05, 0.0)
+        scenario = dataclasses.replace(default_cfg, dt=0.05, initial_speed=0.0)
+        cfg = SimConfig(scenario=scenario, algorithm=Algorithm.DFST, n_vehicles=3,
+                        mean_headway=3.0, seed=1, leader_start=-100.0)
+        assert {r.entry_speed for r in sample_arrivals(cfg)} == {0.0}
+        assert (cfg.scenario.dt, cfg.leader_start) == (0.05, -100.0)
 
     def test_mcc_brute_small_run(self, default_cfg):
         cfg = SimConfig(scenario=default_cfg, algorithm=Algorithm.MCC_BRUTE,
@@ -316,7 +323,7 @@ class TestOnlineLocking:
         cfg = SimConfig(scenario=ex1_scenario, algorithm=Algorithm.MCC_GREEDY,
                         n_vehicles=7, mean_headway=3.0, seed=1, mode=Mode.ONLINE)
         # replay the worked example's arrival pattern through the online engine
-        engine = _Engine(ex1_scenario, cfg.n_vehicles + 1, gains=cfg.gains, dt=cfg.step,
+        engine = _Engine(ex1_scenario, cfg.n_vehicles + 1, gains=ControllerGains(),
                          leader_start=cfg.leader_start)
         records = example1_arrivals()
         # drive manually: place the first six at entry states, then push one
@@ -369,7 +376,7 @@ def test_online_conflict_masks_match_set_rule(seed, n, headway):
     scn = default_intersection()
     cfg = SimConfig(scenario=scn, algorithm=Algorithm.IDFST, n_vehicles=n,
                     mean_headway=headway, seed=seed, mode=Mode.ONLINE)
-    engine = _Engine(scn, n + 1, gains=cfg.gains, dt=cfg.step, leader_start=0.0)
+    engine = _Engine(scn, n + 1, gains=ControllerGains(), leader_start=0.0)
     pending = deque(sample_arrivals(cfg))
 
     def admit(t: float) -> bool:
@@ -397,7 +404,7 @@ def test_online_placement_equals_batch_trees(seed, fleet):
     scn = default_intersection()
     for algorithm, schedule in ((Algorithm.DFST, dfst_schedule),
                                 (Algorithm.IDFST, idfst_schedule)):
-        engine = _Engine(scn, n + 1, gains=ControllerGains(), dt=scn.dt, leader_start=0.0)
+        engine = _Engine(scn, n + 1, gains=ControllerGains(), leader_start=0.0)
         engine.live_remaining = nominal_remaining(records, scn)
         for rec in records:
             engine.arrive(rec)
@@ -501,7 +508,7 @@ def test_pool_cover_route_matches_renumbered_route(seed, fleet, data):
     n, headway = fleet
     records, _, _ = sampled_instance(seed, n, headway)
     scn = default_intersection()
-    engine = _Engine(scn, n + 1, gains=ControllerGains(), dt=scn.dt, leader_start=0.0)
+    engine = _Engine(scn, n + 1, gains=ControllerGains(), leader_start=0.0)
     engine.live_remaining = nominal_remaining(records, scn)
     for rec in records:
         engine.arrive(rec)
