@@ -82,6 +82,15 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
+# libyaml's emitter where pyyaml was built with it: the same bytes as the
+# pure-Python one for these documents, in about half the time
+_YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
+def _yaml(doc) -> str:
+    return yaml.dump(doc, Dumper=_YAML_DUMPER, sort_keys=False)
+
+
 def write_results(rows: list[dict], stream, fmt: str) -> None:
     if fmt == "json":
         json.dump(rows, stream, indent=2)
@@ -228,7 +237,7 @@ def cmd_run(args) -> int:
             "depth": {str(k): v for k, v in sorted(result.depths.items())},
             "parent": {str(k): v for k, v in sorted(result.parents.items())},
         }
-        sys.stdout.write(yaml.safe_dump(doc, sort_keys=False))
+        sys.stdout.write(_yaml(doc))
     return 0
 
 
@@ -285,7 +294,7 @@ def cmd_schedule(args) -> int:
     if cug is not None:
         doc["conflict_graph"] = cdg.to_dict()
         doc["coexistence_graph"] = cug.to_dict()
-    text = yaml.safe_dump(doc, sort_keys=False)
+    text = _yaml(doc)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -297,7 +306,7 @@ def cmd_schedule(args) -> int:
 def cmd_validate(args) -> int:
     cfg = load_scenario_file(args.scenario_file)
     summary = conflict_summary(cfg)
-    sys.stdout.write(yaml.safe_dump({"ok": True, "summary": summary}, sort_keys=False))
+    sys.stdout.write(_yaml({"ok": True, "summary": summary}))
     return 0
 
 

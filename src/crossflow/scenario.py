@@ -109,6 +109,20 @@ def _normalize_pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
+def _as_int(value, field: str) -> int:
+    """``int(value)``, refusing a float or a boolean instead of truncating it."""
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"{field} must be an integer (got {value!r})")
+    return int(value)
+
+
+def _as_float(value) -> float:
+    """``float(value)``, refusing a boolean instead of reading it as 0 or 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"a boolean is not a number (got {value!r})")
+    return float(value)
+
+
 _PARAM_FIELDS = {
     # file key -> (attribute, human name, the sign its finite value must have)
     "L_ctrl": ("control_zone_length", "control_zone_length", "positive"),
@@ -321,11 +335,11 @@ def load_scenario(source: str) -> IntersectionConfig:
         try:
             movements.append(
                 Movement(
-                    id=int(entry["id"]),
+                    id=_as_int(entry["id"], "id"),
                     approach_leg=Leg(entry["approach_leg"]),
-                    approach_lane=int(entry["approach_lane"]),
+                    approach_lane=_as_int(entry["approach_lane"], "approach_lane"),
                     exit_leg=Leg(entry["exit_leg"]),
-                    exit_lane=int(entry["exit_lane"]),
+                    exit_lane=_as_int(entry["exit_lane"], "exit_lane"),
                 )
             )
         except KeyError as exc:
@@ -340,7 +354,7 @@ def load_scenario(source: str) -> IntersectionConfig:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise ParseError(f"crossing_pairs[{idx}]: expected an id pair")
         try:
-            pairs.add(_normalize_pair(int(entry[0]), int(entry[1])))
+            pairs.add(_normalize_pair(_as_int(entry[0], "id"), _as_int(entry[1], "id")))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"crossing_pairs[{idx}]: {exc}") from exc
 
@@ -354,7 +368,7 @@ def load_scenario(source: str) -> IntersectionConfig:
                 raise ParseError(f"parameters.{key} ({human}) is required")
             continue
         try:
-            kwargs[attr] = float(params[key])
+            kwargs[attr] = _as_float(params[key])
         except (TypeError, ValueError) as exc:
             raise ParseError(f"parameters.{key} ({human}): expected a number "
                              f"(got {params[key]!r})") from exc

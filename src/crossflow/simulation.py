@@ -18,12 +18,16 @@ desired gap behind the leader per layer.
 
 One engine runs the closed loop of ``run`` (both modes) and
 ``simulate_platoon``: remaining distance, speed and the present and crossed
-masks are numpy arrays indexed by vehicle id, and ``control.PlatoonKernel``,
-the one implementation of the control law, steps all vehicles in the zone
-at once (the test suite's oracles hold its scalar reference, one vehicle at
-a time).  Its links (each vehicle's tree parent and children) and spacing
-offsets are rebuilt only on an arrival, a reschedule or a crossing; crossed
-vehicles leave it and stay frozen at their first step past the line.
+masks are numpy arrays indexed by vehicle id.  ``control.PlatoonKernel``,
+the one implementation of the control law (the test suite's oracles hold
+its scalar reference, one vehicle at a time), is built over the vehicles in
+the zone with their links (each vehicle's tree parent and children) and
+spacing offsets.  It gathers their state once and steps them all at once;
+the engine's arrays catch up only when the kernel is rebuilt, on an
+arrival, a reschedule or a crossing, or when ``simulate_platoon`` samples
+them.  Crossed vehicles leave it and stay frozen at their first step past
+the line.  Traced and untraced runs take the same step: the trace reads the
+kernel's pre-step state and unsaturated input.
 
 Each setting has one home.  The scenario holds the physics, the step ``dt``
 and the entry speed ``initial_speed`` included, and checks them where it is
@@ -214,7 +218,9 @@ class _Engine:
     """The closed loop of ``run`` and ``simulate_platoon`` (module docstring).
 
     The schedule is one ``SpanningTree`` whose ``depth``/``parent`` maps the
-    schedulers grow in place; the links follow ``parent``.
+    schedulers grow in place; the links follow ``parent``.  While a kernel
+    is built it owns the state of its rows: ``remaining`` and ``speed`` are
+    current for them only after ``sync`` or ``release``.
     """
 
     def __init__(self, scn: IntersectionConfig, size: int, *, gains: ControllerGains,
@@ -239,10 +245,10 @@ class _Engine:
     # --- scheduling -----------------------------------------------------
 
     def enter(self, vehicle: int, remaining: float, speed: float) -> None:
+        self.release()
         self.remaining[vehicle] = remaining
         self.speed[vehicle] = speed
         self.present[vehicle] = True
-        self.kernel = None
 
     def in_zone_ids(self) -> list[int]:
         return np.flatnonzero(self.present & ~self.passed).tolist()
@@ -253,6 +259,7 @@ class _Engine:
     def arrive(self, record: VehicleRecord) -> None:
         """Online arrival: conflict sets against the zone, then symmetric conflict
         bitsets with every set member and the whole lane, not just its predecessor."""
+        self.release()
         v = record.id
         self.records[v] = record
         zone = uncatchable = 0
@@ -273,7 +280,7 @@ class _Engine:
 
     def place_incremental(self, record: VehicleRecord, algorithm: Algorithm) -> None:
         """Place the arriving vehicle with the trees' own per-vehicle step."""
-        self.kernel = None
+        self.release()
         if self.growing is None:
             self.growing = _GrowingTree(self.tree)
         _place(self.growing, record.id, *self._predecessors(record.id),
@@ -291,7 +298,7 @@ class _Engine:
         Locked vehicles (near the stopping line, or already across) keep
         their depths; recomputed layers slot around them.
         """
-        self.kernel = None
+        self.release()
         self.growing = None  # the layers below are written past the trees' step
         zone = self.in_zone_ids()
         for i in zone:
@@ -335,33 +342,42 @@ class _Engine:
 
     def step(self, t: float, step_idx: int) -> None:
         """Control and integrate the vehicles in the zone over one step."""
-        if self.kernel is None:
-            rows = self.in_zone_ids()
-            self.kernel = PlatoonKernel.build(rows, self.neighbor_sets(rows), self.depth,
-                                              self.gains, self.scn)
         kernel = self.kernel
-        rows = kernel.rows
-        if not rows.size:
+        if kernel is None:
+            rows = self.in_zone_ids()
+            kernel = self.kernel = PlatoonKernel(rows, self.neighbor_sets(rows), self.depth,
+                                                 self.gains, self.scn, self.remaining,
+                                                 self.speed)
+        if not kernel.rows.size:
             return
-        u = kernel.control_inputs(self.remaining, self.speed,
-                                  self.leader_start - self.scn.platoon_speed * t,
-                                  self.scn.platoon_speed)
-        p, v = self.remaining[rows], self.speed[rows]
-        new_p, new_v = kernel.euler_step(p, v, u)
-        self.remaining[rows] = new_p
-        self.speed[rows] = new_v
+        reached = kernel.step(self.leader_start - self.scn.platoon_speed * t)
         if self.collect_trace:
-            ids = rows.tolist()
-            self.trace += map(TraceRow, repeat(step_idx), ids, p.tolist(), v.tolist(),
-                              u.tolist(), [self.depth[i] for i in ids])
-        hits = (p > 0.0) & (new_p <= 0.0)
-        for k in np.flatnonzero(hits).tolist() if hits.any() else ():
-            i, before, after = int(rows[k]), float(p[k]), float(new_p[k])
+            ids = kernel.rows.tolist()
+            self.trace += map(TraceRow, repeat(step_idx), ids, kernel.p_prev.tolist(),
+                              kernel.v_prev.tolist(), kernel.u.tolist(),
+                              [self.depth[i] for i in ids])
+        if not reached:
+            return
+        p, new_p = kernel.p_prev, kernel.p
+        hits = np.flatnonzero((p > 0.0) & (new_p <= 0.0)).tolist()
+        for k in hits:
+            i, before, after = int(kernel.rows[k]), float(p[k]), float(new_p[k])
             frac = before / max(before - after, 1e-12)
             self.crossed[i] = t + frac * self.scn.dt
             self.passed[i] = True
             self.locked.add(i)
-            self.kernel = None
+        if hits:
+            self.release()
+
+    def sync(self) -> None:
+        """Bring ``remaining`` and ``speed`` up to date with the kernel's rows."""
+        if self.kernel is not None:
+            self.kernel.store(self.remaining, self.speed)
+
+    def release(self) -> None:
+        """Sync and drop the kernel: the next step rebuilds it."""
+        self.sync()
+        self.kernel = None
 
     def drive(self, before_step: Callable[[float], bool]) -> None:
         """The stepping loop: ``before_step(t)`` runs first and returns False to stop."""
@@ -475,6 +491,7 @@ def simulate_platoon(
     def sample(t: float) -> bool:
         if not t < until:
             return False
+        engine.sync()
         states = zip(ids, engine.remaining[ids].tolist(), engine.speed[ids].tolist())
         history.append(PlatoonSample(t=t, states={i: VehicleState(p, v) for i, p, v in states},
                                      crossings=dict(engine.crossed)))

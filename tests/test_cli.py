@@ -358,9 +358,12 @@ class TestValidateCommand:
         ("parameters.L_ctrl", lambda doc: doc["parameters"].update(L_ctrl=float("nan"))),
         ("parameters.dt", lambda doc: doc["parameters"].update(dt=float("nan"))),
         ("parameters.v_0", lambda doc: doc["parameters"].update(v_0=float("inf"))),
+        ("movements[0]", lambda doc: doc["movements"][0].update(approach_lane=2.9)),
+        ("crossing_pairs[0]", lambda doc: doc["crossing_pairs"].__setitem__(0, [2.7, 3])),
+        ("parameters.D_des", lambda doc: doc["parameters"].update(D_des=True)),
     ], ids=["L_ctrl-text", "D_des-list", "pair-text", "pair-list", "movements-int",
             "movement-id-list", "legs-nested", "crossing_pairs-null", "L_ctrl-nan",
-            "dt-nan", "v_0-inf"])
+            "dt-nan", "v_0-inf", "lane-float", "pair-float", "D_des-bool"])
     def test_malformed_scenario_exit_2(self, capsys, tmp_path, section, edit):
         """A malformed or non-finite document is a validation error naming its
         section, not a traceback, and a run stops on it before simulating."""

@@ -24,27 +24,45 @@ def equilibrium_states(tree: SpanningTree, cfg, leader_remaining: float) -> dict
     return states
 
 
-def kernel_inputs(tree: SpanningTree, states: dict, cfg, gains=ControllerGains(),
-                  active=None) -> dict[int, float]:
-    """``PlatoonKernel``'s input of every active vehicle (all of the tree by
-    default) from a state snapshot keyed by id, the leader's included."""
+def kernel_for(tree: SpanningTree, states: dict, cfg, gains=ControllerGains(),
+               active=None) -> PlatoonKernel:
+    """A ``PlatoonKernel`` over the active vehicles (all of the tree by
+    default), its state gathered from a snapshot keyed by id."""
     rows = sorted(active if active is not None else tree.depth)
     remaining, speed = np.zeros(max(states) + 1), np.zeros(max(states) + 1)
     for v, state in states.items():
         remaining[v], speed[v] = state.remaining, state.speed
-    kernel = PlatoonKernel.build(rows, build_plf_topology(tree).neighbor_sets, tree.depth,
-                                 gains, cfg)
+    return PlatoonKernel(rows, build_plf_topology(tree).neighbor_sets, tree.depth, gains, cfg,
+                         remaining, speed)
+
+
+def kernel_inputs(tree: SpanningTree, states: dict, cfg, gains=ControllerGains(),
+                  active=None) -> dict[int, float]:
+    """The input of every active vehicle over one ``PlatoonKernel.step`` from a
+    state snapshot keyed by id, the leader's included (it runs at v_0)."""
     leader = states[LEADER]
-    return dict(zip(rows, kernel.control_inputs(remaining, speed, leader.remaining,
-                                                leader.speed).tolist()))
+    assert leader.speed == cfg.platoon_speed
+    kernel = kernel_for(tree, states, cfg, gains, active)
+    kernel.step(leader.remaining)
+    return dict(zip(kernel.rows.tolist(), kernel.u.tolist()))
 
 
-def kernel_step(cfg, state: VehicleState, u: float) -> VehicleState:
-    """One ``PlatoonKernel.euler_step`` of a single vehicle, over the scenario's step."""
-    kernel = PlatoonKernel.build([1], {1: ()}, {1: 1}, ControllerGains(), cfg)
-    new_p, new_v = kernel.euler_step(np.array([state.remaining]), np.array([state.speed]),
-                                     np.array([u]))
-    return VehicleState(float(new_p[0]), float(new_v[0]))
+def kernel_step(cfg, state: VehicleState, leader_remaining: float,
+                gains=ControllerGains()) -> tuple[float, VehicleState]:
+    """One ``PlatoonKernel.step`` of vehicle 1, alone at depth 1 behind the
+    leader: its input and its new state."""
+    kernel = PlatoonKernel([1], {1: ()}, {1: 1}, gains, cfg, np.array([0.0, state.remaining]),
+                           np.array([0.0, state.speed]))
+    kernel.step(leader_remaining)
+    return float(kernel.u[0]), VehicleState(float(kernel.p[0]), float(kernel.v[0]))
+
+
+def oracle_step(cfg, state: VehicleState, leader_remaining: float,
+                gains=ControllerGains()) -> tuple[float, VehicleState]:
+    """``kernel_step`` by the scalar law and integrator."""
+    states = {LEADER: VehicleState(leader_remaining, cfg.platoon_speed), 1: state}
+    u = control_input(1, states, build_plf_topology(chain_tree(1)), {1: 1}, gains, cfg)
+    return u, step_dynamics(state, u, cfg.dt, cfg)
 
 
 class TestTopology:
@@ -134,22 +152,37 @@ class TestControlInput:
 
 
 class TestStepDynamics:
+    """One vehicle at depth 1, 30 m behind its leader when at its slot: the
+    law's input drives the saturated integrator, bit for bit as the scalar
+    reference does."""
+
+    def step(self, cfg, p, v, leader=500.0, gains=ControllerGains()):
+        u, out = kernel_step(cfg, VehicleState(p, v), leader, gains)
+        want_u, want = oracle_step(cfg, VehicleState(p, v), leader, gains)
+        assert bits(u) == bits(want_u)
+        assert (bits(out.remaining), bits(out.speed)) == (bits(want.remaining), bits(want.speed))
+        return u, out
+
     def test_euler_step(self, default_cfg):
-        out = kernel_step(default_cfg, VehicleState(500.0, 10.0), 2.0)
-        assert out.speed == pytest.approx(10.2)
-        assert out.remaining == pytest.approx(499.0)
+        u, out = self.step(default_cfg, 532.0, 10.0)  # 2 m behind its slot
+        assert u == pytest.approx(0.2)
+        assert out.speed == pytest.approx(10.02)
+        assert out.remaining == 531.0
 
     def test_speed_ceiling(self, default_cfg):
-        out = kernel_step(default_cfg, VehicleState(500.0, 25.0), 5.0)
+        u, out = self.step(default_cfg, 900.0, 25.0)
+        assert u > default_cfg.a_max
         assert out.speed == 25.0
 
     def test_no_reversing(self, default_cfg):
-        out = kernel_step(default_cfg, VehicleState(500.0, 0.0), -6.0)
+        u, out = self.step(default_cfg, 100.0, 0.0)
+        assert u < default_cfg.a_min
         assert out.speed == 0.0
-        assert out.remaining == 500.0
+        assert out.remaining == 100.0
 
     def test_acceleration_clamped_first(self, default_cfg):
-        out = kernel_step(default_cfg, VehicleState(500.0, 10.0), 50.0)
+        u, out = self.step(default_cfg, 900.0, 10.0)
+        assert u > default_cfg.a_max
         assert out.speed == pytest.approx(10.0 + default_cfg.a_max * 0.1)
 
     @settings(max_examples=100, deadline=None)
@@ -158,14 +191,38 @@ class TestStepDynamics:
         st.floats(min_value=0, max_value=25),
         st.floats(min_value=-1000, max_value=1000),
     )
-    def test_bounds_always_hold(self, default_cfg, p, v, u):
-        out = kernel_step(default_cfg, VehicleState(p, v), u)
+    def test_bounds_always_hold(self, default_cfg, p, v, leader):
+        _, out = self.step(default_cfg, p, v, leader)
         assert 0.0 <= out.speed <= default_cfg.v_max
         assert abs(out.speed - v) <= max(default_cfg.a_max, -default_cfg.a_min) * 0.1 + 1e-12
+
+    @pytest.mark.parametrize("excess", [11, 12, 13, 14])
+    def test_zero_speed_keeps_its_sign(self, default_cfg, excess):
+        """With the smallest subnormal gains, a vehicle at speed -0.0 gets an
+        input of a few subnormals below zero, and u * dt underflows to -0.0:
+        -0.0 + -0.0 ties the speed floor 0.0, and the floor keeps the -0.0
+        as Python's ``max`` does."""
+        tiny = ControllerGains(k_p=5e-324, k_v=5e-324)
+        u, out = self.step(default_cfg, 500.0, -0.0, 470.0 + excess, tiny)
+        assert -2.5e-323 < u < 0.0
+        assert bits(out.speed) == bits(-0.0)
 
 
 def bits(x: float) -> str:
     return float(x).hex()
+
+
+def assert_step_matches_oracle(kernel, states, tree, topo, gains, cfg, active):
+    """The kernel's last step against the scalar law and integrator, bit for bit."""
+    for k, v in enumerate(kernel.rows.tolist()):
+        want_u = control_input(v, states, topo, tree.depth, gains, cfg, active=active)
+        want = step_dynamics(states[v], want_u, cfg.dt, cfg)
+        assert bits(kernel.u[k]) == bits(want_u)
+        assert bits(kernel.p_prev[k]) == bits(states[v].remaining)
+        assert bits(kernel.v_prev[k]) == bits(states[v].speed)
+        assert bits(kernel.p[k]) == bits(want.remaining)
+        assert bits(kernel.v[k]) == bits(want.speed)
+        assert 0.0 <= kernel.v[k] <= cfg.v_max
 
 
 class TestPlatoonKernel:
@@ -175,6 +232,8 @@ class TestPlatoonKernel:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000), st.booleans(), st.data())
     def test_matches_scalar_law_and_integrator(self, default_cfg, seed, baseline, data):
+        """Spacing errors up to about 1 km push many inputs past both
+        actuator bounds, so both clamps are exercised."""
         from .instances import random_instance
 
         _, _, cdg = random_instance(seed)
@@ -188,50 +247,87 @@ class TestPlatoonKernel:
         speeds = st.one_of(st.sampled_from([0.0, default_cfg.v_max]),
                            st.floats(min_value=0, max_value=default_cfg.v_max))
         states = {LEADER: leader}
-        remaining = np.zeros(max(ids) + 1)
-        speed = np.zeros(max(ids) + 1)
         for v in ids:
             states[v] = VehicleState(data.draw(st.floats(min_value=-50, max_value=1200)),
                                      data.draw(speeds))
-            remaining[v], speed[v] = states[v].remaining, states[v].speed
-        rows = sorted(active)
-        kernel = PlatoonKernel.build(rows, topo.neighbor_sets, tree.depth, gains, default_cfg)
-        u = kernel.control_inputs(remaining, speed, leader.remaining, leader.speed)
-        for k, v in enumerate(rows):
-            want = control_input(v, states, topo, tree.depth, gains, default_cfg, active=active)
-            assert bits(u[k]) == bits(want)
+        kernel = kernel_for(tree, states, default_cfg, gains, active)
+        kernel.step(leader.remaining)
+        assert_step_matches_oracle(kernel, states, tree, topo, gains, default_cfg, active)
         if active == set(ids):
             oracle = matrix_control_inputs(topo, states, tree.depth, gains, default_cfg)
-            for k, v in enumerate(rows):
-                assert u[k] == pytest.approx(oracle[v], rel=1e-9, abs=1e-9)
+            for k, v in enumerate(kernel.rows.tolist()):
+                assert kernel.u[k] == pytest.approx(oracle[v], rel=1e-9, abs=1e-9)
 
-        # inputs far outside the actuator range exercise both clamps
-        pushed = np.array([data.draw(st.one_of(st.floats(min_value=-1000, max_value=1000),
-                                               st.sampled_from([default_cfg.a_min,
-                                                                default_cfg.a_max])))
-                           for _ in rows])
-        for inputs in (u, pushed):
-            new_p, new_v = kernel.euler_step(remaining[kernel.rows], speed[kernel.rows], inputs)
-            for k, v in enumerate(rows):
-                want = step_dynamics(states[v], float(inputs[k]), default_cfg.dt, default_cfg)
-                assert bits(new_p[k]) == bits(want.remaining)
-                assert bits(new_v[k]) == bits(want.speed)
-                assert 0.0 <= new_v[k] <= default_cfg.v_max
+    def test_consecutive_steps_and_store(self, default_cfg, ex1_cdg):
+        """Steps alternate the kernel's two buffers; each reads the state the
+        last one wrote, and ``store`` writes the rows' state back by id."""
+        tree = idfst_schedule(ex1_cdg)
+        topo = build_plf_topology(tree)
+        gains = ControllerGains()
+        states = {LEADER: VehicleState(400.0, default_cfg.platoon_speed)}
+        for v in sorted(tree.depth):
+            states[v] = VehicleState(350.0 + 40.0 * v, 2.0 * v)
+        kernel = kernel_for(tree, states, default_cfg, gains)
+        for n in range(5):
+            leader = 400.0 - default_cfg.platoon_speed * default_cfg.dt * n
+            states[LEADER] = VehicleState(leader, default_cfg.platoon_speed)
+            kernel.step(leader)
+            assert_step_matches_oracle(kernel, states, tree, topo, gains, default_cfg, None)
+            states.update((v, VehicleState(float(p), float(s))) for v, p, s
+                          in zip(kernel.rows.tolist(), kernel.p, kernel.v))
+        remaining, speed = np.zeros(8), np.zeros(8)
+        kernel.store(remaining, speed)
+        for v in kernel.rows.tolist():
+            assert (remaining[v], speed[v]) == (states[v].remaining, states[v].speed)
+
+    def test_row_without_peers(self, default_cfg):
+        """Vehicle 1 hangs alone under the leader; its padded column adds
+        nothing, while 2 and 3 link to each other."""
+        tree = SpanningTree(parent={1: LEADER, 2: LEADER, 3: 2}, depth={1: 1, 2: 1, 3: 2})
+        topo = build_plf_topology(tree)
+        assert topo.neighbor_sets[1] == frozenset()
+        states = {LEADER: VehicleState(300.0, default_cfg.platoon_speed),
+                  1: VehicleState(337.5, 9.0), 2: VehicleState(320.25, 12.5),
+                  3: VehicleState(361.0, 8.0)}
+        kernel = kernel_for(tree, states, default_cfg)
+        kernel.step(300.0)
+        assert_step_matches_oracle(kernel, states, tree, topo, ControllerGains(), default_cfg,
+                                   None)
+
+    def test_row_whose_parent_crossed(self, default_cfg):
+        """Vehicle 1 is past the line and out of the rows: vehicle 2 follows
+        its child 3 and the leader only, as the reference skips 1."""
+        tree = chain_tree(3)
+        topo = build_plf_topology(tree)
+        states = {LEADER: VehicleState(-20.0, default_cfg.platoon_speed),
+                  1: VehicleState(-3.0, 11.0), 2: VehicleState(21.5, 10.5),
+                  3: VehicleState(55.0, 9.5)}
+        kernel = kernel_for(tree, states, default_cfg, active={2, 3})
+        kernel.step(-20.0)
+        assert_step_matches_oracle(kernel, states, tree, topo, ControllerGains(), default_cfg,
+                                   {2, 3})
+        assert kernel.u[0] != pytest.approx(kernel_inputs(tree, {**states}, default_cfg)[2])
 
     def test_speed_bounds_and_clamps_hit_exactly(self, default_cfg):
-        tree = chain_tree(4)
-        kernel = PlatoonKernel.build([1, 2, 3, 4], build_plf_topology(tree).neighbor_sets,
-                                     tree.depth, ControllerGains(), default_cfg)
-        p = np.array([500.0, 500.0, 500.0, 500.0, 500.0])
-        v = np.array([0.0, default_cfg.v_max, 0.05, 24.9, -0.0])
-        u = np.array([-6.0, 5.0, -100.0, 100.0, -0.0])
-        new_p, new_v = kernel.euler_step(p, v, u)
-        for k in range(5):
-            want = step_dynamics(VehicleState(p[k], v[k]), u[k], default_cfg.dt, default_cfg)
-            assert bits(new_v[k]) == bits(want.speed)
-            assert bits(new_p[k]) == bits(want.remaining)
-        assert new_v.tolist() == [0.0, default_cfg.v_max, 0.0, default_cfg.v_max, 0.0]
-        assert bits(new_v[4]) == bits(-0.0)  # Python's max(-0.0, 0.0) keeps -0.0
+        """Four lone vehicles (no peers) whose inputs saturate at a_min and
+        a_max and whose speeds saturate at 0 and v_max."""
+        tree = SpanningTree(parent={v: LEADER for v in range(1, 5)},
+                            depth={v: 1 for v in range(1, 5)})
+        topo = build_plf_topology(tree)
+        v_max = default_cfg.v_max
+        states = {LEADER: VehicleState(500.0, default_cfg.platoon_speed),
+                  1: VehicleState(300.0, 12.0),  # far ahead of its slot: a_min
+                  2: VehicleState(800.0, 12.0),  # far behind: a_max
+                  3: VehicleState(300.0, 0.25),  # a_min below zero speed
+                  4: VehicleState(800.0, v_max - 0.25)}  # a_max above v_max
+        kernel = kernel_for(tree, states, default_cfg)
+        kernel.step(500.0)
+        assert_step_matches_oracle(kernel, states, tree, topo, ControllerGains(), default_cfg,
+                                   None)
+        a_min, a_max = default_cfg.a_min, default_cfg.a_max
+        assert kernel.u[0] < a_min and kernel.u[1] > a_max
+        assert kernel.v.tolist() == [12.0 + a_min * 0.1, 12.0 + a_max * 0.1, 0.0, v_max]
+        assert bits(kernel.v[2]) == bits(0.0)
 
     def test_nonpositive_step_rejected(self, default_cfg):
         """The step is the scenario's, checked where the scenario is made."""
@@ -240,5 +336,7 @@ class TestPlatoonKernel:
                 dataclasses.replace(default_cfg, dt=step)
 
     def test_kernel_steps_with_the_scenario_step(self, default_cfg):
-        out = kernel_step(dataclasses.replace(default_cfg, dt=0.5), VehicleState(500.0, 10.0), 2.0)
-        assert (out.remaining, out.speed) == (495.0, 11.0)
+        u, out = kernel_step(dataclasses.replace(default_cfg, dt=0.5), VehicleState(532.0, 10.0),
+                             500.0)
+        assert out.remaining == 527.0
+        assert out.speed == 10.0 + u * 0.5

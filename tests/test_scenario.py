@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 import yaml
@@ -180,4 +181,23 @@ def test_nonfinite_parameter_rejected(default_cfg, key, value):
     doc = yaml.safe_load(dump_scenario(default_cfg))
     doc["parameters"][key] = value
     with pytest.raises(ValidationError, match=f"parameters.{key}: must be finite"):
+        load_scenario(yaml.safe_dump(doc))
+
+
+@pytest.mark.parametrize("section,edit", [
+    ("movements[0]: id", lambda doc: doc["movements"][0].update(id=1.0)),
+    ("movements[0]: approach_lane", lambda doc: doc["movements"][0].update(approach_lane=2.9)),
+    ("movements[0]: exit_lane", lambda doc: doc["movements"][0].update(exit_lane=0.5)),
+    ("movements[0]: id", lambda doc: doc["movements"][0].update(id=True)),
+    ("crossing_pairs[0]: id", lambda doc: doc["crossing_pairs"].__setitem__(0, [2.7, 3])),
+    ("parameters.D_des", lambda doc: doc["parameters"].update(D_des=True)),
+    ("parameters.dt", lambda doc: doc["parameters"].update(dt=False)),
+], ids=["id-float", "approach_lane-float", "exit_lane-float", "id-bool", "pair-float",
+        "D_des-true", "dt-false"])
+def test_numbers_are_refused_not_coerced(default_cfg, section, edit):
+    """``int()`` would truncate a float id or lane and ``float()`` would read a
+    YAML boolean as 0 or 1; the loader refuses both and names the field."""
+    doc = yaml.safe_load(dump_scenario(default_cfg))
+    edit(doc)
+    with pytest.raises(ParseError, match="^" + re.escape(section)):
         load_scenario(yaml.safe_dump(doc))

@@ -317,6 +317,19 @@ class TestGolden:
         assert platoon_digest(history) == PLATOON_GOLDEN
 
 
+@pytest.mark.parametrize("algorithm", [Algorithm.IDFST, Algorithm.MCC_GREEDY])
+def test_trace_reads_the_one_stepping_path(default_cfg, algorithm):
+    """Traced and untraced runs step alike: the trace only reads the state
+    and the input of the step the untraced run takes."""
+    cfg = SimConfig(scenario=default_cfg, algorithm=algorithm, n_vehicles=30,
+                    mean_headway=1.0, seed=1, mode=Mode.ONLINE, leader_start=600.0)
+    traced, plain = run(dataclasses.replace(cfg, collect_trace=True)), run(cfg)
+    assert traced.trace and not plain.trace
+    assert traced.metrics.records == plain.metrics.records
+    assert traced.depths == plain.depths
+    assert traced.parents == plain.parents
+
+
 class TestOnlineLocking:
     def test_locked_vehicle_keeps_depth(self, ex1_scenario):
         """A vehicle near the stopping line is excluded from rescheduling."""
