@@ -47,14 +47,6 @@ from .simulation import (
 RESULT_COLUMNS = ["algorithm", "seed", "n", "lambda", "mode", "t_evc", "t_attd", "d_all"]
 TRACE_COLUMNS = ["step", "vehicle", "p", "v", "u", "depth"]
 
-_ALGORITHM_FLAGS = {
-    "dfst": Algorithm.DFST,
-    "idfst": Algorithm.IDFST,
-    "mcc-greedy": Algorithm.MCC_GREEDY,
-    "mcc-brute": Algorithm.MCC_BRUTE,
-}
-
-
 class UsageError(Exception):
     pass
 
@@ -216,7 +208,7 @@ def cmd_run(args) -> int:
     _check_positive(getattr(args, "lambda"), "--lambda")
     cfg = SimConfig(
         scenario=scenario,
-        algorithm=_ALGORITHM_FLAGS[args.algorithm],
+        algorithm=Algorithm(args.algorithm),
         n_vehicles=args.vehicles,
         mean_headway=getattr(args, "lambda"),
         seed=args.seed,
@@ -243,10 +235,10 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     scenario = _load_scenario_arg(args.scenario)
-    algorithms = [a.strip() for a in args.algorithms.split(",")]
-    for a in algorithms:
-        if a not in _ALGORITHM_FLAGS:
-            raise UsageError(f"--algorithms: unknown algorithm {a!r}")
+    try:
+        algorithms = [Algorithm(a.strip()) for a in args.algorithms.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"--algorithms: {exc}") from None
     vehicles = _parse_int_list(args.vehicles, "--vehicles")
     headways = _parse_float_list(getattr(args, "lambda"), "--lambda")
     for n in vehicles:
@@ -259,11 +251,11 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"--jobs: must be at least 1 (got {args.jobs})")
 
     # every configuration is built, hence validated, before the first run
-    jobs = [SimConfig(scenario=scenario, algorithm=_ALGORITHM_FLAGS[name], n_vehicles=n,
+    jobs = [SimConfig(scenario=scenario, algorithm=algorithm, n_vehicles=n,
                       mean_headway=headway, seed=args.seed + rep, mode=Mode(args.mode),
                       leader_start=args.leader_start)
             for n in vehicles for headway in headways for rep in range(args.reps)
-            for name in algorithms]
+            for algorithm in algorithms]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             outcomes = list(pool.map(_sweep_cell, jobs))
@@ -288,7 +280,7 @@ def cmd_schedule(args) -> int:
     records = load_arrivals(args.arrivals, scenario.initial_speed)
     cdg = build_cdg(build_conflict_sets(records, scenario))
     cug = build_cug(cdg) if args.dump_graph else None
-    tree = schedule_from_graph(cdg, _ALGORITHM_FLAGS[args.algorithm], cug=cug)
+    tree = schedule_from_graph(cdg, Algorithm(args.algorithm), cug=cug)
     doc = tree.to_dict()
     doc["feasible"] = verify_feasible(tree, cdg).ok
     if cug is not None:
@@ -327,7 +319,8 @@ def build_parser() -> _Parser:
     def common(p, with_algorithm=True):
         p.add_argument("--scenario", help="scenario file (default: built-in intersection)")
         if with_algorithm:
-            p.add_argument("--algorithm", default="idfst", choices=sorted(_ALGORITHM_FLAGS))
+            p.add_argument("--algorithm", default="idfst",
+                           choices=sorted(a.value for a in Algorithm))
 
     p_run = sub.add_parser("run", help="single simulation")
     common(p_run)
@@ -335,7 +328,7 @@ def build_parser() -> _Parser:
     p_run.add_argument("--lambda", type=float, default=3.0,
                        help="mean arrival gap per lane, seconds")
     p_run.add_argument("--seed", type=int, default=1)
-    p_run.add_argument("--mode", choices=["batch", "online"], default="batch")
+    p_run.add_argument("--mode", choices=[m.value for m in Mode], default="batch")
     p_run.add_argument("--leader-start", type=float, default=0.0)
     p_run.add_argument("--out")
     p_run.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -351,7 +344,7 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--lambda", default="3.0", help="comma list of mean gaps")
     p_sweep.add_argument("--reps", type=int, default=1)
     p_sweep.add_argument("--seed", type=int, default=1, help="base seed; rep r uses seed+r")
-    p_sweep.add_argument("--mode", choices=["batch", "online"], default="batch")
+    p_sweep.add_argument("--mode", choices=[m.value for m in Mode], default="batch")
     p_sweep.add_argument("--leader-start", type=float, default=0.0)
     p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.add_argument("--out")

@@ -88,20 +88,24 @@ class SpanningTree:
         }
 
 
+def _sorted_groups(subsets: Iterable[int]) -> list[tuple[int, ...]]:
+    """Member bitsets as ascending id tuples, by descending size, then member order."""
+    return sorted((tuple(_bits(s)) for s in subsets), key=lambda s: (-len(s), s))
+
+
 @dataclass(frozen=True)
 class CliqueCover:
-    """Disjoint coexisting groups covering all vehicles."""
+    """Disjoint coexisting groups covering all vehicles, one member bitset each."""
 
-    subsets: tuple[frozenset[int], ...]
+    subsets: tuple[int, ...]
 
     @property
     def theta(self) -> int:
         return len(self.subsets)
 
     def canonical(self) -> tuple[tuple[int, ...], ...]:
-        """Subsets sorted internally, then by descending size and member order."""
-        return tuple(sorted((tuple(sorted(s)) for s in self.subsets),
-                            key=lambda s: (-len(s), s)))
+        """Subsets as sorted id tuples, by descending size and member order."""
+        return tuple(_sorted_groups(self.subsets))
 
     def to_dict(self) -> dict:
         return {"theta": self.theta, "subsets": [list(s) for s in self.canonical()]}
@@ -291,7 +295,7 @@ def mcc_greedy(cug: CoexistenceGraph) -> CliqueCover:
         if c == len(groups):
             groups.append(0)
         groups[c] |= 1 << node
-    return CliqueCover(subsets=tuple(frozenset(_bits(g)) for g in groups))
+    return CliqueCover(subsets=tuple(groups))
 
 
 BRUTE_CAP = 12  # most vehicles the exact cover takes, in batch and online
@@ -306,10 +310,6 @@ def _check_cap(cug: CoexistenceGraph) -> None:
         )
 
 
-def _clique_cover(masks: Iterable[int]) -> CliqueCover:
-    return CliqueCover(subsets=tuple(frozenset(_bits(m)) for m in masks))
-
-
 def minimum_clique_covers(cug: CoexistenceGraph) -> list[CliqueCover]:
     """Every minimum clique cover, sorted by canonical form.
 
@@ -318,7 +318,7 @@ def minimum_clique_covers(cug: CoexistenceGraph) -> list[CliqueCover]:
     each cover once, so nothing is deduplicated.
     """
     _check_cap(cug)
-    return sorted(map(_clique_cover, cug._minimum_covers), key=CliqueCover.canonical)
+    return sorted(map(CliqueCover, cug._minimum_covers), key=CliqueCover.canonical)
 
 
 def _ranked_covers(cug: CoexistenceGraph) -> Iterator[list[CliqueCover]]:
@@ -331,7 +331,7 @@ def _ranked_covers(cug: CoexistenceGraph) -> Iterator[list[CliqueCover]]:
     """
     _check_cap(cug)
     for bucket in cug._covers_by_rank:
-        yield sorted(map(_clique_cover, bucket), key=CliqueCover.canonical)
+        yield sorted(map(CliqueCover, bucket), key=CliqueCover.canonical)
 
 
 def mcc_bruteforce(cug: CoexistenceGraph) -> CliqueCover:
@@ -344,11 +344,12 @@ def mcc_bruteforce(cug: CoexistenceGraph) -> CliqueCover:
 
 
 def order_layers(
-    subsets: Iterable[Iterable[int]],
+    subsets: Iterable[int],
     lanes: list[list[int]],
-    conflicted,
+    conflict: Sequence[int],
 ) -> list[tuple[int, ...]] | None:
-    """Order cover subsets into conflict-free layers via lane-slot substitution.
+    """Order cover subsets (member bitsets) into conflict-free layers via
+    lane-slot substitution; ``conflict[v]`` is vehicle v's conflict bitset.
 
     Each emitted layer substitutes, for every member, the earliest still
     unscheduled vehicle of that member's lane: vehicles of one lane are
@@ -373,8 +374,7 @@ def order_layers(
     for ln, chain in enumerate(lanes):
         for v in chain:
             lane_of[v] = ln
-    shapes = sorted((tuple(sorted(s)) for s in subsets), key=lambda s: (-len(s), s))
-    shape_lanes = [tuple(sorted(lane_of[v] for v in s)) for s in shapes]
+    shape_lanes = [tuple(sorted(lane_of[v] for v in s)) for s in _sorted_groups(subsets)]
     kind_of: dict[tuple[int, ...], int] = {}
     kinds = [kind_of.setdefault(t, len(kind_of)) for t in shape_lanes]
     # mixed-radix weights: a multiset of kinds has exactly one weighted sum
@@ -397,7 +397,7 @@ def order_layers(
             if rest in dead:
                 continue
             group = tuple(lanes[ln][heads[ln]] for ln in shape_lanes[idx])
-            if conflicted(group):
+            if _clashes(group, conflict):
                 continue
             for ln in shape_lanes[idx]:
                 heads[ln] += 1
@@ -411,24 +411,21 @@ def order_layers(
             dead.add(key)
         return False
 
-    if emit(list(range(len(shapes))), [0] * len(lanes), sum(weight[k] for k in kinds)):
+    if emit(list(range(len(kinds))), [0] * len(lanes), sum(weight[k] for k in kinds)):
         return layers_out
     return None
 
 
-def conflict_test(masks: Sequence[int]) -> Callable[[tuple[int, ...]], bool]:
-    """``order_layers``' predicate: do any two members of a group conflict?
-
-    ``masks[v]`` is the conflict bitset of vehicle v.
-    """
-    def conflicted(group: tuple[int, ...]) -> bool:
-        seen = 0
-        for v in group:
-            if masks[v] & seen:
-                return True
-            seen |= 1 << v
-        return False
-    return conflicted
+def _clashes(group: tuple[int, ...], conflict: Sequence[int]) -> bool:
+    """Do any two members of a group conflict?  Each member is tested only
+    against the earlier ones, so a bitset may hold its own vehicle's bit
+    (``build_cug``'s lane-blocked bitsets do)."""
+    seen = 0
+    for v in group:
+        if conflict[v] & seen:
+            return True
+        seen |= 1 << v
+    return False
 
 
 def _lanes_for(cdg: ConflictDirectedGraph) -> list[list[int]]:
@@ -505,10 +502,9 @@ def _cover_layers(cug: CoexistenceGraph, lanes: list[list[int]],
     against the graph's own conflict bitsets; batch and online alike keep
     the vehicles' ids throughout.
     """
-    conflicted = conflict_test(cug.conflict)
     covers = chain.from_iterable(_ranked_covers(cug)) if exact else [mcc_greedy(cug)]
     for cover in covers:
-        layers = order_layers(cover.subsets, lanes, conflicted)
+        layers = order_layers(cover.subsets, lanes, cug.conflict)
         if layers is not None:
             return layers
     return None

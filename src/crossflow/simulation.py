@@ -17,8 +17,9 @@ t = 0 and advances at the platoon design speed; a vehicle's slot sits one
 desired gap behind the leader per layer.
 
 One engine runs the closed loop of ``run`` (both modes) and
-``simulate_platoon``: remaining distance, speed and the present and crossed
-masks are numpy arrays indexed by vehicle id.  ``control.PlatoonKernel``,
+``simulate_platoon``: remaining distance and speed are numpy arrays indexed
+by vehicle id, and the vehicles in the zone are one int bitset, like every
+other vehicle set of the run.  ``control.PlatoonKernel``,
 the one implementation of the control law (the test suite's oracles hold
 its scalar reference, one vehicle at a time), is built over the vehicles in
 the zone with their links (each vehicle's tree parent and children) and
@@ -32,7 +33,7 @@ kernel's pre-step state and unsaturated input.
 Each setting has one home.  The scenario holds the physics, the step ``dt``
 and the entry speed ``initial_speed`` included, and checks them where it is
 made.  ``SimConfig`` holds only what one run draws or chooses: algorithm,
-fleet, headway, seed, mode, the leader's start, the horizon and tracing.
+fleet, headway, seed, mode, the leader's start and tracing.
 ``run`` uses the default ``ControllerGains``; ``simulate_platoon`` takes
 others for controller studies.  The exact cover's size limit is
 ``scheduling.BRUTE_CAP``.
@@ -89,6 +90,9 @@ class Mode(str, Enum):
     ONLINE = "online"
 
 
+HORIZON = 3600.0  # simulated seconds before a run gives up (``SimulationTimeout``)
+
+
 class SimulationTimeout(RuntimeError):
     """Simulated horizon exceeded; carries the partial results."""
 
@@ -109,7 +113,6 @@ class SimConfig:
     seed: int
     mode: Mode = Mode.BATCH
     leader_start: float = 0.0  # leader's distance to the line at t = 0
-    horizon: float = 3600.0
     collect_trace: bool = False
 
     def __post_init__(self):
@@ -218,9 +221,11 @@ class _Engine:
     """The closed loop of ``run`` and ``simulate_platoon`` (module docstring).
 
     The schedule is one ``SpanningTree`` whose ``depth``/``parent`` maps the
-    schedulers grow in place; the links follow ``parent``.  While a kernel
-    is built it owns the state of its rows: ``remaining`` and ``speed`` are
-    current for them only after ``sync`` or ``release``.
+    schedulers grow in place; the links follow ``parent``.  ``zone`` is the
+    bitset of the vehicles that have entered and not crossed, and the
+    kernel's rows.  While a kernel is built it owns the state of its rows:
+    ``remaining`` and ``speed`` are current for them only after ``sync`` or
+    ``release``.
     """
 
     def __init__(self, scn: IntersectionConfig, size: int, *, gains: ControllerGains,
@@ -228,8 +233,7 @@ class _Engine:
         self.scn, self.gains, self.leader_start = scn, gains, leader_start
         self.collect_trace = collect_trace
         self.remaining, self.speed = np.zeros(size), np.zeros(size)
-        self.present = np.zeros(size, dtype=bool)
-        self.passed = np.zeros(size, dtype=bool)  # crossed the stopping line
+        self.zone = 0  # entered and not yet across the stopping line
         self.kernel: PlatoonKernel | None = None  # None: rebuild before the next step
         self.tree = SpanningTree(parent={}, depth={})
         self.depth, self.parent = self.tree.depth, self.tree.parent
@@ -237,9 +241,7 @@ class _Engine:
         self.sets: dict[int, ConflictSets] = {}
         self.conflict = [0] * size  # online conflict bitset per vehicle
         self.lane_mask: dict[int, int] = {}  # movement -> bitset of its arrived vehicles
-        self.records: dict[int, VehicleRecord] = {}
         self.crossed: dict[int, float] = {}
-        self.locked: set[int] = set()
         self.trace: list[TraceRow] = []
 
     # --- scheduling -----------------------------------------------------
@@ -248,10 +250,7 @@ class _Engine:
         self.release()
         self.remaining[vehicle] = remaining
         self.speed[vehicle] = speed
-        self.present[vehicle] = True
-
-    def in_zone_ids(self) -> list[int]:
-        return np.flatnonzero(self.present & ~self.passed).tolist()
+        self.zone |= 1 << vehicle
 
     def live_remaining(self, vehicle: int, _t: float) -> float:
         return float(self.remaining[vehicle])
@@ -261,10 +260,9 @@ class _Engine:
         bitsets with every set member and the whole lane, not just its predecessor."""
         self.release()
         v = record.id
-        self.records[v] = record
         zone = uncatchable = 0
         horizon = _horizon(self.scn)  # reachability_conflict's test, hoisted out of the loop
-        for i in self.in_zone_ids():
+        for i in _bits(self.zone):
             distance = self.live_remaining(i, record.entry_time) if i < v else 0.0
             if distance > 0:
                 zone |= 1 << i
@@ -296,15 +294,15 @@ class _Engine:
         """Recompute the clique cover over unlocked in-zone vehicles.
 
         Locked vehicles (near the stopping line, or already across) keep
-        their depths; recomputed layers slot around them.
+        their depths; recomputed layers slot around them.  A lock is
+        computed, not stored: the kernel clamps speed to [0, v_max], so a
+        remaining distance never grows, and a vehicle within the lock
+        distance stays within it.
         """
         self.release()
         self.growing = None  # the layers below are written past the trees' step
-        zone = self.in_zone_ids()
-        for i in zone:
-            if reachability_conflict(max(self.live_remaining(i, 0.0), 0.0), self.scn):
-                self.locked.add(i)
-        unlocked = [i for i in zone if i not in self.locked]
+        unlocked = sum(1 << i for i in _bits(self.zone) if not reachability_conflict(
+            max(self.live_remaining(i, 0.0), 0.0), self.scn))
         if not unlocked:
             return
         # the batch cover route on a pool of the unlocked vehicles, read
@@ -315,13 +313,10 @@ class _Engine:
         # reachability conflict joins two unlocked vehicles.  The conflicts
         # left come from the movements alone, alike for every vehicle of a
         # lane, so lane-slot substitution orders any cover.
-        lanes: dict[int, list[int]] = {}
-        for v in unlocked:
-            lanes.setdefault(self.records[v].movement, []).append(v)
-        layers = _cover_layers(CoexistenceGraph(pool=sum(1 << v for v in unlocked),
-                                                conflict=self.conflict),
-                               [lane for _, lane in sorted(lanes.items())],
-                               exact=algorithm is Algorithm.MCC_BRUTE)
+        lanes = [list(_bits(lane)) for _, mask in sorted(self.lane_mask.items())
+                 if (lane := mask & unlocked)]
+        layers = _cover_layers(CoexistenceGraph(pool=unlocked, conflict=self.conflict),
+                               lanes, exact=algorithm is Algorithm.MCC_BRUTE)
         _lay_layers(self.parent, self.depth, layers, self._predecessors)
 
     # --- dynamics -------------------------------------------------------
@@ -344,7 +339,7 @@ class _Engine:
         """Control and integrate the vehicles in the zone over one step."""
         kernel = self.kernel
         if kernel is None:
-            rows = self.in_zone_ids()
+            rows = list(_bits(self.zone))
             kernel = self.kernel = PlatoonKernel(rows, self.neighbor_sets(rows), self.depth,
                                                  self.gains, self.scn, self.remaining,
                                                  self.speed)
@@ -364,8 +359,7 @@ class _Engine:
             i, before, after = int(kernel.rows[k]), float(p[k]), float(new_p[k])
             frac = before / max(before - after, 1e-12)
             self.crossed[i] = t + frac * self.scn.dt
-            self.passed[i] = True
-            self.locked.add(i)
+            self.zone &= ~(1 << i)
         if hits:
             self.release()
 
@@ -398,8 +392,6 @@ def run(cfg: SimConfig) -> RunResult:
     scn = cfg.scenario
     engine = _Engine(scn, cfg.n_vehicles + 1, gains=ControllerGains(),
                      leader_start=cfg.leader_start, collect_trace=cfg.collect_trace)
-    for rec in arrivals:
-        engine.records[rec.id] = rec
 
     if cfg.mode is Mode.BATCH:
         tree = schedule_batch(arrivals, scn, cfg.algorithm)
@@ -413,12 +405,12 @@ def run(cfg: SimConfig) -> RunResult:
     def admit(t: float) -> bool:
         if len(engine.crossed) >= n:
             return False
-        if t > cfg.horizon:
+        if t > HORIZON:
             raise SimulationTimeout(
-                f"simulation exceeded {cfg.horizon} s with "
+                f"simulation exceeded {HORIZON} s with "
                 f"{n - len(engine.crossed)} vehicles still inside",
                 trace=engine.trace,
-                records=_completions(engine),
+                records=_completions(engine, arrivals),
             )
         while pending and pending[0].entry_time <= t + eps:
             rec = pending.popleft()
@@ -439,7 +431,7 @@ def run(cfg: SimConfig) -> RunResult:
         return True
 
     engine.drive(admit)
-    records = _completions(engine)
+    records = _completions(engine, arrivals)
     metrics = Metrics(
         evacuation_time=evacuation_time(records),
         attd=attd(records, cfg.scenario),
@@ -451,12 +443,11 @@ def run(cfg: SimConfig) -> RunResult:
                      arrivals=arrivals)
 
 
-def _completions(engine: _Engine) -> list[CompletionRecord]:
-    out = []
-    for i, t_out in sorted(engine.crossed.items()):
-        out.append(CompletionRecord(vehicle=i, t_in=engine.records[i].entry_time,
-                                    t_out=t_out, depth=engine.depth[i]))
-    return out
+def _completions(engine: _Engine, arrivals: Sequence[VehicleRecord]) -> list[CompletionRecord]:
+    """One record per crossed vehicle; ``arrivals`` holds ids 1..n in order."""
+    return [CompletionRecord(vehicle=i, t_in=arrivals[i - 1].entry_time, t_out=t_out,
+                             depth=engine.depth[i])
+            for i, t_out in sorted(engine.crossed.items())]
 
 
 @dataclass

@@ -15,7 +15,7 @@ from crossflow.conflicts import (CoexistenceGraph, ConflictDirectedGraph, Confli
 from crossflow.control import LEADER, VehicleState
 from crossflow.scenario import ConflictClass, ScenarioError
 from crossflow.scheduling import (RepairError, SpanningTree, _cover_layers, _lanes_for,
-                                  _tree_from_layers, conflict_test, mcc_greedy, order_layers)
+                                  _tree_from_layers, mcc_greedy, order_layers)
 
 
 def bitset(ids) -> int:
@@ -155,9 +155,10 @@ def edge_coexistence(cdg: ConflictDirectedGraph) -> frozenset[tuple[int, int]]:
 def validate_cover(cover, cug: CoexistenceGraph) -> None:
     """Raise ``ContractError`` unless the cover partitions the graph's pool
     into groups whose members pairwise coexist."""
-    if sorted(v for s in cover.subsets for v in s) != sorted(members(cug.pool)):
+    groups = [members(s) for s in cover.subsets]
+    if sorted(v for s in groups for v in s) != sorted(members(cug.pool)):
         raise ContractError("cover is not a partition of the vehicles")
-    for subset in cover.subsets:
+    for subset in groups:
         if not all(cug.adjacent(a, b) for a, b in itertools.combinations(subset, 2)):
             raise ContractError(f"subset {sorted(subset)} is not a coexisting group")
 
@@ -169,9 +170,9 @@ def cover_to_tree(cover, cdg: ConflictDirectedGraph) -> SpanningTree:
     lane-slot substitution of ``order_layers`` and laid as batch lays them,
     with no fallback.
     """
-    if sorted(v for s in cover.subsets for v in s) != list(range(1, cdg.n + 1)):
+    if sorted(v for s in cover.subsets for v in members(s)) != list(range(1, cdg.n + 1)):
         raise ContractError("cover is not a partition of the scheduled vehicles")
-    layers = order_layers(cover.subsets, _lanes_for(cdg), conflict_test(cdg.mask))
+    layers = order_layers(cover.subsets, _lanes_for(cdg), cdg.mask)
     if layers is None:
         raise RepairError("no ordering of the cover yields a conflict-free layering")
     return _tree_from_layers(layers, cdg)
@@ -192,10 +193,10 @@ def _renumbered(pool: int, conflict) -> tuple[list[int], dict[int, int], Coexist
     return ids, index, CoexistenceGraph(pool=(1 << len(ids) + 1) - 2, conflict=local)
 
 
-def renumbered_greedy_cover(pool: int, conflict) -> list[frozenset[int]]:
+def renumbered_greedy_cover(pool: int, conflict) -> list[int]:
     """``mcc_greedy`` on the renumbered graph, its subsets mapped back to vehicle ids."""
     ids, _, graph = _renumbered(pool, conflict)
-    return [frozenset(ids[k - 1] for k in s) for s in mcc_greedy(graph).subsets]
+    return [bitset(ids[k - 1] for k in members(s)) for s in mcc_greedy(graph).subsets]
 
 
 def renumbered_cover_layers(pool: int, conflict, lanes, exact: bool):
@@ -395,6 +396,13 @@ def max_clique_via_enumeration(n: int, adjacent) -> int:
                 best = size
                 break
     return best
+
+
+def group_conflicted(conflict):
+    """``plain_layer_search``'s predicate: do any two members of a group
+    conflict?  Pairs are read off the per-vehicle conflict bitsets, the
+    later member's bitset holding the earlier one."""
+    return lambda group: any(conflict[b] >> a & 1 for a, b in itertools.combinations(group, 2))
 
 
 def plain_layer_search(subsets, lanes, conflicted, budget=200_000):

@@ -38,7 +38,7 @@ from crossflow.simulation import (
 from crossflow.cli import run_cli
 
 from .instances import random_instance
-from .oracles import cover_to_tree, min_feasible_depth, shallowest_admissible_layer
+from .oracles import bitset, cover_to_tree, min_feasible_depth, shallowest_admissible_layer
 from .test_scheduling import EXAMPLE1_MIN_COVERS, published_partial_tree
 
 # Layer gate: vehicles enter far enough behind the virtual leader that every
@@ -113,8 +113,7 @@ def test_criterion_01c_exact_cover_solutions(ex1_cug):
 
 
 def test_criterion_02_cover_repair(ex1_cdg):
-    cover = CliqueCover(subsets=(frozenset({1, 3, 6}), frozenset({4, 7}),
-                                 frozenset({2}), frozenset({5})))
+    cover = CliqueCover(subsets=(bitset({1, 3, 6}), bitset({4, 7}), bitset({2}), bitset({5})))
     tree = cover_to_tree(cover, ex1_cdg)
     feasible = verify_feasible(tree, ex1_cdg).ok
     ok = (tree.layers() == [[1, 3, 5], [4, 7], [2], [6]]

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import pathlib
 import subprocess
@@ -16,7 +17,7 @@ from crossflow.cli import (
 )
 from crossflow.conflicts import build_cdg, build_conflict_sets
 from crossflow.scenario import dump_scenario, default_intersection
-from crossflow.simulation import Algorithm, SimConfig, sample_arrivals
+from crossflow.simulation import Algorithm, Mode, SimConfig, run, sample_arrivals
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DATA = ROOT / "data"
@@ -62,6 +63,18 @@ class TestRunCommand:
         assert code == 0
         header = trace.open().readline().strip()
         assert header == "step,vehicle,p,v,u,depth"
+
+    def test_dump_schedule_matches_run(self, capsys):
+        """``--dump-schedule`` prints, after the result row, the run's depths and parents."""
+        code, out, _ = cli(capsys, "run", "--vehicles", "10", "--seed", "4",
+                           "--algorithm", "mcc-greedy", "--mode", "online", "--dump-schedule")
+        assert code == 0
+        doc = yaml.safe_load("".join(out.splitlines(keepends=True)[2:]))  # past header and row
+        result = run(SimConfig(scenario=default_intersection(), algorithm=Algorithm.MCC_GREEDY,
+                               n_vehicles=10, mean_headway=3.0, seed=4, mode=Mode.ONLINE))
+        assert doc["d_all"] == result.metrics.d_all
+        assert doc["depth"] == {str(k): v for k, v in result.depths.items()}
+        assert doc["parent"] == {str(k): v for k, v in result.parents.items()}
 
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, err = cli(capsys, "run", "--vehicles", "2", "--frobnicate")
@@ -153,6 +166,17 @@ class TestSweepCommand:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_vehicle_range(self, capsys):
+        code, out, _ = cli(capsys, "sweep", "--algorithms", "dfst", "--vehicles", "3-4")
+        assert code == 0
+        assert [row["n"] for row in csv.DictReader(io.StringIO(out))] == ["3", "4"]
+
+    def test_unknown_algorithm_is_usage_error(self, capsys):
+        code, out, err = cli(capsys, "sweep", "--algorithms", "dfst,bogus", "--vehicles", "3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --algorithms") and "'bogus'" in err
+
     def test_online_brute_above_cap_is_usage_error(self, capsys):
         code, out, err = cli(capsys, "sweep", "--algorithms", "dfst,mcc-brute",
                              "--mode", "online", "--vehicles", "8,40", "--lambda", "1")
@@ -219,6 +243,16 @@ class TestScheduleCommand:
         assert code == 0
         doc = yaml.safe_load(out)
         assert doc["layers"] == [[1, 3, 5], [4, 7], [2], [6]]
+
+    def test_out_file_matches_stdout(self, capsys, tmp_path):
+        args = ["schedule", "--arrivals", str(DATA / "example1_arrivals.csv"),
+                "--scenario", str(DATA / "example1_scenario.yaml"),
+                "--algorithm", "mcc-greedy", "--dump-graph"]
+        code, out, _ = cli(capsys, *args)
+        path = tmp_path / "schedule.yaml"
+        code_file, out_file, _ = cli(capsys, *args, "--out", str(path))
+        assert (code, code_file, out_file) == (0, 0, "")
+        assert path.read_bytes() == out.encode()
 
     def test_graph_dump(self, capsys):
         code, out, _ = cli(capsys, "schedule",

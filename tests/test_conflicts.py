@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -233,12 +235,21 @@ def test_sweep_and_cdg_match_pairwise_oracles(instance):
     _assert_cdg_matches_edge_sets(sets)
 
 
-@settings(max_examples=80, deadline=None)
-@given(mixed_fleets())
-def test_sweep_matches_pairwise_oracle_on_mixed_fleets(records):
+# The default scenario, and three whose sweep inverts the nominal profile in
+# its other closed-form branches: at v_0 = 22.5 m/s the lock distance is
+# reached during the entry ramp, at v_0 = 25 m/s it lies beyond the zone
+# (the ``-inf`` branch), and in a 50 m zone the line is reached on the ramp.
+SWEEP_SCENARIOS = ({}, {"platoon_speed": 22.5}, {"platoon_speed": 25.0},
+                   {"control_zone_length": 50.0})
+
+
+@settings(max_examples=160, deadline=None)
+@given(mixed_fleets(), st.sampled_from(SWEEP_SCENARIOS))
+def test_sweep_matches_pairwise_oracle_on_mixed_fleets(records, changes):
     """Mixed entry speeds (the sweep's order then differs from entry order),
-    simultaneous entries and predecessors that crossed before the entrant came."""
-    cfg = default_intersection()
+    simultaneous entries and predecessors that crossed before the entrant came,
+    in the default scenario and the three above."""
+    cfg = dataclasses.replace(default_intersection(), **changes)
     sets = build_conflict_sets(records, cfg)
     assert sets == pairwise_conflict_sets(records, cfg)
     _assert_cdg_matches_edge_sets(sets)

@@ -52,9 +52,7 @@ def test_every_function_is_used_by_the_package():
 
 
 # Defaulted SimConfig fields kept although no caller passes them, with the reason.
-ALLOWED_UNSET_SETTINGS = {
-    "horizon": "the timeout test reaches SimulationTimeout through it",
-}
+ALLOWED_UNSET_SETTINGS: dict[str, str] = {}
 
 
 def test_every_setting_is_set_by_a_caller():

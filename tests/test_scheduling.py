@@ -12,7 +12,6 @@ from crossflow.scheduling import (
     _lanes_for,
     _lay_layers,
     _place,
-    conflict_test,
     dfst_schedule,
     idfst_schedule,
     mcc_bruteforce,
@@ -34,7 +33,9 @@ from .oracles import (
     edge_connected,
     edge_greedy_cover,
     find_opt_parent,
+    group_conflicted,
     min_feasible_depth,
+    members,
     minimum_covers_by_partition,
     ordering_objective,
     plain_layer_search,
@@ -174,14 +175,14 @@ class TestMccGreedy:
         cug = build_cug(build_cdg(make_sets(rows)))
         cover = mcc_greedy(cug)
         assert cover.theta == 5
-        assert max(map(len, cover.subsets)) == 1
+        assert max(len(members(s)) for s in cover.subsets) == 1
 
     def test_complete_graph_is_one_clique(self):
         rows = [(j, (), (0,), (), ()) for j in range(1, 6)]
         cug = build_cug(build_cdg(make_sets(rows)))
         cover = mcc_greedy(cug)
         assert cover.theta == 1
-        assert max(map(len, cover.subsets)) == 5
+        assert max(len(members(s)) for s in cover.subsets) == 5
 
 
     @settings(max_examples=40, deadline=None)
@@ -189,7 +190,8 @@ class TestMccGreedy:
     def test_matches_edge_set_reference(self, instance):
         _, _, cdg = instance
         cover = mcc_greedy(build_cug(cdg))
-        assert list(cover.subsets) == edge_greedy_cover(cdg.n, edge_coexistence(cdg))
+        assert [members(s) for s in cover.subsets] == edge_greedy_cover(cdg.n,
+                                                                        edge_coexistence(cdg))
 
 
 class TestMccBruteforce:
@@ -233,15 +235,15 @@ class TestCoverToTree:
     def test_lane_order_repair(self, ex1_cdg):
         # this cover puts the rear same-lane vehicle in the first layer;
         # the repair must exchange the two and land on the preferred layout
-        cover = CliqueCover(subsets=(frozenset({1, 3, 6}), frozenset({4, 7}),
-                                     frozenset({2}), frozenset({5})))
+        cover = CliqueCover(subsets=(bitset({1, 3, 6}), bitset({4, 7}), bitset({2}),
+                                     bitset({5})))
         tree = cover_to_tree(cover, ex1_cdg)
         assert tree.layers() == [[1, 3, 5], [4, 7], [2], [6]]
         assert tree.d_all == 4
         assert verify_feasible(tree, ex1_cdg).ok
 
     def test_singleton_cover_is_chain(self, ex1_cdg):
-        cover = CliqueCover(subsets=tuple(frozenset({j}) for j in range(1, 8)))
+        cover = CliqueCover(subsets=tuple(bitset({j}) for j in range(1, 8)))
         tree = cover_to_tree(cover, ex1_cdg)
         assert tree.d_all == 7
         assert verify_feasible(tree, ex1_cdg).ok
@@ -254,7 +256,7 @@ class TestCoverToTree:
         assert tree.parent[6] == 2
 
     def test_rejects_non_partition(self, ex1_cdg):
-        cover = CliqueCover(subsets=(frozenset({1, 2}),))
+        cover = CliqueCover(subsets=(bitset({1, 2}),))
         with pytest.raises(ContractError):
             cover_to_tree(cover, ex1_cdg)
 
@@ -336,8 +338,7 @@ def test_light_traffic_cover_falls_back_to_idfst():
     for seed, d_all in ((13, 19), (14, 23)):
         _, _, cdg = sampled_instance(seed, 60, 20.0)
         cug = build_cug(cdg)
-        assert order_layers(mcc_greedy(cug).subsets, _lanes_for(cdg),
-                            conflict_test(cdg.mask)) is None
+        assert order_layers(mcc_greedy(cug).subsets, _lanes_for(cdg), cdg.mask) is None
         tree, idfst = schedule_cover_tree(cug, cdg, exact=False), idfst_schedule(cdg)
         assert (tree.depth, tree.parent) == (idfst.depth, idfst.parent)
         assert tree.d_all == d_all
@@ -360,9 +361,10 @@ def test_ordering_search_matches_plain_search(instance):
     no order or a feasible one."""
     _, _, cdg = instance
     subsets = mcc_greedy(build_cug(cdg)).subsets
-    lanes, conflicted = _lanes_for(cdg), conflict_test(cdg.mask)
-    layers = order_layers(subsets, lanes, conflicted)
-    reference = plain_layer_search(subsets, lanes, conflicted)
+    lanes = _lanes_for(cdg)
+    layers = order_layers(subsets, lanes, cdg.mask)
+    reference = plain_layer_search([members(s) for s in subsets], lanes,
+                                   group_conflicted(cdg.mask))
     if reference is not None:
         assert layers == reference
     elif layers is not None:
@@ -384,7 +386,7 @@ def test_exact_covers_match_partition_oracle(seed):
     ranked = sorted(expected, key=lambda c: (ordering_objective(c), c))
     assert mcc_bruteforce(cug).canonical() == ranked[0]
 
-    lanes, conflicted = _lanes_for(cdg), conflict_test(cdg.mask)
+    lanes, conflicted = _lanes_for(cdg), group_conflicted(cdg.mask)
     layers = next((ordered for cover in ranked
                    if (ordered := plain_layer_search(cover, lanes, conflicted)) is not None),
                   None)

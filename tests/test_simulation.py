@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossflow.conflicts import (CoexistenceGraph, ContractError, VehicleRecord, _horizon,
-                                 nominal_remaining)
+                                 nominal_remaining, reachability_conflict)
 from crossflow.control import LEADER, ControllerGains, VehicleState
 from crossflow.presets import example1_arrivals, example1_scenario
 from crossflow.conflicts import build_cdg
@@ -135,9 +135,10 @@ class TestRun:
                 res[mode] = run(cfg)
             assert res[Mode.BATCH].depths == res[Mode.ONLINE].depths
 
-    def test_timeout_carries_partial_results(self, default_cfg):
+    def test_timeout_carries_partial_results(self, default_cfg, monkeypatch):
+        monkeypatch.setattr("crossflow.simulation.HORIZON", 1.0)
         cfg = SimConfig(scenario=default_cfg, algorithm=Algorithm.DFST,
-                        n_vehicles=5, mean_headway=3.0, seed=1, horizon=1.0)
+                        n_vehicles=5, mean_headway=3.0, seed=1)
         with pytest.raises(SimulationTimeout) as err:
             run(cfg)
         assert err.value.records == []
@@ -352,7 +353,9 @@ class TestOnlineLocking:
         engine.arrive(rec)
         engine.enter(rec.id, ex1_scenario.control_zone_length, 2.0)
         engine.reschedule_cover(Algorithm.MCC_GREEDY)
-        assert 1 in engine.locked
+        # locked: in the zone and within the lock distance
+        assert engine.zone >> 1 & 1
+        assert reachability_conflict(float(engine.remaining[1]), ex1_scenario)
         assert engine.depth[1] == depth_before
         assert 1 in members(engine.sets[7].reachability)
 
@@ -390,7 +393,9 @@ def test_online_conflict_masks_match_set_rule(seed, n, headway):
     cfg = SimConfig(scenario=scn, algorithm=Algorithm.IDFST, n_vehicles=n,
                     mean_headway=headway, seed=seed, mode=Mode.ONLINE)
     engine = _Engine(scn, n + 1, gains=ControllerGains(), leader_start=0.0)
-    pending = deque(sample_arrivals(cfg))
+    arrivals = sample_arrivals(cfg)
+    records = {rec.id: rec for rec in arrivals}
+    pending = deque(arrivals)
 
     def admit(t: float) -> bool:
         while pending and pending[0].entry_time <= t + 1e-9:
@@ -403,7 +408,7 @@ def test_online_conflict_masks_match_set_rule(seed, n, headway):
     engine.drive(admit)
     for a in range(1, n + 1):
         for b in range(1, n + 1):
-            expected = a != b and sets_conflict(engine.records, engine.sets, a, b)
+            expected = a != b and sets_conflict(records, engine.sets, a, b)
             assert bool(engine.conflict[a] >> b & 1) is expected
 
 
@@ -529,7 +534,7 @@ def test_pool_cover_route_matches_renumbered_route(seed, fleet, data):
     pool = bitset(data.draw(st.sets(st.integers(min_value=1, max_value=n))))
     by_movement: dict[int, list[int]] = {}
     for v in sorted(members(pool)):
-        by_movement.setdefault(engine.records[v].movement, []).append(v)
+        by_movement.setdefault(records[v - 1].movement, []).append(v)
     lanes = [lane for _, lane in sorted(by_movement.items())]
     cug = CoexistenceGraph(pool=pool, conflict=engine.conflict)
     assert list(mcc_greedy(cug).subsets) == renumbered_greedy_cover(pool, engine.conflict)
