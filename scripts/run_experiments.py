@@ -7,7 +7,10 @@ Families:
   fleet-size    10..50 vehicles, mean gap 3 s, online runs, 10 repetitions
   volume        60 vehicles, mean gap 1..5 s, online runs, 10 repetitions
 
-Outputs land under results/ as plain CSV; a per-cell summary is printed.
+The fleet-size and volume families are ``crossflow sweep`` runs (dfst,
+idfst and mcc-greedy, leader start 0, seeds 1..10); ``SWEEPS`` holds their
+arguments.  Outputs land under results/ as plain CSV; a per-cell summary is
+printed.
 """
 
 import argparse
@@ -18,14 +21,18 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from crossflow.cli import RESULT_COLUMNS, summarize, write_results, _result_row
+from crossflow.cli import run_cli, summarize
 from crossflow.conflicts import build_cdg, build_conflict_sets, build_cug
 from crossflow.scenario import default_intersection
 from crossflow.scheduling import dfst_schedule, idfst_schedule, mcc_bruteforce, mcc_greedy
-from crossflow.simulation import Algorithm, Mode, SimConfig, run, sample_arrivals
+from crossflow.simulation import Algorithm, SimConfig, sample_arrivals
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-SIM_ALGORITHMS = (Algorithm.DFST, Algorithm.IDFST, Algorithm.MCC_GREEDY)
+# family -> (CSV name, ``crossflow sweep`` arguments)
+SWEEPS = {
+    "fleet-size": ("fleet_size", ["--vehicles", "10,20,30,40,50", "--lambda", "3"]),
+    "volume": ("volume", ["--vehicles", "60", "--lambda", "1,2,3,4,5"]),
+}
 
 
 def depth_stats(out_dir: pathlib.Path, reps: int = 200) -> None:
@@ -56,22 +63,12 @@ def depth_stats(out_dir: pathlib.Path, reps: int = 200) -> None:
     print(f"  wrote {path}")
 
 
-def sweep(out_dir: pathlib.Path, name: str, vehicle_counts, headways, reps: int = 10) -> None:
-    scenario = default_intersection()
-    rows = []
-    for n in vehicle_counts:
-        for headway in headways:
-            for rep in range(reps):
-                seed = 1 + rep
-                for alg in SIM_ALGORITHMS:
-                    cfg = SimConfig(scenario=scenario, algorithm=alg, n_vehicles=n,
-                                    mean_headway=headway, seed=seed, mode=Mode.ONLINE)
-                    metrics = run(cfg).metrics
-                    rows.append(_result_row(alg.value, seed, n, headway,
-                                            Mode.ONLINE.value, metrics))
+def sweep(out_dir: pathlib.Path, name: str, args: list[str]) -> None:
     path = out_dir / f"{name}.csv"
-    with open(path, "w", newline="") as fh:
-        write_results(rows, fh, "csv")
+    if run_cli(["sweep", *args, "--reps", "10", "--mode", "online", "--out", str(path)]):
+        sys.exit(f"crossflow sweep failed for {path}")
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
     for cell in summarize(rows):
         print(f"  {cell['algorithm']:11s} n={cell['n']:>3} gap={cell['lambda']}: "
               f"t_evc {cell['t_evc_mean']:6.1f}s  t_attd {cell['t_attd_mean']:6.2f}s  "
@@ -81,7 +78,7 @@ def sweep(out_dir: pathlib.Path, name: str, vehicle_counts, headways, reps: int 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--family", choices=["depth-stats", "fleet-size", "volume", "all"],
+    parser.add_argument("--family", choices=["depth-stats", *SWEEPS, "all"],
                         default="all")
     parser.add_argument("--out", default=str(ROOT / "results"))
     args = parser.parse_args()
@@ -91,12 +88,10 @@ def main():
     if args.family in ("depth-stats", "all"):
         print("depth statistics, 9 vehicles x 200 repetitions")
         depth_stats(out_dir)
-    if args.family in ("fleet-size", "all"):
-        print("fleet-size sweep, online runs")
-        sweep(out_dir, "fleet_size", vehicle_counts=range(10, 51, 10), headways=[3.0])
-    if args.family in ("volume", "all"):
-        print("traffic-volume sweep, online runs")
-        sweep(out_dir, "volume", vehicle_counts=[60], headways=[1.0, 2.0, 3.0, 4.0, 5.0])
+    for family, (name, sweep_args) in SWEEPS.items():
+        if args.family in (family, "all"):
+            print(f"{family} sweep, online runs")
+            sweep(out_dir, name, sweep_args)
 
 
 if __name__ == "__main__":

@@ -21,8 +21,9 @@ edges into unidirectional ones (fixed passing order: same lane, reachability)
 and bidirectional ones (order exchangeable: crossing, converging).  The
 coexistence graph is a vertex pool (a bitset of vehicle ids) read against
 per-id conflict bitsets: two pool members may cross the stopping line
-together unless one is in the other's bitset.  Batch pools all of 1..n, the
-online engine its unlocked vehicles; both keep the vehicles' own ids.
+together unless one is in the other's bitset.  It carries the lanes too,
+one bitset each.  Batch pools all of 1..n, the online engine its unlocked
+vehicles; both keep the vehicles' own ids.
 
 Conflicts have one representation, the Python-int bitset (bit k is vehicle
 k): the conflict sets, and the one adjacency that every scheduler reads, per
@@ -302,18 +303,6 @@ class ConflictDirectedGraph:
         """True when any edge links i and j, in either sense."""
         return bool(self.mask[i] >> j & 1)
 
-    def lane_chains(self) -> list[list[int]]:
-        """Per-lane vehicle sequences in arrival order, derived from lane edges."""
-        succ = {i: j for (i, j) in self.lane_edges if i != 0}
-        heads = [j for (i, j) in self.lane_edges if i == 0]
-        chains = []
-        for head in sorted(heads):
-            chain = [head]
-            while chain[-1] in succ:
-                chain.append(succ[chain[-1]])
-            chains.append(chain)
-        return chains
-
     def to_dict(self) -> dict:
         return {
             "nodes": list(range(self.n + 1)),
@@ -334,12 +323,14 @@ class CoexistenceGraph:
     the bitset of those vehicle i may not share a layer with, both over the
     vehicles' own ids; bits outside the pool are ignored.  Members coexist
     when neither is in the other's bitset, so the coexistence and conflict
-    views of a member are each one ``&``, and nothing is stored beyond the
-    two fields.
+    views of a member are each one ``&``.  ``lanes`` holds one bitset per
+    lane, whose vehicles cross in id order and never together; every pool
+    member is in one of them.  Nothing is stored beyond the three fields.
     """
 
     pool: int
     conflict: Sequence[int]  # per vehicle id; read, never copied
+    lanes: Sequence[int]  # one bitset per lane; read, never copied
 
     def coexist(self, i: int) -> int:
         """Bitset of the pool's vehicles i may cross with."""
@@ -462,13 +453,25 @@ def build_cdg(sets: Sequence[ConflictSets]) -> ConflictDirectedGraph:
 def build_cug(cdg: ConflictDirectedGraph) -> CoexistenceGraph:
     """The coexistence graph of the real vehicles 1..n: an edge means "may coexist".
 
-    Lane edges only record the immediate predecessor, but no two vehicles of
-    one lane can ever cross together, so the whole lane chain is added to
-    each member's conflict bitset, not just adjacent pairs.
+    The lanes come from one pass over the conflict sets in id order: a
+    vehicle joins the lane of its same-lane (``diverging``) predecessor, or
+    starts a lane when that is the leader, so lanes are ordered by their
+    first vehicle.  A lane that forks (an entrant overtakes on the nominal
+    profile, and two followers name one predecessor) stays one lane.  Lane
+    edges only record the immediate predecessor, but no two vehicles of one
+    lane can ever cross together, so each member's conflict bitset blocks
+    its whole lane.
     """
+    ahead = {cs.vehicle: cs.diverging & ~1 for cs in cdg.sets}
+    lane_of: dict[int, int] = {}
+    lanes: list[int] = []
+    for v in range(1, cdg.n + 1):
+        k = lane_of[v] = lane_of.get(ahead.get(v, 0).bit_length() - 1, len(lanes))
+        if k == len(lanes):
+            lanes.append(0)
+        lanes[k] |= 1 << v
     blocked = list(cdg.mask)
-    for chain in cdg.lane_chains():
-        lane = sum(1 << v for v in chain)
-        for v in chain:
+    for lane in lanes:
+        for v in _bits(lane):
             blocked[v] |= lane
-    return CoexistenceGraph(pool=(1 << cdg.n + 1) - 2, conflict=blocked)
+    return CoexistenceGraph(pool=(1 << cdg.n + 1) - 2, conflict=blocked, lanes=lanes)

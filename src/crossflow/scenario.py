@@ -136,6 +136,7 @@ _OPTIONAL_PARAM_FIELDS = {
     "dt": ("dt", "simulation_step", "positive"),
     "initial_speed": ("initial_speed", "initial_speed", "nonnegative"),
 }
+_FILE_PARAMS = {**_PARAM_FIELDS, **_OPTIONAL_PARAM_FIELDS}  # every key, in file order
 _SIGNS = {
     "positive": lambda x: x > 0,
     "negative": lambda x: x < 0,
@@ -183,7 +184,7 @@ def validate_config(cfg: IntersectionConfig) -> None:
                 f"crossing_pairs: ({a},{b}) shares an exit lane (that is converging)"
             )
 
-    for key, (attr, _, sign) in {**_PARAM_FIELDS, **_OPTIONAL_PARAM_FIELDS}.items():
+    for key, (attr, _, sign) in _FILE_PARAMS.items():
         value = getattr(cfg, attr)
         if not (math.isfinite(value) and _SIGNS[sign](value)):
             raise ValidationError(f"parameters.{key}: must be finite and {sign} (got {value})")
@@ -362,7 +363,7 @@ def load_scenario(source: str) -> IntersectionConfig:
     if not isinstance(params, dict):
         raise ParseError("parameters: expected a mapping")
     kwargs = {}
-    for key, (attr, human, _) in {**_PARAM_FIELDS, **_OPTIONAL_PARAM_FIELDS}.items():
+    for key, (attr, human, _) in _FILE_PARAMS.items():
         if key not in params:
             if key in _PARAM_FIELDS:
                 raise ParseError(f"parameters.{key} ({human}) is required")
@@ -401,15 +402,6 @@ def dump_scenario(cfg: IntersectionConfig) -> str:
             for m in cfg.movements
         ],
         "crossing_pairs": [list(p) for p in sorted(cfg.crossing_pairs)],
-        "parameters": {
-            "L_ctrl": cfg.control_zone_length,
-            "v_max": cfg.v_max,
-            "a_max": cfg.a_max,
-            "a_min": cfg.a_min,
-            "v_0": cfg.platoon_speed,
-            "D_des": cfg.desired_gap,
-            "dt": cfg.dt,
-            "initial_speed": cfg.initial_speed,
-        },
+        "parameters": {key: getattr(cfg, attr) for key, (attr, _, _) in _FILE_PARAMS.items()},
     }
     return yaml.safe_dump(doc, sort_keys=False)

@@ -349,7 +349,8 @@ def order_layers(
     conflict: Sequence[int],
 ) -> list[tuple[int, ...]] | None:
     """Order cover subsets (member bitsets) into conflict-free layers via
-    lane-slot substitution; ``conflict[v]`` is vehicle v's conflict bitset.
+    lane-slot substitution; ``lanes`` lists each lane's vehicles in id order
+    and ``conflict[v]`` is vehicle v's conflict bitset.
 
     Each emitted layer substitutes, for every member, the earliest still
     unscheduled vehicle of that member's lane: vehicles of one lane are
@@ -371,8 +372,8 @@ def order_layers(
     Returns None if no ordering is found within the budget.
     """
     lane_of: dict[int, int] = {}
-    for ln, chain in enumerate(lanes):
-        for v in chain:
+    for ln, lane in enumerate(lanes):
+        for v in lane:
             lane_of[v] = ln
     shape_lanes = [tuple(sorted(lane_of[v] for v in s)) for s in _sorted_groups(subsets)]
     kind_of: dict[tuple[int, ...], int] = {}
@@ -428,15 +429,6 @@ def _clashes(group: tuple[int, ...], conflict: Sequence[int]) -> bool:
     return False
 
 
-def _lanes_for(cdg: ConflictDirectedGraph) -> list[list[int]]:
-    lanes = [list(chain) for chain in cdg.lane_chains()]
-    seen = {v for chain in lanes for v in chain}
-    for v in range(1, cdg.n + 1):
-        if v not in seen:  # isolated vehicle, its own lane
-            lanes.append([v])
-    return lanes
-
-
 def _lay_layers(parent: dict[int, int], depth: dict[int, int], layers: Iterable[Iterable[int]],
                 predecessors: Callable[[int], tuple[int, int]]) -> None:
     """Write ordered layers into a tree's maps, around the nodes already placed.
@@ -490,18 +482,18 @@ def _tree_from_layers(layers: list[tuple[int, ...]], cdg: ConflictDirectedGraph)
     return tree
 
 
-def _cover_layers(cug: CoexistenceGraph, lanes: list[list[int]],
-                  exact: bool) -> list[tuple[int, ...]] | None:
+def _cover_layers(cug: CoexistenceGraph, exact: bool) -> list[tuple[int, ...]] | None:
     """Conflict-free layers from a clique cover: the cover route of batch and online.
 
     The exact route walks the minimum covers in preference order, the greedy
     route takes the greedy cover; the layers of the first cover that orders
     are returned, or None when none does (reachability conflicts are not
     lane-symmetric, so a cover can admit no lane-consistent layer order).
-    ``lanes`` are chains of the pool's members, and groups are tested
-    against the graph's own conflict bitsets; batch and online alike keep
-    the vehicles' ids throughout.
+    The graph's lane bitsets, cut to the pool, give the lanes, and groups
+    are tested against its own conflict bitsets; batch and online alike
+    keep the vehicles' ids throughout.
     """
+    lanes = [list(_bits(members)) for lane in cug.lanes if (members := lane & cug.pool)]
     covers = chain.from_iterable(_ranked_covers(cug)) if exact else [mcc_greedy(cug)]
     for cover in covers:
         layers = order_layers(cover.subsets, lanes, cug.conflict)
@@ -513,5 +505,5 @@ def _cover_layers(cug: CoexistenceGraph, lanes: list[list[int]],
 def schedule_cover_tree(cug: CoexistenceGraph, cdg: ConflictDirectedGraph,
                         exact: bool) -> SpanningTree:
     """Cover-based schedule as a tree; idfst's tree when no cover orders (``_cover_layers``)."""
-    layers = _cover_layers(cug, _lanes_for(cdg), exact)
+    layers = _cover_layers(cug, exact)
     return idfst_schedule(cdg) if layers is None else _tree_from_layers(layers, cdg)

@@ -300,23 +300,22 @@ class _Engine:
         distance stays within it.
         """
         self.release()
-        self.growing = None  # the layers below are written past the trees' step
         unlocked = sum(1 << i for i in _bits(self.zone) if not reachability_conflict(
             max(self.live_remaining(i, 0.0), 0.0), self.scn))
         if not unlocked:
             return
+        self.growing = None  # the layers below are written past the trees' step
         # the batch cover route on a pool of the unlocked vehicles, read
-        # against the engine's own conflict bitsets, ids unchanged.
+        # against the engine's own conflict and lane bitsets, ids unchanged.
         # Its layers are never None here: a predecessor an arrival cannot
         # catch is already as close to the line as the lock distance
         # (``reachability_conflict`` above), so it is locked, and no
         # reachability conflict joins two unlocked vehicles.  The conflicts
         # left come from the movements alone, alike for every vehicle of a
         # lane, so lane-slot substitution orders any cover.
-        lanes = [list(_bits(lane)) for _, mask in sorted(self.lane_mask.items())
-                 if (lane := mask & unlocked)]
-        layers = _cover_layers(CoexistenceGraph(pool=unlocked, conflict=self.conflict),
-                               lanes, exact=algorithm is Algorithm.MCC_BRUTE)
+        cug = CoexistenceGraph(pool=unlocked, conflict=self.conflict,
+                               lanes=[mask for _, mask in sorted(self.lane_mask.items())])
+        layers = _cover_layers(cug, exact=algorithm is Algorithm.MCC_BRUTE)
         _lay_layers(self.parent, self.depth, layers, self._predecessors)
 
     # --- dynamics -------------------------------------------------------

@@ -11,11 +11,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from crossflow.conflicts import (CoexistenceGraph, ConflictDirectedGraph, ConflictSets,
-                                 ContractError, nominal_remaining)
+                                 ContractError, build_cug, nominal_remaining)
 from crossflow.control import LEADER, VehicleState
 from crossflow.scenario import ConflictClass, ScenarioError
-from crossflow.scheduling import (RepairError, SpanningTree, _cover_layers, _lanes_for,
-                                  _tree_from_layers, mcc_greedy, order_layers)
+from crossflow.scheduling import (RepairError, SpanningTree, _cover_layers, _tree_from_layers,
+                                  mcc_greedy, order_layers)
 
 
 def bitset(ids) -> int:
@@ -137,19 +137,19 @@ def edge_exchangeable_parents(cdg: ConflictDirectedGraph, j: int) -> set[int]:
 
 
 def edge_coexistence(cdg: ConflictDirectedGraph) -> frozenset[tuple[int, int]]:
-    """Coexisting pairs (low, high): no CDG edge and not on one lane chain.
+    """Coexisting pairs (low, high): no CDG edge and not on one lane.
 
-    Lane chains are followed from the virtual leader along the lane edges.
+    A lane is a connected component of the lane edges between vehicles (the
+    leader's edges left out), found by repeated merging.
     """
-    succ = {a: b for a, b in cdg.lane_edges if a != 0}
-    same_lane = set()
-    for _, head in (e for e in cdg.lane_edges if e[0] == 0):
-        chain = [head]
-        while chain[-1] in succ:
-            chain.append(succ[chain[-1]])
-        same_lane |= set(itertools.combinations(sorted(chain), 2))
+    lane = {v: {v} for v in range(1, cdg.n + 1)}
+    for a, b in cdg.lane_edges:
+        if a != 0 and lane[a] is not lane[b]:
+            merged = lane[a] | lane[b]
+            for v in merged:
+                lane[v] = merged
     return frozenset((i, j) for i, j in itertools.combinations(range(1, cdg.n + 1), 2)
-                     if not edge_connected(cdg, i, j) and (i, j) not in same_lane)
+                     if not edge_connected(cdg, i, j) and j not in lane[i])
 
 
 def validate_cover(cover, cug: CoexistenceGraph) -> None:
@@ -172,7 +172,7 @@ def cover_to_tree(cover, cdg: ConflictDirectedGraph) -> SpanningTree:
     """
     if sorted(v for s in cover.subsets for v in members(s)) != list(range(1, cdg.n + 1)):
         raise ContractError("cover is not a partition of the scheduled vehicles")
-    layers = order_layers(cover.subsets, _lanes_for(cdg), cdg.mask)
+    layers = order_layers(cover.subsets, lane_lists(cdg), cdg.mask)
     if layers is None:
         raise RepairError("no ordering of the cover yields a conflict-free layering")
     return _tree_from_layers(layers, cdg)
@@ -184,27 +184,34 @@ def ordering_objective(subsets) -> int:
     return sum(rank * size for rank, size in enumerate(sizes, start=1))
 
 
-def _renumbered(pool: int, conflict) -> tuple[list[int], dict[int, int], CoexistenceGraph]:
-    """The pool's vehicles in id order, their local ids 1..k, and the graph
-    over all of 1..k with each conflict bitset rebuilt bit by bit on them."""
+def lane_lists(cdg: ConflictDirectedGraph) -> list[list[int]]:
+    """The coexistence graph's lanes as the id lists ``order_layers`` reads."""
+    return [sorted(members(lane)) for lane in build_cug(cdg).lanes]
+
+
+def _renumbered(pool: int, conflict, lanes=()) -> tuple[list[int], CoexistenceGraph]:
+    """The pool's vehicles in id order and the graph over all of 1..k, with
+    each conflict and lane bitset rebuilt bit by bit on their local ids."""
     ids = sorted(members(pool))
     index = {v: k for k, v in enumerate(ids, start=1)}
     local = [0] + [bitset(index[u] for u in members(conflict[v] & pool)) for v in ids]
-    return ids, index, CoexistenceGraph(pool=(1 << len(ids) + 1) - 2, conflict=local)
+    lanes = [bitset(index[u] for u in members(lane & pool)) for lane in lanes]
+    return ids, CoexistenceGraph(pool=(1 << len(ids) + 1) - 2, conflict=local, lanes=lanes)
 
 
 def renumbered_greedy_cover(pool: int, conflict) -> list[int]:
     """``mcc_greedy`` on the renumbered graph, its subsets mapped back to vehicle ids."""
-    ids, _, graph = _renumbered(pool, conflict)
+    ids, graph = _renumbered(pool, conflict)
     return [bitset(ids[k - 1] for k in members(s)) for s in mcc_greedy(graph).subsets]
 
 
 def renumbered_cover_layers(pool: int, conflict, lanes, exact: bool):
     """The cover route as the online engine once ran it: renumber the pool
-    1..k, run ``_cover_layers`` on the local graph, lanes and bitsets, and
-    map the layers back to vehicle ids (None when no cover orders)."""
-    ids, index, graph = _renumbered(pool, conflict)
-    layers = _cover_layers(graph, [[index[v] for v in lane] for lane in lanes], exact)
+    1..k, run ``_cover_layers`` on the local graph, its conflict and lane
+    bitsets, and map the layers back to vehicle ids (None when no cover
+    orders)."""
+    ids, graph = _renumbered(pool, conflict, lanes)
+    layers = _cover_layers(graph, exact)
     return None if layers is None else [tuple(ids[k - 1] for k in layer) for layer in layers]
 
 
@@ -413,7 +420,7 @@ def plain_layer_search(subsets, lanes, conflicted, budget=200_000):
     most ``budget`` steps.  Returns the layers, or None when no ordering is
     found within the budget.
     """
-    lane_of = {v: ln for ln, chain in enumerate(lanes) for v in chain}
+    lane_of = {v: ln for ln, lane in enumerate(lanes) for v in lane}
     shapes = sorted((tuple(sorted(s)) for s in subsets), key=lambda s: (-len(s), s))
     shape_lanes = [tuple(sorted(lane_of[v] for v in s)) for s in shapes]
     layers_out = []

@@ -145,7 +145,7 @@ def test_cug_excludes_whole_lane_chain():
     cug = build_cug(cdg)
     assert not cug.adjacent(1, 3)
     assert not cug.adjacent(1, 2)
-    assert cdg.lane_chains() == [[1, 2, 3]]
+    assert list(cug.lanes) == [bitset((1, 2, 3))]
 
 
 @settings(max_examples=40, deadline=None)
@@ -154,15 +154,15 @@ def test_complement_property(seed):
     """Exactly one of conflict-or-same-lane and coexistence per pair."""
     _, _, cdg = random_instance(seed)
     cug = build_cug(cdg)
-    chain_pairs = set()
-    for chain in cdg.lane_chains():
-        for a in chain:
-            for b in chain:
+    lane_pairs = set()
+    for lane in cug.lanes:
+        for a in members(lane):
+            for b in members(lane):
                 if a < b:
-                    chain_pairs.add((a, b))
+                    lane_pairs.add((a, b))
     for i in range(1, cdg.n + 1):
         for j in range(i + 1, cdg.n + 1):
-            connected = cdg.connected(i, j) or (i, j) in chain_pairs
+            connected = cdg.connected(i, j) or (i, j) in lane_pairs
             assert connected != cug.adjacent(i, j)
 
 
@@ -173,12 +173,31 @@ def test_eq6_ordering_and_lane_chain(seed):
     for cs in sets:
         ids = members(cs.crossing | cs.diverging | cs.converging | cs.reachability)
         assert all(m < cs.vehicle for m in ids)
-    # lane edges follow arrival order along each movement
-    by_movement = {}
-    for rec in records:
-        by_movement.setdefault(rec.movement, []).append(rec.id)
-    for chain in cdg.lane_chains():
-        assert chain == sorted(chain)
+    # lane edges follow arrival order along one movement, and each lane of
+    # the coexistence graph holds one movement's vehicles
+    movement = {rec.id: rec.movement for rec in records}
+    for i, j in cdg.lane_edges:
+        assert i == 0 or (i < j and movement[i] == movement[j])
+    for lane in build_cug(cdg).lanes:
+        assert len({movement[v] for v in members(lane)}) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_fleets())
+def test_lanes_partition_the_vehicles_on_mixed_fleets(records):
+    """The coexistence graph's lanes partition the vehicles, in order of
+    their first vehicle, and are the components of the lane edges between
+    vehicles.  Mixed entry speeds can fork a lane (an entrant overtakes on
+    the nominal profile, and two followers name one predecessor); the fork
+    stays one lane."""
+    cdg = build_cdg(build_conflict_sets(records, default_intersection()))
+    lanes = list(build_cug(cdg).lanes)
+    assert sorted(v for lane in lanes for v in members(lane)) == list(range(1, cdg.n + 1))
+    assert [min(members(lane)) for lane in lanes] == sorted(
+        j for i, j in cdg.lane_edges if i == 0)
+    lane_of = {v: k for k, lane in enumerate(lanes) for v in members(lane)}
+    for i, j in cdg.lane_edges:
+        assert i == 0 or lane_of[i] == lane_of[j]
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,7 +9,6 @@ from crossflow.scheduling import (
     SizeLimitError,
     SpanningTree,
     _GrowingTree,
-    _lanes_for,
     _lay_layers,
     _place,
     dfst_schedule,
@@ -34,6 +33,7 @@ from .oracles import (
     edge_greedy_cover,
     find_opt_parent,
     group_conflicted,
+    lane_lists,
     min_feasible_depth,
     members,
     minimum_covers_by_partition,
@@ -44,7 +44,7 @@ from .oracles import (
     shallowest_admissible_layer,
     validate_cover,
 )
-from crossflow.conflicts import build_cdg, build_conflict_sets
+from crossflow.conflicts import VehicleRecord, build_cdg, build_conflict_sets
 from crossflow.scenario import default_intersection
 
 # The six minimum covers of the seven-vehicle example, canonicalized.
@@ -338,10 +338,26 @@ def test_light_traffic_cover_falls_back_to_idfst():
     for seed, d_all in ((13, 19), (14, 23)):
         _, _, cdg = sampled_instance(seed, 60, 20.0)
         cug = build_cug(cdg)
-        assert order_layers(mcc_greedy(cug).subsets, _lanes_for(cdg), cdg.mask) is None
+        assert order_layers(mcc_greedy(cug).subsets, lane_lists(cdg), cdg.mask) is None
         tree, idfst = schedule_cover_tree(cug, cdg, exact=False), idfst_schedule(cdg)
         assert (tree.depth, tree.parent) == (idfst.depth, idfst.parent)
         assert tree.d_all == d_all
+
+
+def test_forked_lane_orders_in_both_cover_routes():
+    """Four vehicles on movement 1, the third entering fast: it overtakes
+    vehicle 2 on the nominal profile, so it and the late fourth both name
+    vehicle 2 as their same-lane predecessor.  The fork stays one lane, and
+    both cover routes give a feasible tree.  Reading the fork as two lanes
+    once ordered vehicle 4 ahead of vehicle 2 ("order [(2, 4)]")."""
+    records = [VehicleRecord(id=i, movement=1, entry_time=t, entry_speed=v)
+               for i, t, v in ((1, 0.0, 0.0), (2, 0.0, 0.0), (3, 0.0, 25.0), (4, 90.0, 0.0))]
+    cdg = build_cdg(build_conflict_sets(records, default_intersection()))
+    assert sorted(cdg.lane_edges) == [(0, 1), (1, 2), (2, 3), (2, 4)]
+    cug = build_cug(cdg)
+    assert list(cug.lanes) == [bitset((1, 2, 3, 4))]
+    for exact in (False, True):
+        assert verify_feasible(schedule_cover_tree(cug, cdg, exact=exact), cdg).ok
 
 
 def tree_of(layers) -> SpanningTree:
@@ -361,7 +377,7 @@ def test_ordering_search_matches_plain_search(instance):
     no order or a feasible one."""
     _, _, cdg = instance
     subsets = mcc_greedy(build_cug(cdg)).subsets
-    lanes = _lanes_for(cdg)
+    lanes = lane_lists(cdg)
     layers = order_layers(subsets, lanes, cdg.mask)
     reference = plain_layer_search([members(s) for s in subsets], lanes,
                                    group_conflicted(cdg.mask))
@@ -386,7 +402,7 @@ def test_exact_covers_match_partition_oracle(seed):
     ranked = sorted(expected, key=lambda c: (ordering_objective(c), c))
     assert mcc_bruteforce(cug).canonical() == ranked[0]
 
-    lanes, conflicted = _lanes_for(cdg), group_conflicted(cdg.mask)
+    lanes, conflicted = lane_lists(cdg), group_conflicted(cdg.mask)
     layers = next((ordered for cover in ranked
                    if (ordered := plain_layer_search(cover, lanes, conflicted)) is not None),
                   None)
@@ -480,3 +496,14 @@ def test_trees_match_scanning_oracle(instance):
 def test_trees_match_scanning_oracle_on_mixed_fleets(records):
     _assert_trees_match_scanning_oracle(build_cdg(build_conflict_sets(records,
                                                                      default_intersection())))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_fleets())
+def test_cover_route_is_feasible_on_mixed_fleets(records):
+    """Mixed entry speeds can fork a lane; the greedy cover route, and the
+    exact one up to ``BRUTE_CAP`` vehicles, still give feasible trees."""
+    cdg = build_cdg(build_conflict_sets(records, default_intersection()))
+    cug = build_cug(cdg)
+    for exact in (False, True) if cdg.n <= BRUTE_CAP else (False,):
+        assert verify_feasible(schedule_cover_tree(cug, cdg, exact=exact), cdg).ok

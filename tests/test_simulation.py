@@ -12,7 +12,8 @@ from crossflow.conflicts import (CoexistenceGraph, ContractError, VehicleRecord,
 from crossflow.control import LEADER, ControllerGains, VehicleState
 from crossflow.presets import example1_arrivals, example1_scenario
 from crossflow.conflicts import build_cdg
-from crossflow.scheduling import _cover_layers, dfst_schedule, idfst_schedule, mcc_greedy
+from crossflow.scheduling import (_GrowingTree, _cover_layers, dfst_schedule, idfst_schedule,
+                                  mcc_greedy)
 from crossflow.simulation import (
     Algorithm,
     CompletionRecord,
@@ -513,6 +514,26 @@ def test_online_covers_always_order(monkeypatch, algorithm, n, headway, leader_s
     assert calls
 
 
+@pytest.mark.parametrize("n", [20, 60])
+def test_locked_arrivals_keep_the_trees_index(monkeypatch, n):
+    """In a 40 m zone every arrival is locked on entry, so no reschedule lays
+    anything and each arrival is placed by the trees' step: the step's index
+    is built once per run, not once per arrival."""
+    builds = []
+
+    class CountedTree(_GrowingTree):
+        def __init__(self, tree):
+            builds.append(len(tree.depth))
+            super().__init__(tree)
+
+    monkeypatch.setattr("crossflow.simulation._GrowingTree", CountedTree)
+    scn = dataclasses.replace(default_intersection(), control_zone_length=40.0)
+    result = run(SimConfig(scenario=scn, algorithm=Algorithm.MCC_GREEDY, n_vehicles=n,
+                           mean_headway=3.0, seed=1, mode=Mode.ONLINE))
+    assert len(result.depths) == n
+    assert builds == [0]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000),
        st.sampled_from(((12, 1.0), (40, 1.0), (40, 20.0))), st.data())
@@ -521,8 +542,9 @@ def test_pool_cover_route_matches_renumbered_route(seed, fleet, data):
     route that renumbers the pool 1..k gives: the greedy cover, its layers
     and, on pools of at most 12, the exact route's layers.  Pools are random
     subsets of a sampled fleet, read against the engine's conflict bitsets
-    (gap 20 s fleets carry reachability conflicts, so some covers do not
-    order and both routes give None)."""
+    and each movement's vehicles as the lanes (gap 20 s fleets carry
+    reachability conflicts, so some covers do not order and both routes give
+    None)."""
     n, headway = fleet
     records, _, _ = sampled_instance(seed, n, headway)
     scn = default_intersection()
@@ -532,12 +554,12 @@ def test_pool_cover_route_matches_renumbered_route(seed, fleet, data):
         engine.arrive(rec)
         engine.enter(rec.id, scn.control_zone_length, rec.entry_speed)
     pool = bitset(data.draw(st.sets(st.integers(min_value=1, max_value=n))))
-    by_movement: dict[int, list[int]] = {}
-    for v in sorted(members(pool)):
-        by_movement.setdefault(records[v - 1].movement, []).append(v)
+    by_movement: dict[int, int] = {}
+    for rec in records:
+        by_movement[rec.movement] = by_movement.get(rec.movement, 0) | 1 << rec.id
     lanes = [lane for _, lane in sorted(by_movement.items())]
-    cug = CoexistenceGraph(pool=pool, conflict=engine.conflict)
+    cug = CoexistenceGraph(pool=pool, conflict=engine.conflict, lanes=lanes)
     assert list(mcc_greedy(cug).subsets) == renumbered_greedy_cover(pool, engine.conflict)
     for exact in (False, True) if pool.bit_count() <= 12 else (False,):
-        assert (_cover_layers(cug, lanes, exact)
+        assert (_cover_layers(cug, exact)
                 == renumbered_cover_layers(pool, engine.conflict, lanes, exact))
