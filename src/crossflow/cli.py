@@ -377,10 +377,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     except (ParseError, ValidationError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except SizeLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (SizeLimitError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SimulationTimeout, ScenarioError, RuntimeError) as exc:

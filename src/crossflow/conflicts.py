@@ -6,31 +6,20 @@ from the movement table; the reachability conflict is kinematic: a vehicle
 entering the zone cannot catch a conflict-free predecessor that is already
 too close to the stopping line.
 
-The per-vehicle step (``conflict_sets_for``) reads bitsets (bit k is
-vehicle k): the predecessors in the zone, those of them already
-uncatchable, and each movement's vehicles, so every conflict class is one
-OR over the movements the table puts in it.  Batch analysis
-(``build_conflict_sets``) keeps the first two bitsets in one sweep under the
-nominal approach profile: a vehicle leaves the zone, or becomes
-uncatchable, once, in order of its nominal time for it, so the distance
-model is evaluated O(n) times instead of once per pair.  The online engine
-fills the same bitsets from its live state.
+Every vehicle set is a Python-int bitset (bit k is vehicle k), so a pair
+test is a shift and a group test ``&``.  The per-vehicle step
+(``conflict_sets_for``) ORs each movement's vehicles into the classes the
+table puts it in, cut to the predecessors in the zone and to those of them
+already uncatchable.  Batch analysis (``build_conflict_sets``) keeps these
+two bitsets in one sweep under the nominal approach profile, the online
+engine from its live state.
 
-The conflict directed graph (CDG) adds a virtual leader node 0 and splits
-edges into unidirectional ones (fixed passing order: same lane, reachability)
-and bidirectional ones (order exchangeable: crossing, converging).  The
-coexistence graph is a vertex pool (a bitset of vehicle ids) read against
-per-id conflict bitsets: two pool members may cross the stopping line
-together unless one is in the other's bitset.  It carries the lanes too,
-one bitset each.  Batch pools all of 1..n, the online engine its unlocked
-vehicles; both keep the vehicles' own ids.
-
-Conflicts have one representation, the Python-int bitset (bit k is vehicle
-k): the conflict sets, and the one adjacency that every scheduler reads, per
-node its neighbours and, on the CDG, its fixed-order and exchangeable
-predecessors.  A pair test is a shift, a group test ``&``.  The CDG's
-neighbour bitsets are assembled byte-parallel; its four edge families are
-views derived on first use.
+The conflict directed graph (CDG) adds a virtual leader node 0 and keeps,
+per node, bitsets of its fixed-order and exchangeable predecessors and of
+its neighbours.  The coexistence graph is a vertex pool read against per-id
+conflict bitsets (all of 1..n in batch, the unlocked vehicles online, under
+their own ids); it carries the lanes, one bitset each, and finds the exact
+clique covers over its twin classes.
 """
 
 from __future__ import annotations
@@ -325,7 +314,9 @@ class CoexistenceGraph:
     when neither is in the other's bitset, so the coexistence and conflict
     views of a member are each one ``&``.  ``lanes`` holds one bitset per
     lane, whose vehicles cross in id order and never together; every pool
-    member is in one of them.  Nothing is stored beyond the three fields.
+    member is in one of them.  The conflict bitsets must be symmetric, as
+    both callers build them.  The minimum clique covers are found over the
+    twin classes on first use and kept on the graph, as ``edges`` is.
     """
 
     pool: int
@@ -350,66 +341,103 @@ class CoexistenceGraph:
                          for j in _bits(self.coexist(i) >> (i + 1) << (i + 1)))
 
     @cached_property
-    def _minimum_covers(self) -> tuple[tuple[int, ...], ...]:
-        """Every minimum clique cover, each a tuple of member bitsets; found on first use.
-
-        Branch-and-bound set partitioning: the pool's vehicles are placed in
-        id order into an open clique whose members all coexist with them (one
-        ``&`` with the clique's common coexistence bitset) or into a fresh
-        one, and branches with more cliques than the best cover so far are
-        cut.  Id order reaches every partition once, with its cliques in
-        order of their lowest member, so no cover repeats.  Exponential in
-        the pool's size: reach it only through ``scheduling``'s capped
-        wrappers (``minimum_clique_covers``, ``mcc_bruteforce`` and the exact
-        cover route).
-        """
-        vertices = list(_bits(self.pool))
-        coexist = [self.coexist(v) for v in vertices]
-        best = len(vertices)
-        covers: list[tuple[int, ...]] = []
-        members: list[int] = []
-        common: list[int] = []  # per open clique, the vehicles that coexist with all members
-
-        def place(k: int) -> None:
-            nonlocal best
-            if k == len(vertices):
-                if len(members) < best:
-                    best = len(members)
-                    covers.clear()
-                covers.append(tuple(members))
-                return
-            bit = 1 << vertices[k]
-            for c in range(len(members)):
-                m, shared = members[c], common[c]
-                if shared & bit:
-                    members[c], common[c] = m | bit, shared & coexist[k]
-                    place(k + 1)
-                    members[c], common[c] = m, shared
-            if len(members) < best:
-                members.append(bit)
-                common.append(coexist[k])
-                place(k + 1)
-                members.pop()
-                common.pop()
-
-        place(0)
-        return tuple(covers)
+    def _classes(self) -> list[int]:
+        """The pool's twin classes, largest first: bitsets of the vehicles with one
+        coexistence bitset.  Twins never coexist (a vehicle is outside its own
+        bitset) and are interchangeable in every cover."""
+        twins: dict[int, int] = {}
+        for v in _bits(self.pool):
+            twins[self.coexist(v)] = twins.get(self.coexist(v), 0) | 1 << v
+        return sorted(twins.values(), key=lambda m: (-m.bit_count(), m & -m))
 
     @cached_property
-    def _covers_by_rank(self) -> tuple[list[tuple[int, ...]], ...]:
-        """The minimum covers in buckets of equal layer rank, best first.
+    def _covers_by_rank(self) -> tuple[tuple[list[tuple[int, ...]], list[tuple[int, ...]]], ...]:
+        """Every minimum cover of the twin-class quotient in buckets of equal layer
+        rank, best first, each paired with a list for its vehicle covers, filled
+        by ``_ranked_bucket``.  A clique is the bitset of its classes (bit j is
+        ``_classes[j]``) and holds one vehicle of each, so a cover ranks as the
+        vehicle covers it stands for.  Branch and bound: the m vehicles of class j
+        join m distinct cliques, open ones that accept it (of identical ones the
+        first, so no cover repeats) or new ones, and branches with more cliques
+        than the best cover are cut.  Exponential: reach it only through
+        ``scheduling``'s capped wrappers."""
+        classes = self._classes
+        accepts = [sum(1 << k for k, other in enumerate(classes)
+                       if other & self.coexist(next(_bits(m)))) for m in classes]
+        best = self.pool.bit_count()
+        covers: list[tuple[int, ...]] = []
+        cliques: list[int] = []  # class bitset per open clique
+        common: list[int] = []  # per open clique, the classes that coexist with all of its own
 
-        Each cover is ranked once per graph, off its bitsets' popcounts; the
-        buckets keep enumeration order (``scheduling._ranked_covers`` sorts
-        the ones it walks).
-        """
+        def place(j: int, placed: int, last: int) -> None:
+            # class j's next vehicle joins a clique past ``last`` (first of a kind) or a new one
+            nonlocal best
+            if j < len(classes) and placed == classes[j].bit_count():
+                j, placed, last = j + 1, 0, -1
+            if j == len(classes):
+                if len(cliques) < best:
+                    best = len(cliques)
+                    covers.clear()
+                covers.append(tuple(cliques))
+                return
+            for c in range(last + 1, len(cliques)):
+                clique, shared = cliques[c], common[c]
+                if shared >> j & 1 and clique not in cliques[:c]:
+                    cliques[c], common[c] = clique | 1 << j, shared & accepts[j]
+                    place(j, placed + 1, c)
+                    cliques[c], common[c] = clique, shared
+            if len(cliques) < best:
+                cliques.append(1 << j)
+                common.append(accepts[j])
+                place(j, placed + 1, len(cliques) - 1)
+                del cliques[-1], common[-1]
+
+        place(0, 0, -1)
         buckets: dict[int, list[tuple[int, ...]]] = {}
-        for masks in self._minimum_covers:
-            buckets.setdefault(_layer_rank(map(int.bit_count, masks)), []).append(masks)
-        return tuple(buckets[rank] for rank in sorted(buckets))
+        for cover in covers:
+            buckets.setdefault(_layer_rank(map(int.bit_count, cover)), []).append(cover)
+        return tuple((buckets[rank], []) for rank in sorted(buckets))
+
+    def _ranked_bucket(self, k: int) -> list[tuple[int, ...]]:
+        """Bucket k of ``_covers_by_rank`` as vehicle covers, cliques by lowest member,
+        in canonical order (``_sorted_groups``); expanded on first use, then kept.
+        Each class's vehicles are dealt over its cliques; identical cliques take
+        their lowest class's in order, so no vehicle cover repeats."""
+        quotient, covers = self._covers_by_rank[k]
+        if covers:
+            return covers
+        for cover in map(sorted, quotient):  # identical cliques side by side
+            options = []  # per class, each way to deal its vehicles: clique -> vehicle bit
+            for j, members in enumerate(self._classes):
+                at = [c for c, clique in enumerate(cover) if clique >> j & 1]
+                runs = [len(list(run)) for _, run in itertools.groupby(
+                    at, lambda c: cover[c] if cover[c] & -cover[c] == 1 << j else ~c)]
+                options.append([dict(zip(at, dealt)) for dealt in
+                                _dealt(tuple(1 << v for v in _bits(members)), runs)])
+            for deal in itertools.product(*options):
+                cliques = (sum(d.get(c, 0) for d in deal) for c in range(len(cover)))
+                covers.append(tuple(sorted(cliques, key=lambda m: m & -m)))
+        ids = {m: tuple(_bits(m)) for m in set(itertools.chain.from_iterable(covers))}
+        covers.sort(key=lambda c: _sorted_groups(c, ids.get))
+        return covers
 
     def to_dict(self) -> dict:
         return {"nodes": list(_bits(self.pool)), "edges": sorted(self.edges)}
+
+
+def _dealt(vehicles: tuple[int, ...], runs: list[int]) -> list[tuple[int, ...]]:
+    """Each order of ``vehicles`` that rises within consecutive runs of these lengths."""
+    if not runs:
+        return [()]
+    return [head + tail for head in itertools.combinations(vehicles, runs[0])
+            for tail in _dealt(tuple(v for v in vehicles if v not in head), runs[1:])]
+
+
+def _sorted_groups(subsets: Iterable[int],
+                   ids: Callable[[int], tuple[int, ...]] = lambda s: tuple(_bits(s))
+                   ) -> list[tuple[int, ...]]:
+    """Member bitsets as ascending id tuples (``ids``), by descending size, then member order."""
+    return sorted(map(ids, subsets), key=lambda s: (-len(s), s))
 
 
 def _layer_rank(sizes: Iterable[int]) -> int:

@@ -10,18 +10,13 @@ Four routes to a layered passing order:
   takes the shallowest layer clearing both.
 * ``mcc_greedy``: minimum clique cover of the coexistence graph, solved
   heuristically by greedy coloring of its complement in breadth-first order.
-* ``mcc_bruteforce``: exact minimum clique cover by branch-and-bound set
-  partitioning, capped at ``BRUTE_CAP`` vehicles.  The minimum covers are
-  enumerated once per coexistence graph, as member bitsets, and kept on it
-  (``CoexistenceGraph._minimum_covers``); they are ranked lazily, one
-  objective value at a time.
+* ``mcc_bruteforce``: exact minimum clique cover, capped at ``BRUTE_CAP``
+  vehicles.  The minimum covers are searched and ranked once per coexistence
+  graph over its twin classes (``CoexistenceGraph._covers_by_rank``).
 
 All of them yield a spanning tree rooted at the virtual leader whose depth
 is the vehicle's passing layer; ``verify_feasible`` checks any tree against
-the conflict graph.  Every route reads the graphs' one adjacency, all of it
-bitsets: the trees take the CDG's ``fixed`` and ``exchangeable`` predecessor
-bitsets and test them against a bitset per tree layer, and the cover, the
-layer ordering and the feasibility check test its conflict bitsets.
+the conflict graph.  Every route reads the graphs' bitsets.
 
 Batch and online scheduling share one path.  The trees add one vehicle at a
 time with ``_place``, which the online engine calls on its own partial tree
@@ -31,8 +26,7 @@ at each arrival.  The cover routes turn a cover into layers with
 them around the locked ones.  When no cover orders (the exact route tries
 every minimum cover, the greedy route its one cover, and a search that runs
 out of budget counts as finding no order), ``schedule_cover_tree`` returns
-idfst's tree.  The ordering search remembers the states it has proven dead,
-so it never repeats a failed branch.
+idfst's tree.
 """
 
 from __future__ import annotations
@@ -40,10 +34,10 @@ from __future__ import annotations
 import heapq
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .conflicts import CoexistenceGraph, ConflictDirectedGraph, ContractError, _bits
+from .conflicts import (CoexistenceGraph, ConflictDirectedGraph, ContractError, _bits,
+                        _sorted_groups)
 
 
 class SizeLimitError(ValueError):
@@ -86,11 +80,6 @@ class SpanningTree:
             "parent": {i: self.parent[i] for i in sorted(self.parent)},
             "depth": {i: self.depth[i] for i in sorted(self.depth)},
         }
-
-
-def _sorted_groups(subsets: Iterable[int]) -> list[tuple[int, ...]]:
-    """Member bitsets as ascending id tuples, by descending size, then member order."""
-    return sorted((tuple(_bits(s)) for s in subsets), key=lambda s: (-len(s), s))
 
 
 @dataclass(frozen=True)
@@ -302,36 +291,21 @@ BRUTE_CAP = 12  # most vehicles the exact cover takes, in batch and online
 _ORDER_BUDGET = 200_000  # backtracking steps of one ``order_layers`` search
 
 
-def _check_cap(cug: CoexistenceGraph) -> None:
-    size = cug.pool.bit_count()
-    if size > BRUTE_CAP:
-        raise SizeLimitError(
-            f"exact clique cover capped at {BRUTE_CAP} vehicles (got {size}); use mcc_greedy"
-        )
-
-
 def minimum_clique_covers(cug: CoexistenceGraph) -> list[CliqueCover]:
-    """Every minimum clique cover, sorted by canonical form.
-
-    The covers are enumerated once per graph, on bitsets, and kept on it
-    (``CoexistenceGraph._minimum_covers``); set partitioning in id order finds
-    each cover once, so nothing is deduplicated.
-    """
-    _check_cap(cug)
-    return sorted(map(CliqueCover, cug._minimum_covers), key=CliqueCover.canonical)
+    """Every minimum clique cover (all buckets of ``_ranked_covers``), by canonical form."""
+    return sorted(_ranked_covers(cug), key=CliqueCover.canonical)
 
 
-def _ranked_covers(cug: CoexistenceGraph) -> Iterator[list[CliqueCover]]:
-    """The minimum covers in preference order, one objective value at a time.
-
-    Buckets of equal layer rank (``conflicts._layer_rank``) come best first,
-    each sorted by canonical form; the ranking is done once per graph
-    (``CoexistenceGraph._covers_by_rank``), and covers are built only for
-    the buckets a caller walks.
-    """
-    _check_cap(cug)
-    for bucket in cug._covers_by_rank:
-        yield sorted(map(CliqueCover, bucket), key=CliqueCover.canonical)
+def _ranked_covers(cug: CoexistenceGraph) -> Iterator[CliqueCover]:
+    """The minimum covers in preference order: buckets of equal layer rank
+    (``conflicts._layer_rank``) best first, each in canonical order.  A bucket
+    becomes vehicle covers only when a caller walks into it, and is kept on
+    the graph (``CoexistenceGraph._ranked_bucket``)."""
+    if cug.pool.bit_count() > BRUTE_CAP:
+        raise SizeLimitError(f"exact clique cover capped at {BRUTE_CAP} vehicles "
+                             f"(got {cug.pool.bit_count()}); use mcc_greedy")
+    for k in range(len(cug._covers_by_rank)):
+        yield from map(CliqueCover, cug._ranked_bucket(k))
 
 
 def mcc_bruteforce(cug: CoexistenceGraph) -> CliqueCover:
@@ -340,7 +314,7 @@ def mcc_bruteforce(cug: CoexistenceGraph) -> CliqueCover:
     Among minimum covers the one minimizing the ordered layer-rank objective
     wins; remaining ties go to the lexicographically smallest canonical form.
     """
-    return next(_ranked_covers(cug))[0]
+    return next(_ranked_covers(cug))
 
 
 def order_layers(
@@ -494,7 +468,7 @@ def _cover_layers(cug: CoexistenceGraph, exact: bool) -> list[tuple[int, ...]] |
     keep the vehicles' ids throughout.
     """
     lanes = [list(_bits(members)) for lane in cug.lanes if (members := lane & cug.pool)]
-    covers = chain.from_iterable(_ranked_covers(cug)) if exact else [mcc_greedy(cug)]
+    covers = _ranked_covers(cug) if exact else [mcc_greedy(cug)]
     for cover in covers:
         layers = order_layers(cover.subsets, lanes, cug.conflict)
         if layers is not None:

@@ -244,6 +244,75 @@ def minimum_covers_by_partition(n: int, coexist: frozenset[tuple[int, int]]
                   for p in covers if len(p) == theta)
 
 
+def minimum_covers_by_vehicle(cug: CoexistenceGraph) -> list[tuple[int, ...]]:
+    """Every minimum clique cover of a graph's pool, each a tuple of member bitsets.
+
+    Branch-and-bound set partitioning vehicle by vehicle, with no twin
+    classes: the pool's vehicles are placed in id order into an open clique
+    whose members all coexist with them, or into a fresh one, and branches
+    with more cliques than the best cover so far are cut.  Id order reaches
+    every partition once, with its cliques in order of their lowest member.
+    """
+    vertices = sorted(members(cug.pool))
+    coexist = [cug.coexist(v) for v in vertices]
+    best = len(vertices)
+    covers: list[tuple[int, ...]] = []
+    cliques: list[int] = []
+    common: list[int] = []  # per open clique, the vehicles that coexist with all members
+
+    def place(k: int) -> None:
+        nonlocal best
+        if k == len(vertices):
+            if len(cliques) < best:
+                best = len(cliques)
+                covers.clear()
+            covers.append(tuple(cliques))
+            return
+        bit = 1 << vertices[k]
+        for c in range(len(cliques)):
+            m, shared = cliques[c], common[c]
+            if shared & bit:
+                cliques[c], common[c] = m | bit, shared & coexist[k]
+                place(k + 1)
+                cliques[c], common[c] = m, shared
+        if len(cliques) < best:
+            cliques.append(bit)
+            common.append(coexist[k])
+            place(k + 1)
+            cliques.pop()
+            common.pop()
+
+    place(0)
+    return covers
+
+
+def canonical_cover(cover) -> tuple[tuple[int, ...], ...]:
+    """A cover's member bitsets as sorted id tuples, by descending size, then members."""
+    return tuple(sorted((tuple(sorted(members(s))) for s in cover), key=lambda b: (-len(b), b)))
+
+
+def ranked_covers_by_vehicle(cug: CoexistenceGraph) -> list[list[tuple[int, ...]]]:
+    """``minimum_covers_by_vehicle`` in buckets of equal ``ordering_objective``,
+    best first, each bucket sorted by canonical form."""
+    buckets: dict[int, list[tuple[int, ...]]] = {}
+    for cover in minimum_covers_by_vehicle(cug):
+        buckets.setdefault(ordering_objective(canonical_cover(cover)), []).append(cover)
+    return [sorted(buckets[rank], key=canonical_cover) for rank in sorted(buckets)]
+
+
+def first_ordered_layers(cug: CoexistenceGraph, ranked):
+    """The exact cover route on buckets of ranked covers (``ranked_covers_by_vehicle``):
+    the layers of the first cover, in preference order, that ``order_layers``
+    orders on the graph's lanes and conflicts, or None."""
+    lanes = [sorted(members(lane & cug.pool)) for lane in cug.lanes if lane & cug.pool]
+    for bucket in ranked:
+        for cover in bucket:
+            layers = order_layers(cover, lanes, cug.conflict)
+            if layers is not None:
+                return layers
+    return None
+
+
 def edge_greedy_cover(n: int, coexist: frozenset[tuple[int, int]]) -> list[frozenset[int]]:
     """Greedy clique cover on an edge set: colour the complement in BFS order.
 

@@ -1,7 +1,9 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossflow.conflicts import ContractError, build_cug
+from crossflow.conflicts import CoexistenceGraph, ContractError, build_cug
 from crossflow.scheduling import (
     BRUTE_CAP,
     CliqueCover,
@@ -9,8 +11,10 @@ from crossflow.scheduling import (
     SizeLimitError,
     SpanningTree,
     _GrowingTree,
+    _cover_layers,
     _lay_layers,
     _place,
+    _tree_from_layers,
     dfst_schedule,
     idfst_schedule,
     mcc_bruteforce,
@@ -32,13 +36,16 @@ from .oracles import (
     edge_connected,
     edge_greedy_cover,
     find_opt_parent,
+    first_ordered_layers,
     group_conflicted,
     lane_lists,
     min_feasible_depth,
     members,
     minimum_covers_by_partition,
+    minimum_covers_by_vehicle,
     ordering_objective,
     plain_layer_search,
+    ranked_covers_by_vehicle,
     scanning_relayering,
     scanning_tree,
     shallowest_admissible_layer,
@@ -408,6 +415,92 @@ def test_exact_covers_match_partition_oracle(seed):
                   None)
     oracle_tree = idfst_schedule(cdg) if layers is None else tree_of(layers)
     assert schedule_cover_tree(cug, cdg, exact=True) == oracle_tree
+
+
+def _assert_covers_match_vehicle_oracle(cug):
+    """The twin-class covers against the vehicle-level branch and bound: the
+    same covers, none twice, every rank bucket in the same canonical order,
+    the same preferred cover and the same exact-route layers."""
+    found = [c.subsets for c in minimum_clique_covers(cug)]
+    assert len(set(found)) == len(found)
+    assert Counter(found) == Counter(minimum_covers_by_vehicle(cug))
+    ranked = ranked_covers_by_vehicle(cug)
+    assert [cug._ranked_bucket(k) for k in range(len(cug._covers_by_rank))] == ranked
+    assert mcc_bruteforce(cug) == CliqueCover(ranked[0][0])
+    layers = first_ordered_layers(cug, ranked)
+    assert _cover_layers(cug, exact=True) == layers
+    return layers
+
+
+def _assert_exact_tree_matches_vehicle_oracle(cdg):
+    layers = _assert_covers_match_vehicle_oracle(cug := build_cug(cdg))
+    expected = idfst_schedule(cdg) if layers is None else _tree_from_layers(layers, cdg)
+    assert schedule_cover_tree(cug, cdg, exact=True) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=12),
+       st.floats(min_value=0.5, max_value=20.0))
+def test_exact_covers_match_vehicle_oracle_on_sampled_fleets(seed, n, headway):
+    _, _, cdg = sampled_instance(seed, n, headway)
+    _assert_exact_tree_matches_vehicle_oracle(cdg)
+
+
+@settings(max_examples=20, deadline=None)
+@given(mixed_fleets())
+def test_exact_covers_match_vehicle_oracle_on_mixed_fleets(records):
+    """Standing starts, braking approaches, simultaneous entries and long gaps,
+    cut to the cap."""
+    records = records[:BRUTE_CAP]
+    _assert_exact_tree_matches_vehicle_oracle(
+        build_cdg(build_conflict_sets(records, default_intersection())))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.data())
+def test_exact_covers_match_vehicle_oracle_on_sub_pools(seed, data):
+    """Pools of up to 12 vehicles, ids not contiguous, out of an n=60 fleet at
+    gap 20 s: each holds one of the fleet's reachability edges, so twins can
+    be split by reachability and some covers do not order."""
+    _, _, cdg = sampled_instance(seed, 60, 20.0)
+    fleet = build_cug(cdg)
+    edge = data.draw(st.sampled_from(sorted(cdg.reach_edges)))
+    rest = data.draw(st.sets(st.integers(min_value=1, max_value=60), max_size=10))
+    cug = CoexistenceGraph(pool=bitset({*edge, *rest}), conflict=fleet.conflict,
+                           lanes=fleet.lanes)
+    _assert_covers_match_vehicle_oracle(cug)
+
+
+class TestExactCoverEdgeCases:
+    def test_single_lane_is_one_cover_of_singletons(self):
+        rows = [(1, (), (0,), (), ())] + [(j, (), (j - 1,), (), ()) for j in range(2, 6)]
+        cug = build_cug(build_cdg(make_sets(rows)))
+        covers = minimum_clique_covers(cug)
+        assert [c.canonical() for c in covers] == [((1,), (2,), (3,), (4,), (5,))]
+        assert mcc_bruteforce(cug).theta == 5
+
+    def test_empty_pool_is_one_empty_cover(self):
+        cug = CoexistenceGraph(pool=0, conflict=[0], lanes=[])
+        assert minimum_clique_covers(cug) == [CliqueCover(subsets=())]
+        assert mcc_bruteforce(cug).theta == 0
+
+    def test_singleton_classes_give_the_vehicle_level_covers(self):
+        # four lanes, each crossing the next: no two vehicles share a coexistence bitset
+        rows = [(1, (), (0,), (), ())] + [(j, (j - 1,), (0,), (), ()) for j in range(2, 5)]
+        cug = build_cug(build_cdg(make_sets(rows)))
+        assert all(c.bit_count() == 1 for c in cug._classes)
+        assert [c.subsets for c in minimum_clique_covers(cug)] == minimum_covers_by_vehicle(cug)
+        assert mcc_bruteforce(cug).canonical() == ((1, 3), (2, 4))
+
+    def test_two_coexisting_lanes_of_two_give_two_covers(self):
+        """Identical quotient cliques {lane A, lane B} stand for two vehicle
+        covers, not four."""
+        rows = [(1, (), (0,), (), ()), (2, (), (0,), (), ()),
+                (3, (), (1,), (), ()), (4, (), (2,), (), ())]
+        cug = build_cug(build_cdg(make_sets(rows)))
+        covers = minimum_clique_covers(cug)
+        assert {c.canonical() for c in covers} == {((1, 2), (3, 4)), ((1, 4), (2, 3))}
+        assert len(covers) == 2 and all(c.theta == 2 for c in covers)
 
 
 @settings(max_examples=60, deadline=None)
