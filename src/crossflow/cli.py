@@ -34,7 +34,7 @@ from .scenario import (
     default_intersection,
     load_scenario_file,
 )
-from .scheduling import SizeLimitError, verify_feasible
+from .scheduling import SizeLimitError, check_cap, verify_feasible
 from .simulation import (
     Algorithm,
     Mode,
@@ -256,6 +256,8 @@ def cmd_sweep(args) -> int:
                       leader_start=args.leader_start)
             for n in vehicles for headway in headways for rep in range(args.reps)
             for algorithm in algorithms]
+    if Algorithm.MCC_BRUTE in algorithms:  # a batch cover spans the fleet; refuse before any cell
+        check_cap(max(vehicles))
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             outcomes = list(pool.map(_sweep_cell, jobs))

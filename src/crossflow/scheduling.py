@@ -32,12 +32,12 @@ idfst's tree.
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .conflicts import (CoexistenceGraph, ConflictDirectedGraph, ContractError, _bits,
-                        _sorted_groups)
+from .conflicts import CoexistenceGraph, ConflictDirectedGraph, ContractError, _bits
 
 
 class SizeLimitError(ValueError):
@@ -80,6 +80,11 @@ class SpanningTree:
             "parent": {i: self.parent[i] for i in sorted(self.parent)},
             "depth": {i: self.depth[i] for i in sorted(self.depth)},
         }
+
+
+def _sorted_groups(subsets: Iterable[int]) -> list[tuple[int, ...]]:
+    """Member bitsets as ascending id tuples, by descending size, then member order."""
+    return sorted((tuple(_bits(s)) for s in subsets), key=lambda s: (-len(s), s))
 
 
 @dataclass(frozen=True)
@@ -291,21 +296,34 @@ BRUTE_CAP = 12  # most vehicles the exact cover takes, in batch and online
 _ORDER_BUDGET = 200_000  # backtracking steps of one ``order_layers`` search
 
 
+def check_cap(size: int) -> None:
+    """Refuse an exact cover over more than ``BRUTE_CAP`` vehicles (``SizeLimitError``)."""
+    if size > BRUTE_CAP:
+        raise SizeLimitError(f"exact clique cover capped at {BRUTE_CAP} vehicles "
+                             f"(got {size}); use mcc_greedy")
+
+
 def minimum_clique_covers(cug: CoexistenceGraph) -> list[CliqueCover]:
-    """Every minimum clique cover (all buckets of ``_ranked_covers``), by canonical form."""
-    return sorted(_ranked_covers(cug), key=CliqueCover.canonical)
+    """Every minimum clique cover, by canonical form: the rank buckets
+    (``CoexistenceGraph._ranked_bucket``), each in that order already, merged
+    on the keys they were sorted by."""
+    check_cap(cug.pool.bit_count())
+    buckets = map(cug._ranked_bucket, range(len(cug._covers_by_rank)))
+    return [CliqueCover(cover) for _, cover in sorted(itertools.chain.from_iterable(buckets))]
 
 
 def _ranked_covers(cug: CoexistenceGraph) -> Iterator[CliqueCover]:
     """The minimum covers in preference order: buckets of equal layer rank
-    (``conflicts._layer_rank``) best first, each in canonical order.  A bucket
-    becomes vehicle covers only when a caller walks into it, and is kept on
-    the graph (``CoexistenceGraph._ranked_bucket``)."""
-    if cug.pool.bit_count() > BRUTE_CAP:
-        raise SizeLimitError(f"exact clique cover capped at {BRUTE_CAP} vehicles "
-                             f"(got {cug.pool.bit_count()}); use mcc_greedy")
+    (``conflicts._layer_rank``) best first, each in canonical order.  A bucket's
+    first cover is built from its quotient covers
+    (``CoexistenceGraph._first_cover``); the bucket becomes vehicle covers
+    (``CoexistenceGraph._ranked_bucket``) only when a caller walks past it, and
+    the walk goes on after the expansion's first element.  Both are kept on the
+    graph."""
+    check_cap(cug.pool.bit_count())
     for k in range(len(cug._covers_by_rank)):
-        yield from map(CliqueCover, cug._ranked_bucket(k))
+        yield CliqueCover(cug._first_cover(k))
+        yield from (CliqueCover(cover) for _, cover in cug._ranked_bucket(k)[1:])
 
 
 def mcc_bruteforce(cug: CoexistenceGraph) -> CliqueCover:
@@ -313,6 +331,8 @@ def mcc_bruteforce(cug: CoexistenceGraph) -> CliqueCover:
 
     Among minimum covers the one minimizing the ordered layer-rank objective
     wins; remaining ties go to the lexicographically smallest canonical form.
+    The cover is built from the best rank bucket's quotient covers, and no
+    bucket is expanded (``_ranked_covers``).
     """
     return next(_ranked_covers(cug))
 

@@ -184,6 +184,21 @@ class TestSweepCommand:
         assert out == ""
         assert "mcc-brute" in err
 
+    def test_batch_brute_above_cap_refused_before_any_cell(self, capsys, tmp_path,
+                                                           monkeypatch):
+        """The cells under the cap would run first, then the capped one would fail
+        and nothing be written; the cap is refused up front instead."""
+        import crossflow.cli
+
+        ran = []
+        monkeypatch.setattr(crossflow.cli, "_sweep_cell", ran.append)
+        out = tmp_path / "sweep.csv"
+        code, stdout, err = cli(capsys, "sweep", "--algorithms", "mcc-brute",
+                                "--vehicles", "60,13", "--lambda", "3", "--out", str(out))
+        assert code == 2
+        assert "capped" in err
+        assert ran == [] and stdout == "" and not out.exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_nonpositive_jobs_is_usage_error(self, capsys, jobs):
         code, out, err = cli(capsys, "sweep", "--algorithms", "dfst", "--vehicles", "3",

@@ -1,7 +1,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from crossflow.conflicts import CoexistenceGraph, ContractError, build_cug
 from crossflow.scheduling import (
@@ -14,6 +14,7 @@ from crossflow.scheduling import (
     _cover_layers,
     _lay_layers,
     _place,
+    _ranked_covers,
     _tree_from_layers,
     dfst_schedule,
     idfst_schedule,
@@ -425,17 +426,28 @@ def _assert_covers_match_vehicle_oracle(cug):
     assert len(set(found)) == len(found)
     assert Counter(found) == Counter(minimum_covers_by_vehicle(cug))
     ranked = ranked_covers_by_vehicle(cug)
-    assert [cug._ranked_bucket(k) for k in range(len(cug._covers_by_rank))] == ranked
+    buckets = [cug._ranked_bucket(k) for k in range(len(cug._covers_by_rank))]
+    assert [[cover for _, cover in bucket] for bucket in buckets] == ranked
     assert mcc_bruteforce(cug) == CliqueCover(ranked[0][0])
     layers = first_ordered_layers(cug, ranked)
     assert _cover_layers(cug, exact=True) == layers
     return layers
 
 
-def _assert_exact_tree_matches_vehicle_oracle(cdg):
-    layers = _assert_covers_match_vehicle_oracle(cug := build_cug(cdg))
-    expected = idfst_schedule(cdg) if layers is None else _tree_from_layers(layers, cdg)
-    assert schedule_cover_tree(cug, cdg, exact=True) == expected
+def _assert_exact_route_matches_vehicle_oracle(fresh, cdg=None):
+    """``fresh()`` builds one coexistence graph anew.  On fresh graphs, where no
+    rank bucket is expanded yet (so each bucket's first cover is built from its
+    quotient covers), ``mcc_bruteforce``, the exact layers and, given the CDG,
+    the exact tree match the vehicle-level oracle; then, on one more graph,
+    every bucket does (``_assert_covers_match_vehicle_oracle``)."""
+    ranked = ranked_covers_by_vehicle(fresh())
+    layers = first_ordered_layers(fresh(), ranked)
+    assert mcc_bruteforce(fresh()) == CliqueCover(ranked[0][0])
+    assert _cover_layers(fresh(), exact=True) == layers
+    if cdg is not None:
+        expected = idfst_schedule(cdg) if layers is None else _tree_from_layers(layers, cdg)
+        assert schedule_cover_tree(fresh(), cdg, exact=True) == expected
+    assert _assert_covers_match_vehicle_oracle(fresh()) == layers
 
 
 @settings(max_examples=40, deadline=None)
@@ -443,7 +455,7 @@ def _assert_exact_tree_matches_vehicle_oracle(cdg):
        st.floats(min_value=0.5, max_value=20.0))
 def test_exact_covers_match_vehicle_oracle_on_sampled_fleets(seed, n, headway):
     _, _, cdg = sampled_instance(seed, n, headway)
-    _assert_exact_tree_matches_vehicle_oracle(cdg)
+    _assert_exact_route_matches_vehicle_oracle(lambda: build_cug(cdg), cdg)
 
 
 @settings(max_examples=20, deadline=None)
@@ -451,9 +463,8 @@ def test_exact_covers_match_vehicle_oracle_on_sampled_fleets(seed, n, headway):
 def test_exact_covers_match_vehicle_oracle_on_mixed_fleets(records):
     """Standing starts, braking approaches, simultaneous entries and long gaps,
     cut to the cap."""
-    records = records[:BRUTE_CAP]
-    _assert_exact_tree_matches_vehicle_oracle(
-        build_cdg(build_conflict_sets(records, default_intersection())))
+    cdg = build_cdg(build_conflict_sets(records[:BRUTE_CAP], default_intersection()))
+    _assert_exact_route_matches_vehicle_oracle(lambda: build_cug(cdg), cdg)
 
 
 @settings(max_examples=40, deadline=None)
@@ -466,9 +477,54 @@ def test_exact_covers_match_vehicle_oracle_on_sub_pools(seed, data):
     fleet = build_cug(cdg)
     edge = data.draw(st.sampled_from(sorted(cdg.reach_edges)))
     rest = data.draw(st.sets(st.integers(min_value=1, max_value=60), max_size=10))
-    cug = CoexistenceGraph(pool=bitset({*edge, *rest}), conflict=fleet.conflict,
-                           lanes=fleet.lanes)
-    _assert_covers_match_vehicle_oracle(cug)
+    pool = bitset({*edge, *rest})
+    _assert_exact_route_matches_vehicle_oracle(
+        lambda: CoexistenceGraph(pool=pool, conflict=fleet.conflict, lanes=fleet.lanes))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=12),
+       st.sampled_from((1.0, 3.0, 5.0)))
+def test_exact_route_expands_no_bucket_when_first_cover_orders(seed, n, headway):
+    """The speed-up of the exact route, guarded without timing: when the best
+    bucket's first cover orders, neither the route nor ``mcc_bruteforce``
+    turns any bucket into vehicle covers."""
+    cug = build_cug(sampled_instance(seed, n, headway)[2])
+    first = mcc_bruteforce(cug)
+    lanes = [sorted(members(lane)) for lane in cug.lanes]
+    assume(order_layers(first.subsets, lanes, cug.conflict) is not None)
+    assert _cover_layers(cug, exact=True) == order_layers(first.subsets, lanes, cug.conflict)
+    assert all(not keyed for _, keyed in cug._covers_by_rank)
+
+
+def test_exact_route_walks_past_first_covers_in_expansion_order():
+    """A pool whose first covers do not order (reachability splits its lanes'
+    twins): the route tries 8 covers over all four buckets.  The walk goes on
+    after each bucket's first cover in the expansion's order, each cover once,
+    and ends on the oracle's layers."""
+    _, _, cdg = sampled_instance(83, 60, 20.0)
+    fleet = build_cug(cdg)
+    pool = bitset({1, 3, 5, 12, 23, 24, 31, 35, 36, 53, 57, 59})
+
+    def fresh():
+        return CoexistenceGraph(pool=pool, conflict=fleet.conflict, lanes=fleet.lanes)
+
+    cug = fresh()
+    lanes = [sorted(members(lane & pool)) for lane in cug.lanes if lane & pool]
+    tried = []
+    for cover in _ranked_covers(cug):
+        tried.append(cover)
+        if order_layers(cover.subsets, lanes, cug.conflict) is not None:
+            break
+    assert len(tried) == 8
+    expanded = fresh()
+    walk = [CliqueCover(cover) for k in range(len(expanded._covers_by_rank))
+            for _, cover in expanded._ranked_bucket(k)]
+    assert tried == walk[:8] and len(set(walk)) == len(walk)
+    assert list(_ranked_covers(cug)) == walk
+    ranked = ranked_covers_by_vehicle(fresh())
+    assert [len(bucket) for bucket in ranked] == [2, 2, 6, 8]
+    assert _cover_layers(fresh(), exact=True) == first_ordered_layers(fresh(), ranked)
 
 
 class TestExactCoverEdgeCases:
