@@ -379,7 +379,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     except (ParseError, ValidationError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except (SizeLimitError, FileNotFoundError) as exc:
+    except (SizeLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SimulationTimeout, ScenarioError, RuntimeError) as exc:

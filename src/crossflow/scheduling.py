@@ -23,7 +23,10 @@ time with ``_place``, which the online engine calls on its own partial tree
 at each arrival.  The cover routes turn a cover into layers with
 ``_cover_layers``, and the layers into depths and parents with
 ``_lay_layers``; the engine calls both on its unlocked vehicles, laying
-them around the locked ones.  When no cover orders (the exact route tries
+them around the locked ones.  ``order_layers`` orders a cover by a bounded
+depth-first search that takes one lane-tuple kind per step and, once a
+state is proven dead, proves states dead before it enters them by a
+projection onto lane pairs.  When no cover orders (the exact route tries
 every minimum cover, the greedy route its one cover, and a search that runs
 out of budget counts as finding no order), ``schedule_cover_tree`` returns
 idfst's tree.
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
@@ -344,7 +348,8 @@ def order_layers(
 ) -> list[tuple[int, ...]] | None:
     """Order cover subsets (member bitsets) into conflict-free layers via
     lane-slot substitution; ``lanes`` lists each lane's vehicles in id order
-    and ``conflict[v]`` is vehicle v's conflict bitset.
+    and ``conflict[v]`` is vehicle v's conflict bitset.  The subsets cover
+    the lanes' vehicles, each once, and hold at most one vehicle per lane.
 
     Each emitted layer substitutes, for every member, the earliest still
     unscheduled vehicle of that member's lane: vehicles of one lane are
@@ -354,61 +359,163 @@ def order_layers(
     prefers larger subsets first and backtracks over the emission order,
     for at most ``_ORDER_BUDGET`` steps.
 
-    A subset enters the search only through its lane tuple (the sorted lanes
-    of its members), and the lane heads follow from what was emitted, so a
-    search state is the multiset of lane tuples still to emit.  The search
-    never enters a state it has proven dead (states are keyed by a weighted
-    sum over lane-tuple kinds); siblings with one lane tuple lead to one
-    state, so after the first fails the others are skipped too.  The memo
-    cuts only branches that fail, so the search finds the ordering a plain
-    depth-first search would, with fewer steps.
+    A subset enters the search only through its kind, the sorted lanes of
+    its members, so a state is the multiset of kinds still to emit (keyed by
+    a mixed-radix sum) and fixes the lane heads.  A step tries each kind
+    once, where its first unemitted subset stands in ``_sorted_groups``
+    order, and never enters a state proven dead.  Once one is, the lane-pair
+    projection proves states dead before they are entered: for two lanes a
+    kind joins whose vehicles conflict, the subsets left that hold either
+    must interleave so that each holding both meets non-conflicting heads
+    (``_interleaves``).  A step checks the pairs of the emitted kind's lanes
+    but those settled above it: no vehicles of a and b left conflict, or no
+    subset left holds both; and a kind found to clash is not tried below
+    while the kinds emitted share none of its lanes.  Both cuts drop only
+    branches that fail, so the search finds the ordering a plain depth-first
+    search would, with fewer steps.
 
     Returns None if no ordering is found within the budget.
     """
-    lane_of: dict[int, int] = {}
-    for ln, lane in enumerate(lanes):
-        for v in lane:
-            lane_of[v] = ln
-    shape_lanes = [tuple(sorted(lane_of[v] for v in s)) for s in _sorted_groups(subsets)]
+    lane_of = {v: ln for ln, lane in enumerate(lanes) for v in lane}
     kind_of: dict[tuple[int, ...], int] = {}
-    kinds = [kind_of.setdefault(t, len(kind_of)) for t in shape_lanes]
+    kind_at = [kind_of.setdefault(tuple(sorted(lane_of[v] for v in s)), len(kind_of))
+               for s in _sorted_groups(subsets)]  # per place in _sorted_groups order
+    kinds = list(kind_of)
+    counts = Counter(kind_at)
     # mixed-radix weights: a multiset of kinds has exactly one weighted sum
-    weight = [1] * len(kind_of)
-    counts = Counter(kinds)
-    for k in range(1, len(weight)):
-        weight[k] = weight[k - 1] * (counts[k - 1] + 1)
+    weight = list(itertools.accumulate([counts[k] + 1 for k in range(len(kinds) - 1)],
+                                       operator.mul, initial=1))
+    swap: list[tuple[int, ...]] = [()] * len(kind_at)  # a place and its kind's next one
+    first: dict[int, int] = {}
+    for place in reversed(range(len(kind_at))):
+        nxt = first.get(kind_at[place])
+        swap[place] = (place,) if nxt is None else (place, nxt)
+        first[kind_at[place]] = place
+    fronts = set(first.values())  # each kind's first unemitted place
+    heads = [0] * len(lanes)
     dead: set[int] = set()  # keys of states with no ordering
     layers_out: list[tuple[int, ...]] = []
     fuel = [_ORDER_BUDGET]
+    # The lane-pair projection, set up by ``project`` once a state is proven dead.
+    # Per kind: the pairs of two of its lanes, and the pairs of one or two, each
+    # with what emitting it adds to the heads of a and b and takes from the
+    # subsets holding both.  Per pair: those subsets left.  Per lane and head: the
+    # bitsets of the lane's vehicles from there on, and of all their conflicts.
+    pairs: list[tuple[int, ...]] = []  # (index, lane a, lane b, 0, 0, 0), a < b
+    joined: list[list[int]] = [[] for _ in kinds]
+    touching: list[list[tuple[int, ...]]] = [[] for _ in kinds]
+    both: list[int] = []
+    tails: list[list[int]] = []
+    reach: list[list[int]] = []
+    fits: dict[tuple[int, int, int, int], bool] = {}  # (pair, head a, head b, both) -> verdict
+    # per kind, the kinds whose group, so whose clash, stays when it is emitted; set up
+    # with the projection, so a search that never backtracks passes no clash down
+    keeps = [0] * len(kinds)
 
-    def emit(remaining: list[int], heads: list[int], key: int) -> bool:
+    def project() -> None:
+        def suffixes(bitsets: list[int]) -> list[int]:  # the OR from each index on; 0 at the end
+            return [*itertools.accumulate(bitsets[::-1], operator.or_, initial=0)][::-1]
+
+        on = [sum(1 << ln for ln in t) for t in kinds]
+        keeps[:] = [~sum(1 << j for j, other in enumerate(on) if other & mine) for mine in on]
+        tails[:] = [suffixes([1 << v for v in lane]) for lane in lanes]
+        reach[:] = [suffixes([conflict[v] for v in lane]) for lane in lanes]
+        found = sorted({(a, b) for t in kinds for a, b in itertools.combinations(t, 2)
+                        if reach[b][0] & tails[a][0]})
+        pairs[:] = [(p, a, b, 0, 0, 0) for p, (a, b) in enumerate(found)]
+        for k, t in enumerate(kinds):
+            joined[k] = [p for p, a, b, *_ in pairs if a in t and b in t]
+            touching[k] = [(p, a, b, a in t, b in t, a in t and b in t)
+                           for p, a, b, *_ in pairs if a in t or b in t]
+        front = {kind_at[place]: place for place in fronts}
+        both[:] = [0] * len(pairs)
+        for place, k in enumerate(kind_at):
+            for p in joined[k] if place >= front.get(k, len(kind_at)) else ():
+                both[p] += 1
+
+    def holds(checks: list[tuple[int, ...]], settled: int) -> int | None:
+        # the pairs settled after the move, or None if one of ``checks`` fails then
+        for entry in checks:
+            if settled >> entry[0] & 1:
+                continue
+            p, a, b, step_a, step_b, step_both = entry
+            head_a, head_b, left = heads[a] + step_a, heads[b] + step_b, both[p] - step_both
+            if not left or not reach[b][head_b] & tails[a][head_a]:
+                settled |= 1 << p
+                continue
+            key = (p, head_a, head_b, left)
+            if key not in fits:
+                fits[key] = _interleaves(lanes[a][head_a:], lanes[b][head_b:], left, conflict)
+            if not fits[key]:
+                return None
+        return settled
+
+    def emit(key: int, settled: int, clashing: int) -> bool:
+        # settled: the pairs settled here (-1 before the first check); clashing: kinds that clash
         fuel[0] -= 1
         if fuel[0] < 0:  # out of budget: no ordering
             return False
-        if not remaining:
+        if not key:
             return True
-        for pick, idx in enumerate(remaining):
-            rest = key - weight[kinds[idx]]  # the state after emitting this subset
-            if rest in dead:
+        for place in sorted(fronts):
+            k = kind_at[place]
+            rest = key - weight[k]  # the state after emitting this kind
+            if rest in dead or clashing >> k & 1:
                 continue
-            group = tuple(lanes[ln][heads[ln]] for ln in shape_lanes[idx])
+            group = tuple([lanes[ln][heads[ln]] for ln in kinds[k]])
             if _clashes(group, conflict):
+                clashing |= 1 << k
                 continue
-            for ln in shape_lanes[idx]:
+            child = settled if settled < 0 else holds(touching[k], settled)
+            if child is None:
+                dead.add(rest)
+                continue
+            for ln in kinds[k]:
                 heads[ln] += 1
+            for p in joined[k]:
+                both[p] -= 1
+            fronts.symmetric_difference_update(swap[place])
             layers_out.append(group)
-            if emit(remaining[:pick] + remaining[pick + 1:], heads, rest):
+            if emit(rest, child, clashing & keeps[k]):
                 return True
             layers_out.pop()
-            for ln in shape_lanes[idx]:
+            fronts.symmetric_difference_update(swap[place])
+            for p in joined[k]:
+                both[p] += 1
+            for ln in kinds[k]:
                 heads[ln] -= 1
+            if dead and settled < 0:  # entered before the first dead state: check it in full
+                settled = holds(pairs, 0)
+                if settled is None:
+                    break
         if fuel[0] >= 0:  # searched in full, not cut by the budget
+            if not dead:
+                project()
             dead.add(key)
         return False
 
-    if emit(list(range(len(kinds))), [0] * len(lanes), sum(weight[k] for k in kinds)):
+    if emit(sum(map(weight.__getitem__, kind_at)), -1, 0):
         return layers_out
     return None
+
+
+def _interleaves(a: list[int], b: list[int], both: int, conflict: Sequence[int]) -> bool:
+    """Can the steps left on lanes a and b (the lanes from their heads on),
+    ``both`` of them taking a vehicle of each and the others one of either,
+    interleave so that no step on both takes conflicting vehicles?  After k
+    steps on both, the (a-only, b-only) counts reached form a staircase, kept
+    as the least b-only count per a-only count."""
+    only_a, only_b = len(a) - both, len(b) - both
+    low = [0] * (only_a + 1)
+    for k in range(both):
+        reach = only_b + 1
+        for i, j in enumerate(low):
+            while j < reach and conflict[b[j + k]] >> a[i + k] & 1:
+                j += 1
+            low[i] = reach = min(reach, j)
+        if low[only_a] > only_b:
+            return False
+    return True
 
 
 def _clashes(group: tuple[int, ...], conflict: Sequence[int]) -> bool:

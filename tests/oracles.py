@@ -14,8 +14,8 @@ from crossflow.conflicts import (CoexistenceGraph, ConflictDirectedGraph, Confli
                                  ContractError, build_cug, nominal_remaining)
 from crossflow.control import LEADER, VehicleState
 from crossflow.scenario import ConflictClass, ScenarioError
-from crossflow.scheduling import (RepairError, SpanningTree, _cover_layers, _tree_from_layers,
-                                  mcc_greedy, order_layers)
+from crossflow.scheduling import (RepairError, SpanningTree, _cover_layers, _sorted_groups,
+                                  _tree_from_layers, mcc_greedy, order_layers)
 
 
 def bitset(ids) -> int:
@@ -516,6 +516,66 @@ def plain_layer_search(subsets, lanes, conflicted, budget=200_000):
         return False
 
     return layers_out if emit(list(range(len(shapes))), [0] * len(lanes)) else None
+
+
+def memo_layer_search(subsets, lanes, conflict, budget=200_000):
+    """Layer ordering by depth-first search with a dead-state memo, one step
+    per subset: the search ``crossflow.scheduling.order_layers`` made before
+    it stepped over lane-tuple kinds and added the lane-pair projection.
+
+    Subsets (member bitsets) are tried in ``_sorted_groups`` order; a search
+    state is the multiset of lane tuples still to emit, keyed by a
+    mixed-radix sum, and a state proven dead is never entered again.  Each
+    call of ``emit`` costs one unit of ``budget``.  Returns ``(layers,
+    ran_out)``: the layers or None, and whether the budget ran out first.
+    """
+    lane_of = {v: ln for ln, lane in enumerate(lanes) for v in lane}
+    shape_lanes = [tuple(sorted(lane_of[v] for v in s)) for s in _sorted_groups(subsets)]
+    kind_of: dict[tuple[int, ...], int] = {}
+    kinds = [kind_of.setdefault(t, len(kind_of)) for t in shape_lanes]
+    weight = [1] * len(kind_of)
+    counts = Counter(kinds)
+    for k in range(1, len(weight)):
+        weight[k] = weight[k - 1] * (counts[k - 1] + 1)
+    dead: set[int] = set()
+    layers_out: list[tuple[int, ...]] = []
+    fuel = [budget]
+
+    def clashes(group):
+        seen = 0
+        for v in group:
+            if conflict[v] & seen:
+                return True
+            seen |= 1 << v
+        return False
+
+    def emit(remaining, heads, key):
+        fuel[0] -= 1
+        if fuel[0] < 0:
+            return False
+        if not remaining:
+            return True
+        for pick, idx in enumerate(remaining):
+            rest = key - weight[kinds[idx]]
+            if rest in dead:
+                continue
+            group = tuple(lanes[ln][heads[ln]] for ln in shape_lanes[idx])
+            if clashes(group):
+                continue
+            for ln in shape_lanes[idx]:
+                heads[ln] += 1
+            layers_out.append(group)
+            if emit(remaining[:pick] + remaining[pick + 1:], heads, rest):
+                return True
+            layers_out.pop()
+            for ln in shape_lanes[idx]:
+                heads[ln] -= 1
+        if fuel[0] >= 0:
+            dead.add(key)
+        return False
+
+    found = emit(list(range(len(kinds))), [0] * len(lanes), sum(weight[k] for k in kinds))
+    return (layers_out if found else None), fuel[0] < 0
 
 
 def pairwise_conflict_sets(vehicles, cfg) -> list[ConflictSets]:

@@ -457,6 +457,22 @@ def test_console_entry_point():
     assert proc.stdout.splitlines()[0] == ",".join(RESULT_COLUMNS)
 
 
+@pytest.mark.parametrize("argv", [
+    ("validate", "{dir}"),
+    ("run", "--vehicles", "2", "--seed", "1", "--out", "{dir}"),
+    ("run", "--vehicles", "2", "--seed", "1", "--trace", "{dir}"),
+    ("schedule", "--arrivals", "{dir}"),
+    ("schedule", "--arrivals", str(DATA / "example1_arrivals.csv"), "--out", "{dir}"),
+])
+def test_directory_path_exits_2(capsys, tmp_path, argv):
+    """A directory where a file is read or written is an ``OSError``: one
+    ``error:`` line and exit 2, as for a missing file, not a traceback."""
+    code, _, err = cli(capsys, *(arg.format(dir=tmp_path) for arg in argv))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_load_arrivals_round_trip(ex1_records):
     loaded = load_arrivals(str(DATA / "example1_arrivals.csv"), 2.0)
     assert loaded == ex1_records

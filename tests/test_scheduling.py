@@ -1,4 +1,5 @@
 from collections import Counter
+from collections.abc import Sequence
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -42,6 +43,7 @@ from .oracles import (
     lane_lists,
     min_feasible_depth,
     members,
+    memo_layer_search,
     minimum_covers_by_partition,
     minimum_covers_by_vehicle,
     ordering_objective,
@@ -333,18 +335,22 @@ def test_unorderable_cover_raises():
 
 def test_light_traffic_cover_falls_back_to_idfst():
     """Light traffic, n = 60 at gap 20 s.  Seed 1's greedy cover orders into
-    its θ layers (a plain search ran out of budget on it).  Seed 13's cover
-    has no ordering (the search fails in full) and seed 14's search runs
-    out of budget; both fall back to idfst's tree, 19 and 23 layers deep,
-    where the split pass that preceded it gave 28 and 29."""
-    _, _, cdg = sampled_instance(1, 60, 20.0)
-    cug = build_cug(cdg)
-    tree = schedule_cover_tree(cug, cdg, exact=False)
-    assert verify_feasible(tree, cdg).ok
-    assert tree.d_all == mcc_greedy(cug).theta
-
-    for seed, d_all in ((13, 19), (14, 23)):
+    its θ layers.  Seed 13's cover has no ordering (the search fails in
+    full) and falls back to idfst's tree, 19 layers deep.  Seed 14's cover
+    orders into 23 layers, as deep as idfst's tree (a search without the
+    lane-pair projection runs out of budget on it).  At n = 100,
+    gap 10 s, seed 25 the search still runs out of budget, and the route
+    falls back to idfst's tree."""
+    for seed, theta in ((1, 21), (14, 23)):
         _, _, cdg = sampled_instance(seed, 60, 20.0)
+        cug = build_cug(cdg)
+        tree = schedule_cover_tree(cug, cdg, exact=False)
+        assert verify_feasible(tree, cdg).ok
+        assert tree.d_all == mcc_greedy(cug).theta == theta
+    assert tree.d_all == idfst_schedule(cdg).d_all  # seed 14's
+
+    for (n, headway, seed), d_all in (((60, 20.0, 13), 19), ((100, 10.0, 25), 31)):
+        _, _, cdg = sampled_instance(seed, n, headway)
         cug = build_cug(cdg)
         assert order_layers(mcc_greedy(cug).subsets, lane_lists(cdg), cdg.mask) is None
         tree, idfst = schedule_cover_tree(cug, cdg, exact=False), idfst_schedule(cdg)
@@ -393,6 +399,61 @@ def test_ordering_search_matches_plain_search(instance):
         assert layers == reference
     elif layers is not None:
         assert verify_feasible(tree_of(layers), cdg).ok
+
+
+def _assert_ordering_matches_memo_search(cdg):
+    """Where the one-subset-per-step memo search finishes within its budget,
+    the search returns the same layers, or None where that search finds
+    none; where it runs out of budget, the search finds no order or a
+    feasible one."""
+    cug = build_cug(cdg)
+    subsets, lanes = mcc_greedy(cug).subsets, lane_lists(cdg)
+    layers = order_layers(subsets, lanes, cug.conflict)
+    reference, ran_out = memo_layer_search(subsets, lanes, cug.conflict)
+    if not ran_out:
+        assert layers == reference
+    elif layers is not None:
+        assert verify_feasible(tree_of(layers), cdg).ok
+
+
+@pytest.mark.parametrize("seed", range(1, 41))
+def test_ordering_search_matches_memo_search_in_light_traffic(seed):
+    _assert_ordering_matches_memo_search(sampled_instance(seed, 60, 20.0)[2])
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_fleets())
+def test_ordering_search_matches_memo_search_on_mixed_fleets(records):
+    _assert_ordering_matches_memo_search(
+        build_cdg(build_conflict_sets(records, default_intersection())))
+
+
+class CountingReads(Sequence):
+    """A read-only view of a sequence that counts item reads; iterating it
+    reads through ``__getitem__``, so it counts too."""
+
+    def __init__(self, items):
+        self.items, self.reads = items, 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self.items[i]
+
+    def __len__(self):
+        return len(self.items)
+
+
+@pytest.mark.parametrize("seed, most", [(1, 6_000), (13, 25_000)])
+def test_ordering_search_reads_few_conflict_bitsets(seed, most):
+    """Light traffic, n = 60 at gap 20 s.  The search reads few conflict
+    bitsets: seed 1's cover orders and seed 13's has no ordering, and the
+    one-subset-per-step memo search reads 64 626 and 252 255 bitsets on
+    them."""
+    _, _, cdg = sampled_instance(seed, 60, 20.0)
+    cug = build_cug(cdg)
+    conflict = CountingReads(cug.conflict)
+    order_layers(mcc_greedy(cug).subsets, lane_lists(cdg), conflict)
+    assert conflict.reads <= most
 
 
 @settings(max_examples=30, deadline=None)
