@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -202,6 +203,16 @@ def _check_positive(value, flag: str) -> None:
         raise UsageError(f"{flag}: must be positive and finite (got {value})")
 
 
+def _check_outputs(*paths: str | None) -> None:
+    """Open each output path for appending before any run, so that one that cannot be
+    written fails (``OSError``, exit 2) first; a file this creates is removed again."""
+    for path in filter(None, paths):
+        existed = os.path.exists(path)
+        open(path, "a", encoding="utf-8").close()
+        if not existed:
+            os.remove(path)
+
+
 def cmd_run(args) -> int:
     scenario = _load_scenario_arg(args.scenario)
     _check_positive(args.vehicles, "--vehicles")
@@ -216,13 +227,14 @@ def cmd_run(args) -> int:
         leader_start=args.leader_start,
         collect_trace=args.trace is not None,
     )
+    _check_outputs(args.out, args.trace)
     result = run_simulation(cfg)
     rows = [_result_row(args.algorithm, args.seed, args.vehicles,
                         getattr(args, "lambda"), args.mode, result.metrics)]
-    _emit(rows, args.out, args.format)
-    if args.trace is not None:
+    if args.trace is not None:  # files first: stdout is written only on success
         with open(args.trace, "w", encoding="utf-8", newline="") as fh:
             write_trace(result.trace, fh)
+    _emit(rows, args.out, args.format)
     if args.dump_schedule:
         doc = {
             "d_all": result.metrics.d_all,
@@ -258,6 +270,7 @@ def cmd_sweep(args) -> int:
             for algorithm in algorithms]
     if Algorithm.MCC_BRUTE in algorithms:  # a batch cover spans the fleet; refuse before any cell
         check_cap(max(vehicles))
+    _check_outputs(args.out, args.summary)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             outcomes = list(pool.map(_sweep_cell, jobs))
@@ -266,14 +279,13 @@ def cmd_sweep(args) -> int:
 
     rows = [_result_row(cfg.algorithm.value, cfg.seed, cfg.n_vehicles, cfg.mean_headway,
                         cfg.mode.value, metrics) for cfg, metrics in zip(jobs, outcomes)]
-    _emit(rows, args.out, args.format)
-    if args.summary:
+    if args.summary:  # files first: stdout is written only on success
         with open(args.summary, "w", encoding="utf-8", newline="") as fh:
             summary = summarize(rows)
-            writer = csv.DictWriter(fh, fieldnames=list(summary[0].keys()),
-                                    lineterminator="\n")
+            writer = csv.DictWriter(fh, fieldnames=list(summary[0]), lineterminator="\n")
             writer.writeheader()
             writer.writerows(summary)
+    _emit(rows, args.out, args.format)
     return 0
 
 

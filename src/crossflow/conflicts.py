@@ -8,11 +8,11 @@ too close to the stopping line.
 
 Every vehicle set is a Python-int bitset (bit k is vehicle k), so a pair
 test is a shift and a group test ``&``.  The per-vehicle step
-(``conflict_sets_for``) ORs each movement's vehicles into the classes the
-table puts it in, cut to the predecessors in the zone and to those of them
-already uncatchable.  Batch analysis (``build_conflict_sets``) keeps these
-two bitsets in one sweep under the nominal approach profile, the online
-engine from its live state.
+(``conflict_sets_for``) cuts the entering movement's class bitsets (one OR
+per class over the movements the table puts there, ``class_masks``) to the
+predecessors in the zone and to those of them already uncatchable.  Batch
+analysis (``build_conflict_sets``) keeps these two bitsets in one sweep
+under the nominal approach profile, the online engine from its live state.
 
 The conflict directed graph (CDG) adds a virtual leader node 0 and keeps,
 per node, bitsets of its fixed-order and exchangeable predecessors and of
@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .scenario import ConflictClass, IntersectionConfig
+from .scenario import IntersectionConfig
 
 _Keyed = tuple[tuple[int, ...], tuple[int, ...]]  # a vehicle cover after its sort key
 _second = operator.itemgetter(1)
@@ -69,15 +69,15 @@ class ConflictSets:
     reachability: int
 
     def __post_init__(self):
-        groups = (self.crossing, self.diverging, self.converging, self.reachability)
-        if min(groups) < 0:
+        c, d, v, r = self.crossing, self.diverging, self.converging, self.reachability
+        if c < 0 or d < 0 or v < 0 or r < 0:
             raise ContractError(f"vehicle {self.vehicle}: negative conflict bitset")
-        if any(a & b for a, b in itertools.combinations(groups, 2)):
+        if c & d | (c | d) & v | (c | d | v) & r:
             raise ContractError(f"vehicle {self.vehicle}: conflict sets overlap")
-        top = max(map(int.bit_length, groups)) - 1
+        top = (c | d | v | r).bit_length() - 1
         if top >= self.vehicle:
             raise ContractError(f"vehicle {self.vehicle}: conflict member {top} does not precede it")
-        if (self.crossing | self.converging | self.reachability) & 1:
+        if (c | v | r) & 1:
             raise ContractError(f"vehicle {self.vehicle}: virtual leader allowed only in diverging set")
 
     @property
@@ -150,44 +150,30 @@ def _nominal_time(rec: VehicleRecord, distance: float, cfg: IntersectionConfig) 
     return rec.entry_time + (math.sqrt(v0 * v0 + 2.0 * a * travel) - v0) / a
 
 
-def conflict_sets_for(
-    vehicle: VehicleRecord,
-    zone: int,
-    uncatchable: int,
-    lanes: Mapping[int, int],
-    cfg: IntersectionConfig,
-) -> ConflictSets:
+def class_masks(movement: int, lanes: Mapping[int, int], cfg: IntersectionConfig) -> tuple:
+    """Per ``ConflictClass``, the vehicles of ``lanes`` (movement id -> bitset) that an
+    entrant on ``movement`` meets (``IntersectionConfig.class_lists``); lanes are
+    disjoint, so a sum is an OR.  An unknown movement raises ``ValidationError``."""
+    classes = cfg.class_lists[cfg.movement(movement).id]
+    return tuple(sum(lanes.get(m, 0) for m in ids) for ids in classes)
+
+
+def conflict_sets_for(vehicle: VehicleRecord, zone: int, uncatchable: int,
+                      masks: tuple[int, int, int, int]) -> ConflictSets:
     """One vehicle's conflict sets from bitsets of its in-zone predecessors.
 
     ``zone`` holds the predecessors still in the zone (remaining distance
     positive) and ``uncatchable`` those of them the vehicle cannot catch
-    (``reachability_conflict``); ``lanes`` maps movement ids to bitsets of
-    their vehicles, any superset of the in-zone ones.  Each conflict class
-    is one OR of the movements the conflict table puts in it, cut to the
-    zone.  The diverging set keeps only the immediate same-lane predecessor,
-    or the virtual leader 0 when none is left in the zone.
+    (``reachability_conflict``); ``masks`` are its movement's class bitsets
+    (``class_masks``) over any superset of the in-zone vehicles, each cut to
+    the zone.  The diverging set keeps only the immediate same-lane
+    predecessor, or the virtual leader 0 when none is left in the zone.
     """
     if zone & 1 or zone >> vehicle.id:
         raise ContractError("zone members must be vehicles that precede the entrant")
-    classes = cfg.conflict_table[cfg.movement(vehicle.movement).id]
-    crossing = converging = lane = free = 0
-    for movement, members in lanes.items():
-        cls = classes[movement]
-        if cls is ConflictClass.CROSSING:
-            crossing |= members
-        elif cls is ConflictClass.CONVERGING:
-            converging |= members
-        elif cls is ConflictClass.DIVERGING:
-            lane |= members
-        else:
-            free |= members
-    return ConflictSets(
-        vehicle=vehicle.id,
-        crossing=zone & crossing,
-        diverging=1 << max((zone & lane).bit_length() - 1, 0),
-        converging=zone & converging,
-        reachability=zone & uncatchable & free,
-    )
+    crossing, lane, converging, free = masks
+    return ConflictSets(vehicle.id, zone & crossing, 1 << max((zone & lane).bit_length() - 1, 0),
+                        zone & converging, zone & uncatchable & free)
 
 
 def build_conflict_sets(vehicles: Sequence[VehicleRecord],
@@ -200,9 +186,9 @@ def build_conflict_sets(vehicles: Sequence[VehicleRecord],
     ``near``, at most once: the sweep walks two lists sorted by the nominal
     times of those events (``_nominal_time``) and moves each vehicle when
     ``nominal_remaining`` at the entrant's entry time says so, the same
-    predicates as a pairwise check.  Each entrant's sets are then a few
-    word-parallel ORs and ANDs (``conflict_sets_for``), so the model is
-    evaluated O(n) times instead of once per pair.
+    predicates as a pairwise check.  With each movement's class bitsets made
+    once (``class_masks``), an entrant's sets are a few word-parallel ANDs
+    (``conflict_sets_for``), so the model is evaluated O(n) times, not per pair.
 
     Precondition: the nominal distance never increases over time, so that
     a vehicle once crossed or uncatchable stays so for every later entrant.
@@ -212,8 +198,8 @@ def build_conflict_sets(vehicles: Sequence[VehicleRecord],
         raise ContractError("vehicles must be sorted by id with unique ids")
     lanes: dict[int, int] = {}
     for v in vehicles:
-        cfg.movement(v.movement)  # unknown movements fail before any sweep
         lanes[v.movement] = lanes.get(v.movement, 0) | 1 << v.id
+    masks = {m: class_masks(m, lanes, cfg) for m in lanes}  # unknown movements fail here
     remaining = nominal_remaining(vehicles, cfg)
     horizon = _horizon(cfg)
     near_at = cfg.platoon_speed * horizon
@@ -233,7 +219,7 @@ def build_conflict_sets(vehicles: Sequence[VehicleRecord],
             zone &= ~(1 << to_gone[next_gone].id)
             next_gone += 1
         ahead = zone & ((1 << vehicle.id) - 2)  # the predecessors, without the leader's bit
-        out[vehicle.id] = conflict_sets_for(vehicle, ahead, ahead & near, lanes, cfg)
+        out[vehicle.id] = conflict_sets_for(vehicle, ahead, ahead & near, masks[vehicle.movement])
     return [out[i] for i in ids]
 
 
@@ -446,15 +432,22 @@ class CoexistenceGraph:
         keyed.sort()
         return keyed
 
+    @cached_property
+    def _id_numbers(self) -> dict[int, int]:
+        """Per group, its ``_id_number``, kept once computed: rank buckets share groups."""
+        return {}
+
     def _id_number(self, group: int) -> int:
         """A group's ascending ids, each plus one, read as the leading digits of a
         number in base ``pool.bit_length() + 1`` with as many digits as the pool has
         vehicles: groups compare as their id tuples do (a prefix first)."""
-        base = self.pool.bit_length() + 1
-        number = 0
-        for v in _bits(group):
-            number = number * base + v + 1
-        return number * base ** (self.pool.bit_count() - group.bit_count())
+        if group not in self._id_numbers:
+            base = self.pool.bit_length() + 1
+            number = 0
+            for v in _bits(group):
+                number = number * base + v + 1
+            self._id_numbers[group] = number * base ** (self.pool.bit_count() - group.bit_count())
+        return self._id_numbers[group]
 
     def _ways(self, cover: list[int], several: int, twins: bool) -> list[tuple[int, ...]]:
         """Each way to deal the classes of several vehicles (the first ``several``)

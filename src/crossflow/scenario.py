@@ -96,6 +96,12 @@ class IntersectionConfig:
         return {a.id: {b.id: ConflictClass.DIVERGING if a is b else classify_conflict(a, b, self)
                        for b in self.movements} for a in self.movements}
 
+    @cached_property
+    def class_lists(self) -> dict[int, tuple[tuple[int, ...], ...]]:
+        """Per movement, the ids it meets in each ``ConflictClass``; built on first use."""
+        return {a: tuple(tuple(b for b, cls in row.items() if cls is want)
+                         for want in ConflictClass) for a, row in self.conflict_table.items()}
+
     @property
     def movement_ids(self) -> list[int]:
         return [m.id for m in self.movements]

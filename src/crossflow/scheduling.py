@@ -124,19 +124,23 @@ def verify_feasible(tree: SpanningTree, cdg: ConflictDirectedGraph) -> Feasibili
     is impossible).  Reachability edges join route-conflict-free pairs, so a
     layer inversion across them wastes a slot but endangers nothing; they are
     constrained only by the shared-layer rule.  Violations are reported, not
-    raised.
+    raised; a vehicle takes two bitset tests, and pairs are listed where one fails.
     """
-    if set(tree.depth) != set(range(1, cdg.n + 1)):
+    depth = tree.depth
+    if set(depth) != set(range(1, cdg.n + 1)):
         raise ContractError("tree does not span the conflict graph nodes")
     report = FeasibilityReport(ok=True)
-    for layer in tree.layers():
-        members = sum(1 << v for v in layer)
-        for i in layer:
-            later = cdg.mask[i] & members >> (i + 1) << (i + 1)
-            report.same_depth_conflicts.extend((i, j) for j in _bits(later))
-    for i, j in cdg.lane_edges:
-        if i != 0 and tree.depth[i] >= tree.depth[j]:
-            report.order_violations.append((i, j))
+    rows = [0] * (tree.d_all + 1)  # per depth, its vehicles
+    for v, d in depth.items():
+        rows[d] |= 1 << v
+    if any(cdg.mask[v] & rows[d] for v, d in depth.items()):
+        report.same_depth_conflicts.extend(
+            (i, j) for members in rows for i in _bits(members)
+            for j in _bits(cdg.mask[i] & members >> (i + 1) << (i + 1)))
+    below = list(itertools.accumulate(reversed(rows), operator.or_))[::-1]  # depth d and deeper
+    for cs in cdg.sets:
+        if ahead := cs.diverging & below[depth[cs.vehicle]]:
+            report.order_violations.extend((i, cs.vehicle) for i in _bits(ahead))
     report.ok = not report.same_depth_conflicts and not report.order_violations
     return report
 
@@ -289,10 +293,12 @@ def mcc_greedy(cug: CoexistenceGraph) -> CliqueCover:
     groups: list[int] = []  # member bitset per group index
     for node in _bfs_order(cug):
         conflicts = cug.conflicts(node)
-        c = next((c for c, g in enumerate(groups) if not g & conflicts), len(groups))
-        if c == len(groups):
-            groups.append(0)
-        groups[c] |= 1 << node
+        for c, group in enumerate(groups):
+            if not group & conflicts:
+                groups[c] = group | 1 << node
+                break
+        else:
+            groups.append(1 << node)
     return CliqueCover(subsets=tuple(groups))
 
 

@@ -60,6 +60,7 @@ from .conflicts import (
     build_cug,
     _bits,
     _horizon,
+    class_masks,
     conflict_sets_for,
     reachability_conflict,
 )
@@ -268,7 +269,8 @@ class _Engine:
                 zone |= 1 << i
                 if distance / self.scn.platoon_speed < horizon:
                     uncatchable |= 1 << i
-        cs = self.sets[v] = conflict_sets_for(record, zone, uncatchable, self.lane_mask, self.scn)
+        masks = class_masks(record.movement, self.lane_mask, self.scn)
+        cs = self.sets[v] = conflict_sets_for(record, zone, uncatchable, masks)
         lane = self.lane_mask.get(record.movement, 0)
         mask = lane | (cs.fixed | cs.exchangeable) & ~1
         self.conflict[v] = mask

@@ -644,6 +644,22 @@ def edge_set_cdg(sets) -> SimpleNamespace:
                            exchangeable=tuple(map(bitset, exchangeable)), mask=tuple(mask))
 
 
+def edge_set_feasibility(depth: dict[int, int], sets) -> tuple[list, list]:
+    """``verify_feasible``'s two lists, pair by pair from the edge sets
+    (``edge_set_cdg``): the conflicting pairs that share a layer, by layer and
+    then by ids, and the same-lane edges (leader edges aside) whose follower
+    is not deeper than its predecessor."""
+    graph = edge_set_cdg(sets)
+    linked = {(min(i, j), max(i, j)) for family in (graph.lane_edges, graph.reach_edges,
+                                                    graph.crossing_edges, graph.converging_edges)
+              for i, j in family}
+    layers = [sorted(v for v in depth if depth[v] == d) for d in sorted(set(depth.values()))]
+    same = [(i, j) for layer in layers for i, j in itertools.combinations(layer, 2)
+            if (i, j) in linked]
+    order = [(i, j) for i, j in graph.lane_edges if i and depth[i] >= depth[j]]
+    return same, order
+
+
 def scanning_tree(cdg, improved: bool) -> SpanningTree:
     """dfst (``improved`` False) or idfst by rescanning the tree for every vehicle.
 

@@ -473,6 +473,36 @@ def test_directory_path_exits_2(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--vehicles", "3", "--out", "{missing}"),
+    ("sweep", "--vehicles", "3", "--out", "{new}", "--summary", "{dir}"),
+    ("sweep", "--vehicles", "3", "--summary", "{missing}"),
+    ("run", "--vehicles", "3", "--trace", "{dir}"),
+    ("run", "--vehicles", "3", "--out", "{kept}", "--trace", "{missing}"),
+    ("run", "--vehicles", "3", "--out", "{dir}"),
+], ids=["sweep-out", "sweep-summary", "sweep-summary-missing", "run-trace", "run-trace-missing",
+        "run-out"])
+def test_unwritable_output_fails_before_any_run(capsys, tmp_path, monkeypatch, argv):
+    """An output path that cannot be written (``--out``, ``--trace``, ``--summary``)
+    exits 2 before any run: nothing on stdout, no file created, a file already
+    there left as it was."""
+    import crossflow.cli
+
+    ran = []
+    monkeypatch.setattr(crossflow.cli, "run_simulation", ran.append)
+    monkeypatch.setattr(crossflow.cli, "_sweep_cell", ran.append)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "kept.csv").write_text("kept\n")
+    paths = {"missing": tmp_path / "missing" / "x.csv", "new": tmp_path / "new.csv",
+             "dir": tmp_path / "dir", "kept": tmp_path / "kept.csv"}
+    code, stdout, err = cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert ran == []
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "kept.csv"]
+    assert (tmp_path / "kept.csv").read_text() == "kept\n"
+
+
 def test_load_arrivals_round_trip(ex1_records):
     loaded = load_arrivals(str(DATA / "example1_arrivals.csv"), 2.0)
     assert loaded == ex1_records

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -85,6 +86,34 @@ def test_conflict_sets_validate_membership():
         ConflictSets(3, bitset({0}), 0, 0, 0)
     with pytest.raises(ContractError, match="negative"):
         ConflictSets(3, 0, bitset({0}), 0, -2)
+
+
+CLASSES = ("crossing", "diverging", "converging", "reachability")
+
+
+@pytest.mark.parametrize("first,second", itertools.combinations(CLASSES, 2))
+def test_conflict_sets_refuse_every_overlap(first, second):
+    """A vehicle shared by any two of the four classes is refused."""
+    sets = dict.fromkeys(CLASSES, 0) | {first: bitset({1, 2}), second: bitset({2, 4})}
+    with pytest.raises(ContractError, match="^vehicle 5: conflict sets overlap$"):
+        ConflictSets(5, **sets)
+
+
+@pytest.mark.parametrize("name", CLASSES)
+def test_conflict_sets_refuse_negative_top_member_and_misplaced_leader(name):
+    others = {other: bitset({1}) if other == "diverging" else 0 for other in CLASSES}
+    with pytest.raises(ContractError, match="^vehicle 5: negative conflict bitset$"):
+        ConflictSets(5, **{**dict.fromkeys(CLASSES, 0), name: -1})
+    with pytest.raises(ContractError, match="^vehicle 5: conflict member 5 does not precede it$"):
+        ConflictSets(5, **{**dict.fromkeys(CLASSES, 0), name: bitset({2, 5})})
+    if name == "diverging":
+        assert ConflictSets(5, **{**others, name: bitset({0})}).diverging == 1
+    else:
+        with pytest.raises(ContractError, match="virtual leader allowed only in diverging"):
+            ConflictSets(5, **{**others, name: bitset({0, 3})})
+    # one member per class, all below the vehicle, is accepted
+    ConflictSets(5, crossing=bitset({1}), diverging=bitset({2}), converging=bitset({3}),
+                 reachability=bitset({4}))
 
 
 def test_departed_predecessor_ignored(ex1_scenario):

@@ -37,6 +37,8 @@ from .oracles import (
     edge_coexistence,
     edge_connected,
     edge_greedy_cover,
+    edge_set_cdg,
+    edge_set_feasibility,
     find_opt_parent,
     first_ordered_layers,
     group_conflicted,
@@ -56,6 +58,8 @@ from .oracles import (
 )
 from crossflow.conflicts import VehicleRecord, build_cdg, build_conflict_sets
 from crossflow.scenario import default_intersection
+
+DEFAULT = default_intersection()
 
 # The six minimum covers of the seven-vehicle example, canonicalized.
 EXAMPLE1_MIN_COVERS = {
@@ -305,6 +309,51 @@ class TestVerifyFeasible:
     def test_published_example_layout_is_feasible(self, ex1_cdg):
         tree = published_partial_tree(7)
         assert verify_feasible(tree, ex1_cdg).ok
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(graph_instances().map(lambda instance: instance[1]),
+                     mixed_fleets().map(lambda records: build_conflict_sets(records, DEFAULT))),
+           st.sampled_from(("dfst", "idfst", "mcc-greedy")), st.data())
+    def test_matches_edge_set_oracle_on_relayered_trees(self, sets, algorithm, data):
+        """A scheduler's tree, then a random re-layering of it that also puts one
+        conflicting pair in a layer and one lane follower at or above its
+        predecessor: both lists equal the edge-set oracle's, the same-layer pairs
+        in its order."""
+        cdg = build_cdg(sets)
+        schedule = {"dfst": dfst_schedule, "idfst": idfst_schedule,
+                    "mcc-greedy": lambda g: schedule_cover_tree(build_cug(g), g, exact=False)}
+        tree = schedule[algorithm](cdg)
+        report = verify_feasible(tree, cdg)
+        assert report.ok and edge_set_feasibility(tree.depth, sets) == ([], [])
+        depth = dict(tree.depth)
+        depth.update(data.draw(st.lists(st.tuples(st.integers(1, cdg.n),
+                                                  st.integers(1, tree.d_all + 1)), max_size=5)))
+        conflicting = edge_set_feasibility(dict.fromkeys(depth, 1), sets)[0]
+        if conflicting:
+            i, j = data.draw(st.sampled_from(conflicting))
+            depth[j] = depth[i]
+        lane = sorted((i, j) for i, j in edge_set_cdg(sets).lane_edges if i)
+        if lane:
+            i, j = data.draw(st.sampled_from(lane))
+            depth[i] = depth[j] + data.draw(st.integers(0, 1))
+        relayered = _relayered(depth)
+        report = verify_feasible(relayered, cdg)
+        same, order = edge_set_feasibility(relayered.depth, sets)
+        assert report.same_depth_conflicts == same
+        assert sorted(report.order_violations) == sorted(order)
+        assert report.ok is not bool(same or order)
+        assert bool(order) is bool(lane)
+
+
+def _relayered(depth: dict[int, int]) -> SpanningTree:
+    """A tree whose layers keep the order of ``depth``'s, numbered 1, 2, ..; each
+    vehicle hangs under the lowest id one layer up, or under the leader."""
+    rank = {d: k for k, d in enumerate(sorted(set(depth.values())), start=1)}
+    layered = {v: rank[d] for v, d in depth.items()}
+    lowest = {0: 0}
+    for v in sorted(layered):
+        lowest.setdefault(layered[v], v)
+    return SpanningTree(parent={v: lowest[d - 1] for v, d in layered.items()}, depth=layered)
 
 
 @settings(max_examples=80, deadline=None)
