@@ -18,13 +18,13 @@ The conflict directed graph (CDG) adds a virtual leader node 0 and keeps,
 per node, bitsets of its fixed-order and exchangeable predecessors and of
 its neighbours.  The coexistence graph is a vertex pool read against per-id
 conflict bitsets (all of 1..n in batch, the unlocked vehicles online, under
-their own ids); it carries the lanes, one bitset each, and finds the exact
-clique covers over its twin classes.
+their own ids); it carries the lanes, one bitset each, and searches the
+minimum clique covers over its twin classes, of which the exact route tries
+one vehicle cover per class cover.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -34,9 +34,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .scenario import IntersectionConfig
-
-_Keyed = tuple[tuple[int, ...], tuple[int, ...]]  # a vehicle cover after its sort key
-_second = operator.itemgetter(1)
 
 
 class ContractError(ValueError):
@@ -304,8 +301,9 @@ class CoexistenceGraph:
     views of a member are each one ``&``.  ``lanes`` holds one bitset per
     lane, whose vehicles cross in id order and never together; every pool
     member is in one of them.  The conflict bitsets must be symmetric, as
-    both callers build them.  The minimum clique covers are found over the
-    twin classes on first use and kept on the graph, as ``edges`` is.
+    both callers build them.  The minimum covers of the twin-class quotient
+    are found on first use and kept on the graph, as ``edges`` is, and so is
+    each rank bucket's list of least dealings once a caller reaches it.
     """
 
     pool: int
@@ -331,187 +329,77 @@ class CoexistenceGraph:
 
     @cached_property
     def _classes(self) -> list[int]:
-        """The pool's twin classes, largest first: bitsets of the vehicles with one
-        coexistence bitset.  Twins never coexist (a vehicle is outside its own
-        bitset) and are interchangeable in every cover."""
-        twins: dict[int, int] = {}
-        for v in _bits(self.pool):
-            shared = self.coexist(v)
-            twins[shared] = twins.get(shared, 0) | 1 << v
+        """The pool's twin classes, largest first: bitsets of the vehicles of one
+        lane with one coexistence bitset.  Twins never coexist (a vehicle is
+        outside its own bitset) and are interchangeable in every cover; being of
+        one lane, every way to deal them gives a cover of the same lane tuples."""
+        twins: dict[tuple[int, int], int] = {}
+        for lane in self.lanes:
+            for v in _bits(lane & self.pool):
+                key = (self.coexist(v), lane)
+                twins[key] = twins.get(key, 0) | 1 << v
         return sorted(twins.values(), key=lambda m: (-m.bit_count(), m & -m))
 
     @cached_property
-    def _covers_by_rank(self) -> tuple[tuple[list[tuple[int, ...]], list[_Keyed]], ...]:
+    def _covers_by_rank(self) -> tuple[list[tuple[int, ...]], ...]:
         """Every minimum cover of the twin-class quotient in buckets of equal layer
-        rank, best first, each paired with a list for its vehicle covers, filled
-        by ``_ranked_bucket`` only when a caller walks past the bucket's first
-        cover (``_first_cover``).  A clique is the bitset of its classes (bit j
-        is ``_classes[j]``) and holds one vehicle of each, so a cover ranks as
-        the vehicle covers it stands for; covers are ranked once per profile of
-        clique sizes.  Branch and bound: the m vehicles of class j join m
-        distinct cliques, open ones that accept it (of identical ones the first,
-        so no cover repeats) or new ones, and branches with more cliques than the
-        best cover are cut.  Exponential: reach it only through ``scheduling``'s
+        rank, best first.  A clique is the bitset of its classes (bit j is
+        ``_classes[j]``) and holds one vehicle of each, so a cover ranks as the
+        vehicle covers it stands for; covers are ranked once per profile of
+        clique sizes.  Exponential: reach it only through ``scheduling``'s
         capped wrappers."""
         classes = self._classes
         coexist = [self.coexist((m & -m).bit_length() - 1) for m in classes]
         accepts = [sum(1 << k for k, other in enumerate(classes) if other & shared)
                    for shared in coexist]
-        sizes = [m.bit_count() for m in classes] + [-1]  # the sentinel ends the last class
-        best = self.pool.bit_count()
-        covers: list[tuple[int, ...]] = []
-        cliques: list[int] = []  # class bitset per open clique
-        common: list[int] = []  # per open clique, the classes that coexist with all of its own
-
-        def place(j: int, placed: int, last: int) -> None:
-            # class j's next vehicle joins a clique past ``last`` (first of a kind) or a new one
-            nonlocal best
-            if placed == sizes[j]:
-                j, placed, last = j + 1, 0, -1
-            if j == len(classes):
-                if len(cliques) < best:
-                    best = len(cliques)
-                    covers.clear()
-                covers.append(tuple(cliques))
-                return
-            bit, accept = 1 << j, accepts[j]
-            for c in range(last + 1, len(cliques)):
-                clique, shared = cliques[c], common[c]
-                if shared & bit and cliques.index(clique) == c:
-                    cliques[c], common[c] = clique | bit, shared & accept
-                    place(j, placed + 1, c)
-                    cliques[c], common[c] = clique, shared
-            if len(cliques) < best:
-                cliques.append(bit)
-                common.append(accept)
-                place(j, placed + 1, len(cliques) - 1)
-                del cliques[-1], common[-1]
-
-        place(0, 0, -1)
+        covers = _minimum_covers(accepts, [m.bit_count() for m in classes])
         profiles: dict[tuple[int, ...], list[tuple[int, ...]]] = {}  # by clique sizes, in order
         for cover in covers:
             profiles.setdefault(tuple(map(int.bit_count, cover)), []).append(cover)
         buckets: dict[int, list[tuple[int, ...]]] = {}
         for profile, alike in profiles.items():
             buckets.setdefault(_layer_rank(profile), []).extend(alike)
-        return tuple((buckets[rank], []) for rank in sorted(buckets))
-
-    def _ranked_bucket(self, k: int) -> list[_Keyed]:
-        """Bucket k of ``_covers_by_rank`` as vehicle covers, cliques by lowest member,
-        each after its sort key and in key order; expanded on first use, then
-        kept.  The key is the groups' ``_id_number``s, largest group first, then
-        by member order, so covers sort as their canonical forms do (a group's
-        sorted ids, groups by descending size, then member order).  A quotient
-        cover's cliques take the vehicles of their one-vehicle classes, and each
-        way to deal the larger classes (``_ways``) gives one vehicle cover."""
-        quotient, keyed = self._covers_by_rank[k]
-        if keyed:
-            return keyed
-        classes = self._classes
-        several = sum(m & m - 1 != 0 for m in classes)  # classes of several vehicles lead
-        larger = (1 << several) - 1  # those classes, as a class bitset
-        singles = {c: sum(classes[j] for j in _bits(c >> several << several))
-                   for c in set(itertools.chain.from_iterable(quotient))}
-        ways: dict[tuple, list[tuple[int, ...]]] = {}  # per shape, each way to deal
-        dealt_covers: list[tuple[int, ...]] = []
-        for cover in quotient:
-            twins = len(set(cover)) < len(cover)
-            if twins:
-                cover = sorted(cover)  # identical cliques side by side
-            shape = (tuple(map(larger.__and__, cover)), twins and tuple(cover))
-            if shape not in ways:
-                ways[shape] = self._ways(cover, several, twins)
-            base = list(map(singles.__getitem__, cover))
-            dealt_covers.extend(tuple(map(sum, zip(base, way))) for way in ways[shape])
-        groups = set(itertools.chain.from_iterable(dealt_covers))
-        canon = {m: (-m.bit_count(), self._id_number(m)) for m in groups}
-        lowest = {m: m & -m for m in groups}
-        keyed.extend((tuple(map(_second, sorted(map(canon.__getitem__, cliques)))),
-                      tuple(sorted(cliques, key=lowest.__getitem__)))
-                     for cliques in dealt_covers)
-        keyed.sort()
-        return keyed
+        return tuple(buckets[rank] for rank in sorted(buckets))
 
     @cached_property
-    def _id_numbers(self) -> dict[int, int]:
-        """Per group, its ``_id_number``, kept once computed: rank buckets share groups."""
+    def _dealings(self) -> dict[int, list[tuple[int, ...]]]:
+        """Per rank bucket reached so far, its list from ``_least_dealings``."""
         return {}
 
-    def _id_number(self, group: int) -> int:
-        """A group's ascending ids, each plus one, read as the leading digits of a
-        number in base ``pool.bit_length() + 1`` with as many digits as the pool has
-        vehicles: groups compare as their id tuples do (a prefix first)."""
-        if group not in self._id_numbers:
-            base = self.pool.bit_length() + 1
-            number = 0
-            for v in _bits(group):
-                number = number * base + v + 1
-            self._id_numbers[group] = number * base ** (self.pool.bit_count() - group.bit_count())
-        return self._id_numbers[group]
+    def _least_dealings(self, k: int) -> list[tuple[int, ...]]:
+        """Bucket k of ``_covers_by_rank`` as one vehicle cover per quotient cover,
+        its least dealing (``_least_dealing``), in the order of their keys; built
+        when a caller first reaches the bucket, then kept.  A vehicle cover stands
+        for one quotient cover, so no two keys are equal, and the first element is
+        the bucket's first vehicle cover in canonical order."""
+        if k not in self._dealings:
+            dealt = sorted(map(self._least_dealing, self._covers_by_rank[k]))
+            self._dealings[k] = [cover for _, cover in dealt]
+        return self._dealings[k]
 
-    def _ways(self, cover: list[int], several: int, twins: bool) -> list[tuple[int, ...]]:
-        """Each way to deal the classes of several vehicles (the first ``several``)
-        over a quotient cover's cliques, as one vehicle bitset per clique.  Class
-        j's vehicles go to distinct cliques holding it; a run of identical cliques
-        (``twins``; side by side) takes the vehicles of its lowest class in
-        increasing order, so no vehicle cover repeats."""
-        rows = [[[0] * len(cover)]]  # per class, each way to deal it; first, none dealt
-        for j in range(several):
-            at = [c for c, clique in enumerate(cover) if clique >> j & 1]
-            runs = [1]
-            for c, d in zip(at, at[1:]) if twins else ():
-                if cover[c] == cover[d] and cover[d] & -cover[d] == 1 << j:
-                    runs[-1] += 1
-                else:
-                    runs.append(1)
-            options = []
-            for dealt in _dealt(tuple(1 << v for v in _bits(self._classes[j])),
-                                runs if twins else [1] * len(at)):
-                row = [0] * len(cover)
-                for c, v in zip(at, dealt):
-                    row[c] = v
-                options.append(row)
-            rows.append(options)
-        return [tuple(map(sum, zip(*deal))) for deal in itertools.product(*rows)]
-
-    @cached_property
-    def _first_covers(self) -> dict[int, tuple[int, ...]]:
-        """Per rank bucket, its first cover, filled by ``_first_cover``."""
-        return {}
-
-    def _first_cover(self, k: int) -> tuple[int, ...]:
-        """Bucket k's first vehicle cover (that of ``_ranked_bucket(k)[0]``), built
-        from its quotient covers without dealing them out, then kept.  Each
-        quotient cover gives its least sort key (``_least_dealing``), and the
-        least of these keys over the bucket is the bucket's first cover."""
-        quotient, keyed = self._covers_by_rank[k]
-        if keyed:
-            return keyed[0][1]
-        if k not in self._first_covers:
-            self._first_covers[k] = min(map(self._least_dealing, quotient))[1]
-        return self._first_covers[k]
-
-    def _least_dealing(self, cover: tuple[int, ...]) -> _Keyed:
-        """The least sort key (``_ranked_bucket``'s) among the vehicle covers a
-        quotient cover stands for, and that vehicle cover, cliques by lowest
-        member.  Cliques are filled largest first: each open clique of the largest
-        size left takes the lowest unused vehicle of each of its classes, and the
-        one whose ids then come first is fixed.  No clique can do better than
-        those vehicles, and equal-size groups compare by their ids, so each fixed
-        group is the least the key can hold in its place."""
+    def _least_dealing(self, cover: tuple[int, ...]
+                       ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """The least canonical form (a group's sorted ids, groups by descending
+        size, then by ids) among the vehicle covers a quotient cover stands for,
+        and that vehicle cover, cliques by lowest member.  Cliques are filled
+        largest first: each open clique of the largest size left takes the lowest
+        unused vehicle of each of its classes, and the one whose ids then come
+        first is fixed.  No clique can do better than those vehicles, and
+        equal-size groups compare by their ids, so each fixed group is the least
+        the canonical form can hold in its place."""
         unused = list(self._classes)
-        key: list[int] = []
+        key: list[tuple[int, ...]] = []
         groups: list[int] = []
         for size in sorted({c.bit_count() for c in cover}, reverse=True):
             open_ = [c for c in cover if c.bit_count() == size]
             while open_:
-                number, clique, group = min(
-                    (self._id_number(group), c, group) for c in open_
+                ids, clique, group = min(
+                    (tuple(_bits(group)), c, group) for c in open_
                     for group in [sum(unused[j] & -unused[j] for j in _bits(c))])
                 open_.remove(clique)
                 for j in _bits(clique):
                     unused[j] &= unused[j] - 1
-                key.append(number)
+                key.append(ids)
                 groups.append(group)
         return tuple(key), tuple(sorted(groups, key=lambda m: m & -m))
 
@@ -519,12 +407,48 @@ class CoexistenceGraph:
         return {"nodes": list(_bits(self.pool)), "edges": sorted(self.edges)}
 
 
-def _dealt(vehicles: tuple[int, ...], runs: Sequence[int]) -> list[tuple[int, ...]]:
-    """Each order of ``vehicles`` that rises within consecutive runs of these lengths."""
-    if not runs:
-        return [()]
-    return [head + tail for head in itertools.combinations(vehicles, runs[0])
-            for tail in _dealt(tuple(v for v in vehicles if v not in head), runs[1:])]
+def _minimum_covers(accepts: Sequence[int], sizes: Sequence[int]) -> list[tuple[int, ...]]:
+    """Every minimum clique cover over classes of interchangeable vertices, each
+    a tuple of class bitsets (bit j is class j) in the order its cliques opened.
+    Class j has ``sizes[j]`` vertices (maybe none), which never share a clique,
+    and ``accepts[j]`` is the bitset of the classes whose vertices coexist with
+    its own.  Branch and bound: the m vertices of class j join m distinct
+    cliques, open ones that accept it (of identical ones the first, so no cover
+    repeats) or new ones, and branches with more cliques than the best cover
+    are cut.  With each vertex its own class, this is the plain vertex-by-vertex
+    enumeration."""
+    sizes = [*sizes, -1]  # the sentinel ends the last class
+    best = sum(sizes) + 1
+    covers: list[tuple[int, ...]] = []
+    cliques: list[int] = []  # class bitset per open clique
+    common: list[int] = []  # per open clique, the classes that coexist with all of its own
+
+    def place(j: int, placed: int, last: int) -> None:
+        # class j's next vertex joins a clique past ``last`` (first of a kind) or a new one
+        nonlocal best
+        while placed == sizes[j]:  # a class of no vertices is passed over
+            j, placed, last = j + 1, 0, -1
+        if j == len(accepts):
+            if len(cliques) < best:
+                best = len(cliques)
+                covers.clear()
+            covers.append(tuple(cliques))
+            return
+        bit, accept = 1 << j, accepts[j]
+        for c in range(last + 1, len(cliques)):
+            clique, shared = cliques[c], common[c]
+            if shared & bit and cliques.index(clique) == c:
+                cliques[c], common[c] = clique | bit, shared & accept
+                place(j, placed + 1, c)
+                cliques[c], common[c] = clique, shared
+        if len(cliques) < best:
+            cliques.append(bit)
+            common.append(accept)
+            place(j, placed + 1, len(cliques) - 1)
+            del cliques[-1], common[-1]
+
+    place(0, 0, -1)
+    return covers
 
 
 def _layer_rank(sizes: Iterable[int]) -> int:

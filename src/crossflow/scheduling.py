@@ -12,7 +12,8 @@ Four routes to a layered passing order:
   heuristically by greedy coloring of its complement in breadth-first order.
 * ``mcc_bruteforce``: exact minimum clique cover, capped at ``BRUTE_CAP``
   vehicles.  The minimum covers are searched and ranked once per coexistence
-  graph over its twin classes (``CoexistenceGraph._covers_by_rank``).
+  graph over its twin classes (``CoexistenceGraph._covers_by_rank``), and
+  each class cover stands for its vehicle covers by its least dealing.
 
 All of them yield a spanning tree rooted at the virtual leader whose depth
 is the vehicle's passing layer; ``verify_feasible`` checks any tree against
@@ -27,9 +28,9 @@ them around the locked ones.  ``order_layers`` orders a cover by a bounded
 depth-first search that takes one lane-tuple kind per step and, once a
 state is proven dead, proves states dead before it enters them by a
 projection onto lane pairs.  When no cover orders (the exact route tries
-every minimum cover, the greedy route its one cover, and a search that runs
-out of budget counts as finding no order), ``schedule_cover_tree`` returns
-idfst's tree.
+one minimum cover per class cover, the greedy route its one cover, and a
+search that runs out of budget counts as finding no order),
+``schedule_cover_tree`` returns idfst's tree.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .conflicts import CoexistenceGraph, ConflictDirectedGraph, ContractError, _bits
+from .conflicts import (CoexistenceGraph, ConflictDirectedGraph, ContractError, _bits,
+                        _minimum_covers)
 
 
 class SizeLimitError(ValueError):
@@ -314,26 +316,26 @@ def check_cap(size: int) -> None:
 
 
 def minimum_clique_covers(cug: CoexistenceGraph) -> list[CliqueCover]:
-    """Every minimum clique cover, by canonical form: the rank buckets
-    (``CoexistenceGraph._ranked_bucket``), each in that order already, merged
-    on the keys they were sorted by."""
+    """Every minimum clique cover, by canonical form: the quotient search
+    (``conflicts._minimum_covers``) with class k vehicle k alone (empty off the
+    pool), so vehicle by vehicle in id order, cliques by lowest member."""
     check_cap(cug.pool.bit_count())
-    buckets = map(cug._ranked_bucket, range(len(cug._covers_by_rank)))
-    return [CliqueCover(cover) for _, cover in sorted(itertools.chain.from_iterable(buckets))]
+    top = cug.pool.bit_length()
+    covers = _minimum_covers([cug.coexist(v) for v in range(top)],
+                             [cug.pool >> v & 1 for v in range(top)])
+    return sorted(map(CliqueCover, covers), key=CliqueCover.canonical)
 
 
 def _ranked_covers(cug: CoexistenceGraph) -> Iterator[CliqueCover]:
-    """The minimum covers in preference order: buckets of equal layer rank
-    (``conflicts._layer_rank``) best first, each in canonical order.  A bucket's
-    first cover is built from its quotient covers
-    (``CoexistenceGraph._first_cover``); the bucket becomes vehicle covers
-    (``CoexistenceGraph._ranked_bucket``) only when a caller walks past it, and
-    the walk goes on after the expansion's first element.  Both are kept on the
-    graph."""
+    """One minimum cover per quotient cover, in preference order: buckets of
+    equal layer rank (``conflicts._layer_rank``) best first, each quotient cover
+    as its least dealing in canonical order (``CoexistenceGraph._least_dealings``,
+    kept on the graph per bucket reached).  Twins share a lane, so the dealings
+    of one quotient cover present the same lane tuples and ``order_layers``
+    orders all of them or none: the first in canonical order stands for all."""
     check_cap(cug.pool.bit_count())
     for k in range(len(cug._covers_by_rank)):
-        yield CliqueCover(cug._first_cover(k))
-        yield from (CliqueCover(cover) for _, cover in cug._ranked_bucket(k)[1:])
+        yield from map(CliqueCover, cug._least_dealings(k))
 
 
 def mcc_bruteforce(cug: CoexistenceGraph) -> CliqueCover:
@@ -341,8 +343,8 @@ def mcc_bruteforce(cug: CoexistenceGraph) -> CliqueCover:
 
     Among minimum covers the one minimizing the ordered layer-rank objective
     wins; remaining ties go to the lexicographically smallest canonical form.
-    The cover is built from the best rank bucket's quotient covers, and no
-    bucket is expanded (``_ranked_covers``).
+    It is the first cover of ``_ranked_covers``, built from the best rank
+    bucket's quotient covers without dealing any of them out.
     """
     return next(_ranked_covers(cug))
 

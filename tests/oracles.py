@@ -300,6 +300,27 @@ def ranked_covers_by_vehicle(cug: CoexistenceGraph) -> list[list[tuple[int, ...]
     return [sorted(buckets[rank], key=canonical_cover) for rank in sorted(buckets)]
 
 
+def class_cover(cug: CoexistenceGraph, cover) -> tuple[int, ...]:
+    """A vehicle cover's quotient cover: each clique as the bitset of the twin
+    classes its members fall in (bit j for ``cug._classes[j]``), sorted."""
+    classes = cug._classes
+    return tuple(sorted(sum(1 << j for j, m in enumerate(classes) if m & clique)
+                        for clique in cover))
+
+
+def least_dealings_by_vehicle(cug: CoexistenceGraph, ranked) -> list[tuple[int, ...]]:
+    """The exact route's walk, read off ranked vehicle covers
+    (``ranked_covers_by_vehicle``): per bucket, in canonical order, the first
+    cover of each quotient cover (``class_cover``)."""
+    seen: set[tuple[int, ...]] = set()
+    walk = []
+    for cover in itertools.chain.from_iterable(ranked):
+        if (quotient := class_cover(cug, cover)) not in seen:
+            seen.add(quotient)
+            walk.append(cover)
+    return walk
+
+
 def first_ordered_layers(cug: CoexistenceGraph, ranked):
     """The exact cover route on buckets of ranked covers (``ranked_covers_by_vehicle``):
     the layers of the first cover, in preference order, that ``order_layers``

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -5,9 +6,11 @@ import json
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from crossflow.cli import (
     RESULT_COLUMNS,
@@ -35,7 +38,7 @@ class TestRunCommand:
         code, _, _ = cli(capsys, "run", "--vehicles", "5", "--lambda", "3",
                          "--seed", "2", "--algorithm", "idfst", "--out", str(out))
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         assert list(rows[0].keys()) == RESULT_COLUMNS
         assert rows[0]["algorithm"] == "idfst"
         assert float(rows[0]["t_attd"]) >= 0.0
@@ -61,7 +64,7 @@ class TestRunCommand:
         code, _, _ = cli(capsys, "run", "--vehicles", "2", "--seed", "1",
                          "--trace", str(trace))
         assert code == 0
-        header = trace.open().readline().strip()
+        header = trace.read_text().splitlines()[0]
         assert header == "step,vehicle,p,v,u,depth"
 
     def test_dump_schedule_matches_run(self, capsys):
@@ -149,7 +152,7 @@ class TestSweepCommand:
                          "--vehicles", "8", "--lambda", "3", "--reps", "3",
                          "--seed", "10", "--out", str(out))
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 9
         # within one repetition all algorithms share the seed, hence arrivals
         seeds = {row["seed"] for row in rows}
@@ -233,7 +236,7 @@ class TestSweepCommand:
                          "--reps", "4", "--seed", "1", "--out", str(out),
                          "--summary", str(summary))
         assert code == 0
-        stats = list(csv.DictReader(summary.open()))
+        stats = list(csv.DictReader(summary.read_text().splitlines()))
         assert stats[0]["reps"] == "4"
         assert "t_evc_mean" in stats[0]
 
@@ -506,3 +509,126 @@ def test_unwritable_output_fails_before_any_run(capsys, tmp_path, monkeypatch, a
 def test_load_arrivals_round_trip(ex1_records):
     loaded = load_arrivals(str(DATA / "example1_arrivals.csv"), 2.0)
     assert loaded == ex1_records
+
+
+# --- the CLI contract over generated argv -------------------------------------
+
+USAGE, VALIDATION = 1, 2  # the documented exit codes a generated fault may force
+
+# Per subcommand and numeric flag: values that pass, and values that are usage
+# errors.  Fleets stay small and ``--jobs`` stays at 1 or 2.
+NUMBERS = {
+    "run": {
+        "--lambda": (["0.5", "3", "20"], ["0", "-1", "nan", "inf", "-inf", "x", ""]),
+        "--seed": (["0", "2"], ["-1", "1.5", ""]),
+        "--leader-start": (["0", "-5", "600"], ["nan", "inf", "-inf", "x"]),
+    },
+    "sweep": {
+        "--lambda": (["3", "1,20", "2,"], ["0", "-1", "nan", "inf", "", ",", "x"]),
+        "--reps": (["1", "2"], ["0", "-1", "nan", ""]),
+        "--jobs": (["1", "2"], ["0", "-2", "x"]),
+        "--seed": (["1", "0"], ["-1", "x"]),
+        "--leader-start": (["0", "600"], ["nan", "inf"]),
+    },
+}
+VEHICLES = {  # required: valid, invalid
+    "run": (["1", "3"], ["0", "-2", "nan", "1.5", ""]),
+    "sweep": (["1", "2,3", "1-2"], ["0", "-1", "", "3-1", "2,", "nan", "1-x"]),
+}
+# Per subcommand: its path flags, each an input (a file read) or an output.
+PATHS = {
+    "validate": {"": "scenario"},
+    "run": {"--scenario": "scenario", "--out": "out", "--trace": "out"},
+    "schedule": {"--arrivals": "arrivals", "--scenario": "scenario", "--out": "out"},
+    "sweep": {"--scenario": "scenario", "--out": "out", "--summary": "out"},
+}
+REQUIRED = {"validate": "", "schedule": "--arrivals"}
+
+
+@st.composite
+def cli_argv(draw, command: str):
+    """An argv of ``command`` with numbers and paths that are valid or not.
+
+    Returns the argv, with paths as (role, kind) for ``_materialize``, and the
+    exit codes of the faults it holds: none for a valid argv."""
+    argv: list = [command]
+    faults: set[int] = set()
+
+    def value(valid, invalid):
+        bad = draw(st.sampled_from(range(8))) == 0  # one value in eight is bad
+        if bad:
+            faults.add(USAGE)
+        return draw(st.sampled_from(invalid if bad else valid))
+
+    if command in VEHICLES:
+        argv += ["--vehicles", value(*VEHICLES[command])]
+    for flag, choices in NUMBERS.get(command, {}).items():
+        if draw(st.booleans()):
+            argv += [flag, value(*choices)]
+    if command in ("run", "schedule"):
+        argv += ["--algorithm", draw(st.sampled_from(sorted(a.value for a in Algorithm)))]
+    if command == "sweep" and draw(st.booleans()):
+        argv += ["--algorithms", value(["dfst,idfst", "mcc-greedy", "mcc-brute,dfst"],
+                                       ["bogus", "", "dfst,"])]
+    if command in ("run", "sweep"):
+        argv += ["--mode", draw(st.sampled_from([m.value for m in Mode]))]
+    for flag, role in PATHS[command].items():
+        if REQUIRED.get(command) != flag and draw(st.sampled_from(range(4))) == 0:
+            continue  # three optional paths in four are given
+        kind = draw(st.sampled_from(("fine", "fine", "missing", "dir")))
+        if kind != "fine":
+            faults.add(VALIDATION)
+        argv += [flag, (role, kind)] if flag else [(role, kind)]
+    return argv, faults
+
+
+def _materialize(argv, root: pathlib.Path) -> tuple[list[str], list[pathlib.Path]]:
+    """Each (role, kind) of ``cli_argv`` as a path under ``root``: an input that
+    is fine is a valid file, an output that is fine a new path, a missing one
+    lies in a directory that does not exist, and a dir is a directory.  Also
+    returns the outputs that were fine, which must exist only after a success."""
+    (root / "dir").mkdir()
+    (root / "scenario.yaml").write_text(dump_scenario(default_intersection()))
+    (root / "arrivals.csv").write_text("id,lane,t_in\n1,1,0.0\n2,4,0.5\n3,7,1.0\n")
+    out, fresh = [], []
+    for arg in argv:
+        if isinstance(arg, str):
+            out.append(arg)
+            continue
+        role, kind = arg
+        if kind == "dir":
+            path = root / "dir"
+        elif kind == "missing":
+            path = root / "missing" / f"{role}.csv"
+        elif role == "out":
+            path = root / f"out{len(fresh)}.csv"
+            fresh.append(path)
+        else:
+            path = root / ("arrivals.csv" if role == "arrivals" else "scenario.yaml")
+        out.append(str(path))
+    return out, fresh
+
+
+@pytest.mark.parametrize("command", sorted(PATHS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cli_contract_over_generated_argv(command, data):
+    """Any argv of valid and invalid numbers and paths exits with a documented
+    code (0 ok, 1 usage, 2 validation) that one of its faults calls for, with no
+    traceback; on a non-zero exit nothing is on stdout and no file was made."""
+    parts, faults = data.draw(cli_argv(command))
+    with tempfile.TemporaryDirectory() as tmp:
+        argv, outputs = _materialize(parts, pathlib.Path(tmp))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run_cli(argv)
+        assert "Traceback" not in stderr.getvalue()
+        if not faults:
+            assert code == 0, (argv, stderr.getvalue())
+            assert all(path.exists() for path in outputs)
+            return
+        assert code in faults, (argv, code, stderr.getvalue())
+        assert stdout.getvalue() == ""
+        assert stderr.getvalue().count("\n") == 1
+        assert not any(path.exists() for path in outputs)
+        assert not (pathlib.Path(tmp) / "missing").exists()

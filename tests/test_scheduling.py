@@ -32,6 +32,8 @@ from .instances import graph_instances, mixed_fleets, random_instance, sampled_i
 from .oracles import (
     best_ordering_cost,
     bitset,
+    canonical_cover,
+    class_cover,
     cover_to_tree,
     depth_of,
     edge_coexistence,
@@ -43,6 +45,7 @@ from .oracles import (
     first_ordered_layers,
     group_conflicted,
     lane_lists,
+    least_dealings_by_vehicle,
     min_feasible_depth,
     members,
     memo_layer_search,
@@ -529,15 +532,17 @@ def test_exact_covers_match_partition_oracle(seed):
 
 
 def _assert_covers_match_vehicle_oracle(cug):
-    """The twin-class covers against the vehicle-level branch and bound: the
-    same covers, none twice, every rank bucket in the same canonical order,
-    the same preferred cover and the same exact-route layers."""
+    """The exact covers against the vehicle-level branch and bound: the same
+    covers, none twice, in canonical order; the route's walk is the first
+    cover of each quotient cover in the oracle's rank and canonical order, and
+    the preferred cover and the exact-route layers are the oracle's."""
     found = [c.subsets for c in minimum_clique_covers(cug)]
+    oracle = minimum_covers_by_vehicle(cug)
     assert len(set(found)) == len(found)
-    assert Counter(found) == Counter(minimum_covers_by_vehicle(cug))
+    assert Counter(found) == Counter(oracle)
+    assert found == sorted(oracle, key=canonical_cover)
     ranked = ranked_covers_by_vehicle(cug)
-    buckets = [cug._ranked_bucket(k) for k in range(len(cug._covers_by_rank))]
-    assert [[cover for _, cover in bucket] for bucket in buckets] == ranked
+    assert [c.subsets for c in _ranked_covers(cug)] == least_dealings_by_vehicle(cug, ranked)
     assert mcc_bruteforce(cug) == CliqueCover(ranked[0][0])
     layers = first_ordered_layers(cug, ranked)
     assert _cover_layers(cug, exact=True) == layers
@@ -546,10 +551,10 @@ def _assert_covers_match_vehicle_oracle(cug):
 
 def _assert_exact_route_matches_vehicle_oracle(fresh, cdg=None):
     """``fresh()`` builds one coexistence graph anew.  On fresh graphs, where no
-    rank bucket is expanded yet (so each bucket's first cover is built from its
-    quotient covers), ``mcc_bruteforce``, the exact layers and, given the CDG,
-    the exact tree match the vehicle-level oracle; then, on one more graph,
-    every bucket does (``_assert_covers_match_vehicle_oracle``)."""
+    rank bucket's least dealings are built yet, ``mcc_bruteforce``, the exact
+    layers and, given the CDG, the exact tree match the vehicle-level oracle;
+    then, on one more graph, the whole walk does
+    (``_assert_covers_match_vehicle_oracle``)."""
     ranked = ranked_covers_by_vehicle(fresh())
     layers = first_ordered_layers(fresh(), ranked)
     assert mcc_bruteforce(fresh()) == CliqueCover(ranked[0][0])
@@ -592,26 +597,80 @@ def test_exact_covers_match_vehicle_oracle_on_sub_pools(seed, data):
         lambda: CoexistenceGraph(pool=pool, conflict=fleet.conflict, lanes=fleet.lanes))
 
 
+def _assert_dealings_order_alike(cug):
+    """The premise of the exact route: every vehicle cover that deals out one
+    quotient cover orders, or none does, so the route tries one of them."""
+    lanes = [sorted(members(lane & cug.pool)) for lane in cug.lanes if lane & cug.pool]
+    verdicts: dict[tuple[int, ...], set[bool]] = {}
+    for cover in minimum_covers_by_vehicle(cug):
+        ordered = order_layers(cover, lanes, cug.conflict) is not None
+        verdicts.setdefault(class_cover(cug, cover), set()).add(ordered)
+    assert all(len(alike) == 1 for alike in verdicts.values()), verdicts
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=12))
+def test_dealings_of_one_class_cover_order_alike_on_light_fleets(seed, n):
+    _assert_dealings_order_alike(build_cug(sampled_instance(seed, n, 20.0)[2]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(mixed_fleets())
+def test_dealings_of_one_class_cover_order_alike_on_mixed_fleets(records):
+    cdg = build_cdg(build_conflict_sets(records[:BRUTE_CAP], default_intersection()))
+    _assert_dealings_order_alike(build_cug(cdg))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.data())
+def test_dealings_of_one_class_cover_order_alike_on_sub_pools(seed, data):
+    """Twelve-vehicle pools out of an n=60 fleet at gap 20 s, each holding one
+    of the fleet's reachability edges; twins of different lanes would break
+    the premise here (seed 24, pool 5, 9, 13, 17, 21, 31, 33, 34, 39, 43, 51,
+    59 has such a class, {9, 13}), which is why the classes are keyed by lane."""
+    _, _, cdg = sampled_instance(seed, 60, 20.0)
+    fleet = build_cug(cdg)
+    edge = data.draw(st.sampled_from(sorted(cdg.reach_edges)))
+    others = [v for v in range(1, 61) if v not in edge]
+    rest = data.draw(st.lists(st.sampled_from(others), min_size=10, max_size=10, unique=True))
+    pool = bitset({*edge, *rest})
+    _assert_dealings_order_alike(
+        CoexistenceGraph(pool=pool, conflict=fleet.conflict, lanes=fleet.lanes))
+
+
+def test_dealings_order_alike_where_twins_of_two_lanes_would_not():
+    """The pool where a class keyed by coexistence alone held vehicles 9 and 13,
+    of two lanes: some dealings of its covers ordered and some did not, and
+    the route then missed the oracle's layers."""
+    _, _, cdg = sampled_instance(24, 60, 20.0)
+    fleet = build_cug(cdg)
+    pool = bitset({5, 9, 13, 17, 21, 31, 33, 34, 39, 43, 51, 59})
+    cug = CoexistenceGraph(pool=pool, conflict=fleet.conflict, lanes=fleet.lanes)
+    assert all(len({k for k, lane in enumerate(cug.lanes) if lane & m}) == 1
+               for m in cug._classes)
+    _assert_dealings_order_alike(cug)
+    _assert_covers_match_vehicle_oracle(cug)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=12),
        st.sampled_from((1.0, 3.0, 5.0)))
-def test_exact_route_expands_no_bucket_when_first_cover_orders(seed, n, headway):
-    """The speed-up of the exact route, guarded without timing: when the best
-    bucket's first cover orders, neither the route nor ``mcc_bruteforce``
-    turns any bucket into vehicle covers."""
+def test_exact_route_reaches_only_the_first_bucket_when_its_first_cover_orders(seed, n, headway):
+    """The exact route's work, guarded without timing: when the best bucket's
+    first cover orders, neither the route nor ``mcc_bruteforce`` builds the
+    least dealings of any other bucket."""
     cug = build_cug(sampled_instance(seed, n, headway)[2])
     first = mcc_bruteforce(cug)
     lanes = [sorted(members(lane)) for lane in cug.lanes]
     assume(order_layers(first.subsets, lanes, cug.conflict) is not None)
     assert _cover_layers(cug, exact=True) == order_layers(first.subsets, lanes, cug.conflict)
-    assert all(not keyed for _, keyed in cug._covers_by_rank)
+    assert set(cug._dealings) == {0}
 
 
-def test_exact_route_walks_past_first_covers_in_expansion_order():
+def test_exact_route_walks_past_first_covers_in_least_dealing_order():
     """A pool whose first covers do not order (reachability splits its lanes'
-    twins): the route tries 8 covers over all four buckets.  The walk goes on
-    after each bucket's first cover in the expansion's order, each cover once,
-    and ends on the oracle's layers."""
+    twins): the route tries 8 covers, one per quotient cover, in the oracle's
+    rank and canonical order, and ends on the oracle's layers."""
     _, _, cdg = sampled_instance(83, 60, 20.0)
     fleet = build_cug(cdg)
     pool = bitset({1, 3, 5, 12, 23, 24, 31, 35, 36, 53, 57, 59})
@@ -627,13 +686,11 @@ def test_exact_route_walks_past_first_covers_in_expansion_order():
         if order_layers(cover.subsets, lanes, cug.conflict) is not None:
             break
     assert len(tried) == 8
-    expanded = fresh()
-    walk = [CliqueCover(cover) for k in range(len(expanded._covers_by_rank))
-            for _, cover in expanded._ranked_bucket(k)]
-    assert tried == walk[:8] and len(set(walk)) == len(walk)
-    assert list(_ranked_covers(cug)) == walk
     ranked = ranked_covers_by_vehicle(fresh())
     assert [len(bucket) for bucket in ranked] == [2, 2, 6, 8]
+    walk = least_dealings_by_vehicle(fresh(), ranked)
+    assert [c.subsets for c in tried] == walk[:8]
+    assert [c.subsets for c in _ranked_covers(cug)] == walk
     assert _cover_layers(fresh(), exact=True) == first_ordered_layers(fresh(), ranked)
 
 
@@ -659,14 +716,15 @@ class TestExactCoverEdgeCases:
         assert mcc_bruteforce(cug).canonical() == ((1, 3), (2, 4))
 
     def test_two_coexisting_lanes_of_two_give_two_covers(self):
-        """Identical quotient cliques {lane A, lane B} stand for two vehicle
-        covers, not four."""
+        """Two vehicle covers, not four; both deal out one quotient cover of two
+        identical cliques {lane A, lane B}, so the route tries only the first."""
         rows = [(1, (), (0,), (), ()), (2, (), (0,), (), ()),
                 (3, (), (1,), (), ()), (4, (), (2,), (), ())]
         cug = build_cug(build_cdg(make_sets(rows)))
         covers = minimum_clique_covers(cug)
         assert {c.canonical() for c in covers} == {((1, 2), (3, 4)), ((1, 4), (2, 3))}
         assert len(covers) == 2 and all(c.theta == 2 for c in covers)
+        assert list(_ranked_covers(cug)) == covers[:1]
 
 
 @settings(max_examples=60, deadline=None)
