@@ -168,7 +168,7 @@ def _nonempty(values: list, flag: str, text: str) -> list:
 
 
 def load_arrivals(path: str, entry_speed: float) -> list[VehicleRecord]:
-    """Arrival file: CSV rows of id, lane (movement id), t_in; ids 1..n, t_in finite, >= 0."""
+    """Arrival CSV: rows of exactly id, lane (movement id), t_in; ids 1..n, t_in finite, >= 0."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(row for row in fh if not row.startswith("#"))
@@ -180,8 +180,9 @@ def load_arrivals(path: str, entry_speed: float) -> list[VehicleRecord]:
             if not line:
                 continue
             try:
-                vid, movement, t_in = int(line[0]), int(line[1]), float(line[2])
-            except (ValueError, IndexError):
+                vid, movement, t_in = line  # a row of any other length is a ValueError
+                vid, movement, t_in = int(vid), int(movement), float(t_in)
+            except ValueError:
                 raise ParseError(f"arrival file: bad row {line}") from None
             if not math.isfinite(t_in) or t_in < 0:
                 raise ParseError(f"arrival {vid}: t_in must be finite and >= 0 (got {line[2]})")

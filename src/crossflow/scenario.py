@@ -180,12 +180,7 @@ def validate_config(cfg: IntersectionConfig) -> None:
             raise ValidationError(f"crossing_pairs: self pair ({a},{b})")
         if a not in seen_ids or b not in seen_ids:
             raise ValidationError(f"crossing_pairs: unknown movement id in ({a},{b})")
-        ma, mb = cfg._by_id[a], cfg._by_id[b]
-        if ma.approach() == mb.approach():
-            raise ValidationError(
-                f"crossing_pairs: ({a},{b}) shares an approach lane (that is diverging)"
-            )
-        if ma.exit() == mb.exit():
+        if cfg._by_id[a].exit() == cfg._by_id[b].exit():
             raise ValidationError(
                 f"crossing_pairs: ({a},{b}) shares an exit lane (that is converging)"
             )
@@ -217,14 +212,12 @@ def classify_conflict(a: Movement, b: Movement, cfg: IntersectionConfig) -> Conf
 
 def conflict_summary(cfg: IntersectionConfig) -> dict:
     """Counts of pairwise conflict classes plus the largest coexisting group."""
+    table = cfg.conflict_table
     counts = {c: 0 for c in ConflictClass}
-    coexist: dict[int, set[int]] = {m.id: set() for m in cfg.movements}
-    for a, b in itertools.combinations(cfg.movements, 2):
-        cls = classify_conflict(a, b, cfg)
-        counts[cls] += 1
-        if cls is ConflictClass.NONE:
-            coexist[a.id].add(b.id)
-            coexist[b.id].add(a.id)
+    for a, b in itertools.combinations(table, 2):
+        counts[table[a][b]] += 1
+    coexist = {a: {b for b, cls in row.items() if cls is ConflictClass.NONE}
+               for a, row in table.items()}
     return {
         "crossing_pairs": counts[ConflictClass.CROSSING],
         "diverging_pairs": counts[ConflictClass.DIVERGING],
@@ -390,24 +383,3 @@ def load_scenario(source: str) -> IntersectionConfig:
 def load_scenario_file(path: str) -> IntersectionConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return load_scenario(fh.read())
-
-
-def dump_scenario(cfg: IntersectionConfig) -> str:
-    """Serialize a config back into the scenario document format."""
-    doc = {
-        "legs": sorted({m.approach_leg.value for m in cfg.movements}
-                       | {m.exit_leg.value for m in cfg.movements}),
-        "movements": [
-            {
-                "id": m.id,
-                "approach_leg": m.approach_leg.value,
-                "approach_lane": m.approach_lane,
-                "exit_leg": m.exit_leg.value,
-                "exit_lane": m.exit_lane,
-            }
-            for m in cfg.movements
-        ],
-        "crossing_pairs": [list(p) for p in sorted(cfg.crossing_pairs)],
-        "parameters": {key: getattr(cfg, attr) for key, (attr, _, _) in _FILE_PARAMS.items()},
-    }
-    return yaml.safe_dump(doc, sort_keys=False)

@@ -234,12 +234,17 @@ def _place(growing: _GrowingTree, i: int, fixed: int, exchangeable: int,
     growing.attach(i, k, target)
 
 
-def dfst_schedule(cdg: ConflictDirectedGraph) -> SpanningTree:
-    """Baseline tree: one layer below the deepest conflict parent of any kind."""
+def _grow(cdg: ConflictDirectedGraph, improved: bool) -> SpanningTree:
+    """Place vehicles 1..n in arrival order with ``_place``."""
     growing = _GrowingTree(SpanningTree(parent={}, depth={}))
     for i in range(1, cdg.n + 1):
-        _place(growing, i, cdg.fixed[i], cdg.exchangeable[i], improved=False)
+        _place(growing, i, cdg.fixed[i], cdg.exchangeable[i], improved)
     return growing.tree
+
+
+def dfst_schedule(cdg: ConflictDirectedGraph) -> SpanningTree:
+    """Baseline tree: one layer below the deepest conflict parent of any kind."""
+    return _grow(cdg, improved=False)
 
 
 def idfst_schedule(cdg: ConflictDirectedGraph) -> SpanningTree:
@@ -255,10 +260,7 @@ def idfst_schedule(cdg: ConflictDirectedGraph) -> SpanningTree:
     (``_GrowingTree``), so a vehicle costs O(log n) plus one ``&`` per
     depth it tests, not a scan of the tree.
     """
-    growing = _GrowingTree(SpanningTree(parent={}, depth={}))
-    for i in range(1, cdg.n + 1):
-        _place(growing, i, cdg.fixed[i], cdg.exchangeable[i], improved=True)
-    return growing.tree
+    return _grow(cdg, improved=True)
 
 
 def _bfs_order(cug: CoexistenceGraph) -> list[int]:

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
-import pytest
+import pathlib
 
-from crossflow.conflicts import ConflictSets, build_cdg, build_conflict_sets, build_cug
-from crossflow.presets import example1_arrivals, example1_scenario
-from crossflow.scenario import default_intersection
+import pytest
+import yaml
+
+from crossflow.cli import load_arrivals
+from crossflow.conflicts import ConflictSets, build_cdg, build_cug
+from crossflow.scenario import (_FILE_PARAMS, IntersectionConfig, default_intersection,
+                                load_scenario_file)
 
 from .oracles import bitset
+
+DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
 
 
 def make_sets(rows) -> list[ConflictSets]:
@@ -22,6 +28,27 @@ def make_sets(rows) -> list[ConflictSets]:
         )
         for v, c, d, g, r in rows
     ]
+
+
+def dump_scenario(cfg: IntersectionConfig) -> str:
+    """Serialize a config back into the scenario document format."""
+    doc = {
+        "legs": sorted({m.approach_leg.value for m in cfg.movements}
+                       | {m.exit_leg.value for m in cfg.movements}),
+        "movements": [
+            {
+                "id": m.id,
+                "approach_leg": m.approach_leg.value,
+                "approach_lane": m.approach_lane,
+                "exit_leg": m.exit_leg.value,
+                "exit_lane": m.exit_lane,
+            }
+            for m in cfg.movements
+        ],
+        "crossing_pairs": [list(p) for p in sorted(cfg.crossing_pairs)],
+        "parameters": {key: getattr(cfg, attr) for key, (attr, _, _) in _FILE_PARAMS.items()},
+    }
+    return yaml.safe_dump(doc, sort_keys=False)
 
 
 # Conflict sets of the seven-vehicle example, frozen from the source analysis.
@@ -43,12 +70,12 @@ def default_cfg():
 
 @pytest.fixture(scope="session")
 def ex1_scenario():
-    return example1_scenario()
+    return load_scenario_file(str(DATA / "example1_scenario.yaml"))
 
 
 @pytest.fixture(scope="session")
-def ex1_records():
-    return example1_arrivals()
+def ex1_records(ex1_scenario):
+    return load_arrivals(str(DATA / "example1_arrivals.csv"), ex1_scenario.initial_speed)
 
 
 @pytest.fixture(scope="session")

@@ -18,12 +18,13 @@ from crossflow.cli import (
     run_cli,
     summarize,
 )
-from crossflow.conflicts import build_cdg, build_conflict_sets
-from crossflow.scenario import dump_scenario, default_intersection
+from crossflow.conflicts import VehicleRecord, build_cdg, build_conflict_sets
+from crossflow.scenario import default_intersection
 from crossflow.simulation import Algorithm, Mode, SimConfig, run, sample_arrivals
 
+from .conftest import DATA, dump_scenario
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-DATA = ROOT / "data"
 
 
 def cli(capsys, *argv):
@@ -310,6 +311,7 @@ class TestScheduleCommand:
         ("1,1,0.0\n2,2,-1.0\n", "t_in"),
         ("1,1,0.0\n2,2,inf\n", "t_in"),
         ("1,x,0.0\n", "bad row"),
+        ("1,1,0.0,9\n", "bad row"),
     ])
     @pytest.mark.parametrize("algorithm", ["dfst", "idfst", "mcc-greedy"])
     def test_bad_arrival_rows_exit_2(self, capsys, tmp_path, rows, needle, algorithm):
@@ -506,9 +508,12 @@ def test_unwritable_output_fails_before_any_run(capsys, tmp_path, monkeypatch, a
     assert (tmp_path / "kept.csv").read_text() == "kept\n"
 
 
-def test_load_arrivals_round_trip(ex1_records):
+def test_load_arrivals_round_trip():
     loaded = load_arrivals(str(DATA / "example1_arrivals.csv"), 2.0)
-    assert loaded == ex1_records
+    rows = [(1, 1, 0.0), (2, 2, 0.2), (3, 3, 2.0), (4, 4, 2.2), (5, 5, 2.4), (6, 5, 2.6),
+            (7, 6, 53.0)]
+    assert loaded == [VehicleRecord(id=i, movement=m, entry_time=t, entry_speed=2.0)
+                      for i, m, t in rows]
 
 
 # --- the CLI contract over generated argv -------------------------------------

@@ -13,9 +13,6 @@ ALLOWED_UNREFERENCED = {
     "adjacent": "read by bench/tracer.py",
     "error": "argparse calls it: _Parser overrides ArgumentParser.error",
     "simulate_platoon": "the closed loop on a given tree, documented in README.md",
-    "dump_scenario": "read by scripts/make_example1.py",
-    "example1_scenario": "read by scripts/make_example1.py",
-    "example1_arrivals": "read by scripts/make_example1.py",
 }
 
 

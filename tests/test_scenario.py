@@ -14,9 +14,10 @@ from crossflow.scenario import (
     classify_conflict,
     conflict_summary,
     default_intersection,
-    dump_scenario,
     load_scenario,
 )
+
+from .conftest import dump_scenario
 
 
 def test_default_conflict_counts(default_cfg):
@@ -132,17 +133,20 @@ def test_malformed_document_is_parse_error():
 
 
 def test_shared_approach_lane_rejected():
-    with pytest.raises(ValidationError, match="already hosts"):
-        load_scenario(
-            """
+    """Refused whether or not the two movements are also declared crossing."""
+    doc = yaml.safe_load(
+        """
 legs: [North, South, East]
 movements:
   - {id: 1, approach_leg: North, approach_lane: 0, exit_leg: South, exit_lane: 0}
   - {id: 2, approach_leg: North, approach_lane: 0, exit_leg: East, exit_lane: 0}
-crossing_pairs: []
 parameters: {L_ctrl: 900, v_max: 25, a_max: 5, a_min: -6, v_0: 10, D_des: 30}
 """
-        )
+    )
+    for crossing in ([], [[1, 2]]):
+        doc["crossing_pairs"] = crossing
+        with pytest.raises(ValidationError, match="already hosts"):
+            load_scenario(yaml.safe_dump(doc))
 
 
 def test_u_turn_rejected():

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from crossflow.conflicts import (CoexistenceGraph, ContractError, VehicleRecord, _horizon,
                                  nominal_remaining, reachability_conflict)
 from crossflow.control import LEADER, ControllerGains, VehicleState
-from crossflow.presets import example1_arrivals, example1_scenario
 from crossflow.conflicts import build_cdg
 from crossflow.scheduling import (_GrowingTree, _cover_layers, dfst_schedule, idfst_schedule,
                                   mcc_greedy)
@@ -27,19 +26,18 @@ from crossflow.simulation import (
     simulate_platoon,
     _Engine,
 )
-from crossflow.scenario import (ValidationError, default_intersection, dump_scenario,
-                                load_scenario)
+from crossflow.scenario import ValidationError, default_intersection, load_scenario
 
 import yaml
 
-from .conftest import EXAMPLE1_SETS, make_sets
+from .conftest import DATA, EXAMPLE1_SETS, dump_scenario, make_sets
 from .instances import sampled_instance
 from .oracles import (bitset, members, renumbered_cover_layers, renumbered_greedy_cover,
                       sets_conflict)
 
 
 def single_lane_scenario():
-    doc = yaml.safe_load(dump_scenario(example1_scenario()))
+    doc = yaml.safe_load((DATA / "example1_scenario.yaml").read_text())
     doc["movements"] = [m for m in doc["movements"] if m["id"] in (3,)]
     doc["crossing_pairs"] = []
     return load_scenario(yaml.safe_dump(doc))
@@ -333,14 +331,14 @@ def test_trace_reads_the_one_stepping_path(default_cfg, algorithm):
 
 
 class TestOnlineLocking:
-    def test_locked_vehicle_keeps_depth(self, ex1_scenario):
+    def test_locked_vehicle_keeps_depth(self, ex1_scenario, ex1_records):
         """A vehicle near the stopping line is excluded from rescheduling."""
         cfg = SimConfig(scenario=ex1_scenario, algorithm=Algorithm.MCC_GREEDY,
                         n_vehicles=7, mean_headway=3.0, seed=1, mode=Mode.ONLINE)
         # replay the worked example's arrival pattern through the online engine
         engine = _Engine(ex1_scenario, cfg.n_vehicles + 1, gains=ControllerGains(),
                          leader_start=cfg.leader_start)
-        records = example1_arrivals()
+        records = ex1_records
         # drive manually: place the first six at entry states, then push one
         # deep into the zone and lock it by a seventh arrival
         for rec in records[:6]:
