@@ -3,7 +3,8 @@
 Vehicles from different lanes are controlled as one platoon behind a virtual
 leader that advances at constant speed.  Each vehicle exchanges state with
 its tree parent (and, symmetrically, its children) and with the leader, and
-runs a linear feedback law on spacing and speed errors.  Desired spacing is
+runs a linear feedback law on spacing and speed errors, summing its peer
+terms in ascending vehicle id and the leader's last.  Desired spacing is
 proportional to the layer difference, so all vehicles of one layer align and
 consecutive layers stay one design gap apart.
 
@@ -18,12 +19,13 @@ oracles, which check the kernel against it bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .conflicts import ContractError
 from .scenario import IntersectionConfig
+from .scheduling import SpanningTree
 
 LEADER = 0
 
@@ -57,7 +59,7 @@ class PlatoonKernel:
     readable beside the new one (``p``, ``v``).
 
     Column c of the peer table holds every row's c-th peer, as a local
-    index in the order of its neighbor set, and the desired spacing
+    index in ascending vehicle id, and the desired spacing
     D_des * (d_j - d_i); rows with fewer peers are padded with their own
     index (zero terms for finite states), and the leader is the last
     column.  A step gathers every (peer, row) pair into one (2k + 3, m)
@@ -73,25 +75,32 @@ class PlatoonKernel:
     def __init__(
         self,
         rows: Sequence[int],
-        neighbor_sets: Mapping[int, Iterable[int]],
-        depths: Mapping[int, int],
+        tree: SpanningTree,
         gains: ControllerGains,
         cfg: IntersectionConfig,
         remaining: np.ndarray,
         speed: np.ndarray,
     ):
-        """Links among ``rows``, the controlled vehicles: peers outside them
-        (absent or crossed) are skipped.  The rows' state is gathered from
-        ``remaining`` and ``speed``, indexed by vehicle id."""
+        """``rows``, the controlled vehicles, must ascend by id.  A row's
+        peers are its tree parent and children among the rows (an absent or
+        crossed one is never entered), in ascending id.  The rows' state is
+        gathered from ``remaining`` and ``speed``, indexed by vehicle id."""
         m = len(rows)
         local = {v: k for k, v in enumerate(rows)}
-        lists = [[local[j] for j in neighbor_sets[i] if j in local] for i in rows]
+        lists = [[] for _ in rows]  # per row, its peers as local indices
+        for k, v in enumerate(rows):
+            up = local.get(tree.parent[v])
+            if up is not None:
+                lists[k].append(up)
+                lists[up].append(k)
+        for ps in lists:
+            ps.sort()  # local indices ascend with the ids
         width = max(map(len, lists), default=0)
         flat = []  # row by row: its peers, its own index k as padding, the leader (m) last
         for k, ps in enumerate(lists):
             flat += ps + [k] * (width - len(ps)) + [m]
         peer = np.array(flat, dtype=np.intp).reshape(m, width + 1).T
-        layer = np.array([depths[i] for i in rows] + [0])  # the leader's layer is 0
+        layer = np.array([tree.depth[i] for i in rows] + [0])  # the leader's layer is 0
         self.rows = np.array(rows, dtype=np.intp)
         # flat indices into a state buffer: (column, position or speed, row)
         self._index = peer[:, None, :] + np.array([[0], [m + 1]])

@@ -254,10 +254,9 @@ def idfst_schedule(cdg: ConflictDirectedGraph) -> SpanningTree:
     vehicle; crossing and converging parents only exclude their own layers,
     so the new vehicle may slot in front of them.  Each vehicle then takes
     the shallowest admissible layer and attaches to the least-loaded node
-    one layer up.  The step tests the parents against one bitset per depth and
-    finds the
-    least-loaded node in a per-depth heap kept as the tree grows
-    (``_GrowingTree``), so a vehicle costs O(log n) plus one ``&`` per
+    one layer up.  The step tests the parents against one bitset per depth
+    and finds the least-loaded node in a per-depth heap kept as the tree
+    grows (``_GrowingTree``), so a vehicle costs O(log n) plus one ``&`` per
     depth it tests, not a scan of the tree.
     """
     return _grow(cdg, improved=True)

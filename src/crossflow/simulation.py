@@ -22,7 +22,8 @@ by vehicle id, and the vehicles in the zone are one int bitset, like every
 other vehicle set of the run.  ``control.PlatoonKernel``,
 the one implementation of the control law (the test suite's oracles hold
 its scalar reference, one vehicle at a time), is built over the vehicles in
-the zone with their links (each vehicle's tree parent and children) and
+the zone and the schedule's tree, which gives their links (each vehicle's
+tree parent and children, whose terms it sums in ascending vehicle id) and
 spacing offsets.  It gathers their state once and steps them all at once;
 the engine's arrays catch up only when the kernel is rebuilt, on an
 arrival, a reschedule or a crossing, or when ``simulate_platoon`` samples
@@ -46,7 +47,7 @@ from collections import deque, namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -64,7 +65,7 @@ from .conflicts import (
     conflict_sets_for,
     reachability_conflict,
 )
-from .control import LEADER, ControllerGains, PlatoonKernel, VehicleState
+from .control import ControllerGains, PlatoonKernel, VehicleState
 from .scenario import IntersectionConfig
 from .scheduling import (
     BRUTE_CAP,
@@ -221,23 +222,22 @@ class RunResult:
 class _Engine:
     """The closed loop of ``run`` and ``simulate_platoon`` (module docstring).
 
-    The schedule is one ``SpanningTree`` whose ``depth``/``parent`` maps the
-    schedulers grow in place; the links follow ``parent``.  ``zone`` is the
-    bitset of the vehicles that have entered and not crossed, and the
-    kernel's rows.  While a kernel is built it owns the state of its rows:
-    ``remaining`` and ``speed`` are current for them only after ``sync`` or
-    ``release``.
+    The schedule is the ``SpanningTree`` it is given, whose ``depth``/``parent``
+    maps the online schedulers grow in place; the kernel reads its links
+    from it.  ``zone`` is the bitset of the vehicles that have entered and
+    not crossed, and the kernel's rows.  While a kernel is built it owns the
+    state of its rows: ``remaining`` and ``speed`` are current for them only
+    after ``sync`` or ``release``.
     """
 
-    def __init__(self, scn: IntersectionConfig, size: int, *, gains: ControllerGains,
-                 leader_start: float, collect_trace: bool = False):
+    def __init__(self, scn: IntersectionConfig, size: int, tree: SpanningTree, *,
+                 gains: ControllerGains, leader_start: float, collect_trace: bool = False):
         self.scn, self.gains, self.leader_start = scn, gains, leader_start
         self.collect_trace = collect_trace
         self.remaining, self.speed = np.zeros(size), np.zeros(size)
         self.zone = 0  # entered and not yet across the stopping line
         self.kernel: PlatoonKernel | None = None  # None: rebuild before the next step
-        self.tree = SpanningTree(parent={}, depth={})
-        self.depth, self.parent = self.tree.depth, self.tree.parent
+        self.tree, self.depth, self.parent = tree, tree.depth, tree.parent
         self.growing: _GrowingTree | None = None  # the trees' step index; None: stale
         self.sets: dict[int, ConflictSets] = {}
         self.conflict = [0] * size  # online conflict bitset per vehicle
@@ -253,9 +253,6 @@ class _Engine:
         self.speed[vehicle] = speed
         self.zone |= 1 << vehicle
 
-    def live_remaining(self, vehicle: int, _t: float) -> float:
-        return float(self.remaining[vehicle])
-
     def arrive(self, record: VehicleRecord) -> None:
         """Online arrival: conflict sets against the zone, then symmetric conflict
         bitsets with every set member and the whole lane, not just its predecessor."""
@@ -264,7 +261,7 @@ class _Engine:
         zone = uncatchable = 0
         horizon = _horizon(self.scn)  # reachability_conflict's test, hoisted out of the loop
         for i in _bits(self.zone):
-            distance = self.live_remaining(i, record.entry_time) if i < v else 0.0
+            distance = float(self.remaining[i])
             if distance > 0:
                 zone |= 1 << i
                 if distance / self.scn.platoon_speed < horizon:
@@ -303,7 +300,7 @@ class _Engine:
         """
         self.release()
         unlocked = sum(1 << i for i in _bits(self.zone) if not reachability_conflict(
-            max(self.live_remaining(i, 0.0), 0.0), self.scn))
+            max(float(self.remaining[i]), 0.0), self.scn))
         if not unlocked:
             return
         self.growing = None  # the layers below are written past the trees' step
@@ -322,28 +319,12 @@ class _Engine:
 
     # --- dynamics -------------------------------------------------------
 
-    def neighbor_sets(self, rows: list[int]) -> Mapping[int, frozenset[int]]:
-        children: dict[int, set[int]] = {}
-        for child, par in self.parent.items():
-            if par != LEADER:
-                children.setdefault(par, set()).add(child)
-        out = {}
-        for v in rows:
-            peers = set(children.get(v, ()))
-            par = self.parent.get(v, LEADER)
-            if par != LEADER:
-                peers.add(par)
-            out[v] = frozenset(peers)
-        return out
-
     def step(self, t: float, step_idx: int) -> None:
         """Control and integrate the vehicles in the zone over one step."""
         kernel = self.kernel
         if kernel is None:
-            rows = list(_bits(self.zone))
-            kernel = self.kernel = PlatoonKernel(rows, self.neighbor_sets(rows), self.depth,
-                                                 self.gains, self.scn, self.remaining,
-                                                 self.speed)
+            kernel = self.kernel = PlatoonKernel(list(_bits(self.zone)), self.tree, self.gains,
+                                                 self.scn, self.remaining, self.speed)
         if not kernel.rows.size:
             return
         reached = kernel.step(self.leader_start - self.scn.platoon_speed * t)
@@ -391,13 +372,10 @@ def run(cfg: SimConfig) -> RunResult:
     """
     arrivals = sample_arrivals(cfg)
     scn = cfg.scenario
-    engine = _Engine(scn, cfg.n_vehicles + 1, gains=ControllerGains(),
+    tree = (schedule_batch(arrivals, scn, cfg.algorithm) if cfg.mode is Mode.BATCH
+            else SpanningTree(parent={}, depth={}))
+    engine = _Engine(scn, cfg.n_vehicles + 1, tree, gains=ControllerGains(),
                      leader_start=cfg.leader_start, collect_trace=cfg.collect_trace)
-
-    if cfg.mode is Mode.BATCH:
-        tree = schedule_batch(arrivals, scn, cfg.algorithm)
-        engine.depth.update(tree.depth)
-        engine.parent.update(tree.parent)
 
     pending = deque(arrivals)
     eps = 1e-9
@@ -473,9 +451,8 @@ def simulate_platoon(
     or the time limit is hit.
     """
     ids = list(initial)
-    engine = _Engine(cfg, max(ids, default=0) + 1, gains=gains, leader_start=leader_start)
-    engine.depth.update(tree.depth)
-    engine.parent.update(tree.parent)
+    engine = _Engine(cfg, max(ids, default=0) + 1, tree, gains=gains,
+                     leader_start=leader_start)
     for i, st in initial.items():
         engine.enter(i, st.remaining, st.speed)
     history: list[PlatoonSample] = []

@@ -387,16 +387,16 @@ class CommTopology:
     """Predecessor-leader-following communication structure.
 
     ``adjacency``/``pinning``/``laplacian`` are indexed by position in
-    ``ids``; ``neighbor_sets`` maps a vehicle id to the peer ids it exchanges
-    state with (parent and children, never the leader, who enters through the
-    pinning term).
+    ``ids``; ``peers`` maps a vehicle id to the peer ids it exchanges state
+    with, ascending (parent and children, never the leader, who enters
+    through the pinning term).
     """
 
     ids: tuple[int, ...]
     adjacency: np.ndarray
     pinning: np.ndarray
     laplacian: np.ndarray
-    neighbor_sets: dict[int, frozenset[int]]
+    peers: dict[int, tuple[int, ...]]
 
 
 def build_plf_topology(tree: SpanningTree) -> CommTopology:
@@ -414,8 +414,7 @@ def build_plf_topology(tree: SpanningTree) -> CommTopology:
         adjacency=adjacency,
         pinning=np.eye(len(ids)),
         laplacian=np.diag(adjacency.sum(axis=1)) - adjacency,
-        neighbor_sets={v: frozenset(ids[j] for j in np.flatnonzero(adjacency[pos[v]]))
-                       for v in ids},
+        peers={v: tuple(ids[j] for j in np.flatnonzero(adjacency[pos[v]])) for v in ids},
     )
 
 
@@ -423,16 +422,17 @@ def control_input(vehicle: int, states, topology: CommTopology, depths, gains, c
                   active=None) -> float:
     """The scalar control law, one vehicle at a time: ``PlatoonKernel``'s reference.
 
-    Spacing error against peer j is p_j - p_i - D_des * (d_j - d_i); the
-    leader term always contributes through the pinning gain.  Peers outside
-    ``active`` (already past the stopping line) are skipped.  Saturation is
-    the integrator's job, not done here.
+    Spacing error against peer j is p_j - p_i - D_des * (d_j - d_i), summed
+    over the peers in ascending id; the leader term always contributes
+    through the pinning gain, last.  Peers outside ``active`` (already past
+    the stopping line) are skipped.  Saturation is the integrator's job, not
+    done here.
     """
     me = states[vehicle]
     d_i = depths[vehicle]
     gap = cfg.desired_gap
     u = 0.0
-    for j in topology.neighbor_sets[vehicle]:
+    for j in topology.peers[vehicle]:
         if active is not None and j not in active:
             continue
         peer = states[j]

@@ -32,8 +32,7 @@ def kernel_for(tree: SpanningTree, states: dict, cfg, gains=ControllerGains(),
     remaining, speed = np.zeros(max(states) + 1), np.zeros(max(states) + 1)
     for v, state in states.items():
         remaining[v], speed[v] = state.remaining, state.speed
-    return PlatoonKernel(rows, build_plf_topology(tree).neighbor_sets, tree.depth, gains, cfg,
-                         remaining, speed)
+    return PlatoonKernel(rows, tree, gains, cfg, remaining, speed)
 
 
 def kernel_inputs(tree: SpanningTree, states: dict, cfg, gains=ControllerGains(),
@@ -51,7 +50,7 @@ def kernel_step(cfg, state: VehicleState, leader_remaining: float,
                 gains=ControllerGains()) -> tuple[float, VehicleState]:
     """One ``PlatoonKernel.step`` of vehicle 1, alone at depth 1 behind the
     leader: its input and its new state."""
-    kernel = PlatoonKernel([1], {1: ()}, {1: 1}, gains, cfg, np.array([0.0, state.remaining]),
+    kernel = PlatoonKernel([1], chain_tree(1), gains, cfg, np.array([0.0, state.remaining]),
                            np.array([0.0, state.speed]))
     kernel.step(leader_remaining)
     return float(kernel.u[0]), VehicleState(float(kernel.p[0]), float(kernel.v[0]))
@@ -71,19 +70,19 @@ class TestTopology:
         assert topo.adjacency.tolist() == [[0.0]]
         assert topo.pinning.tolist() == [[1.0]]
         assert topo.laplacian.tolist() == [[0.0]]
-        assert topo.neighbor_sets == {1: frozenset()}
+        assert topo.peers == {1: ()}
 
     def test_chain(self):
         topo = build_plf_topology(chain_tree(2))
         assert topo.adjacency[0, 1] == topo.adjacency[1, 0] == 1.0
         assert np.trace(topo.pinning) == 2
-        assert topo.neighbor_sets[1] == frozenset({2})
-        assert topo.neighbor_sets[2] == frozenset({1})
+        assert topo.peers[1] == (2,)
+        assert topo.peers[2] == (1,)
 
     def test_example_tree_links_late_vehicle_to_its_parent(self, ex1_cdg):
         tree = idfst_schedule(ex1_cdg)
         topo = build_plf_topology(tree)
-        assert tree.parent[7] in topo.neighbor_sets[7]
+        assert tree.parent[7] in topo.peers[7]
 
     def test_matrix_identities(self, ex1_cdg):
         topo = build_plf_topology(idfst_schedule(ex1_cdg))
@@ -285,7 +284,7 @@ class TestPlatoonKernel:
         nothing, while 2 and 3 link to each other."""
         tree = SpanningTree(parent={1: LEADER, 2: LEADER, 3: 2}, depth={1: 1, 2: 1, 3: 2})
         topo = build_plf_topology(tree)
-        assert topo.neighbor_sets[1] == frozenset()
+        assert topo.peers[1] == ()
         states = {LEADER: VehicleState(300.0, default_cfg.platoon_speed),
                   1: VehicleState(337.5, 9.0), 2: VehicleState(320.25, 12.5),
                   3: VehicleState(361.0, 8.0)}
@@ -307,6 +306,30 @@ class TestPlatoonKernel:
         assert_step_matches_oracle(kernel, states, tree, topo, ControllerGains(), default_cfg,
                                    {2, 3})
         assert kernel.u[0] != pytest.approx(kernel_inputs(tree, {**states}, default_cfg)[2])
+
+    @pytest.mark.parametrize("active", [None, {1, 3, 4, 5, 6, 7}, {2, 3, 4, 5, 7}])
+    def test_peers_ascend_where_a_parent_outnumbers_its_children(self, default_cfg, active):
+        """Cover-route trees hang low ids under higher ones: 3 has children 1
+        and 4 and parent 6, and 7 has child 5 and parent 6.  Every row's peer
+        columns hold its peers among the rows in ascending id, padded with its
+        own index, and u matches the reference summing in that order."""
+        tree = SpanningTree(parent={6: LEADER, 2: 6, 3: 6, 7: 6, 1: 3, 4: 3, 5: 7},
+                            depth={6: 1, 2: 2, 3: 2, 7: 2, 1: 3, 4: 3, 5: 3})
+        topo = build_plf_topology(tree)
+        assert topo.peers[3] == (1, 4, 6) and topo.peers[6] == (2, 3, 7)
+        states = {LEADER: VehicleState(212.3, default_cfg.platoon_speed)}
+        for v in range(1, 8):
+            states[v] = VehicleState(230.0 + 31.7 * v - 0.13 * v * v, 9.0 + 0.37 * v)
+        kernel = kernel_for(tree, states, default_cfg, active=active)
+        kernel.step(212.3)
+        rows = kernel.rows.tolist()
+        columns = kernel._index[:-1, 0, :].T.tolist()  # per row, its peer columns' local indices
+        for k, v in enumerate(rows):
+            want = [j for j in topo.peers[v] if j in rows]
+            assert [rows[c] for c in columns[k][:len(want)]] == want
+            assert columns[k][len(want):] == [k] * (len(columns[k]) - len(want))
+        assert_step_matches_oracle(kernel, states, tree, topo, ControllerGains(), default_cfg,
+                                   active)
 
     def test_speed_bounds_and_clamps_hit_exactly(self, default_cfg):
         """Four lone vehicles (no peers) whose inputs saturate at a_min and

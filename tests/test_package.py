@@ -1,6 +1,8 @@
-"""The package holds only code that runs: every function is reachable from it."""
+"""The package holds only code that runs, every function reachable from it,
+and imports only the standard library and its runtime dependencies."""
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -69,3 +71,26 @@ def test_every_setting_is_set_by_a_caller():
                 passed.update(kw.arg for kw in node.keywords)
     unset = sorted(defaulted - passed - set(ALLOWED_UNSET_SETTINGS))
     assert not unset, "SimConfig settings no caller sets: " + ", ".join(unset)
+
+
+# The runtime dependencies outside the standard library (pyproject.toml).
+RUNTIME_DEPENDENCIES = {"numpy", "yaml"}
+
+
+def test_imports_are_the_standard_library_numpy_or_yaml():
+    """Every import of the package, at module level or in a function, is
+    from the standard library, numpy or PyYAML, or is relative (the package
+    itself)."""
+    outside = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            outside.update(f"{path.name}: {root}" for root in roots
+                           if root not in sys.stdlib_module_names | RUNTIME_DEPENDENCIES)
+    assert not outside, ("imports outside the standard library, numpy and yaml: "
+                         + ", ".join(sorted(outside)))
