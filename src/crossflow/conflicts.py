@@ -266,27 +266,23 @@ class ConflictDirectedGraph:
         """Normalized (low, high) pairs."""
         return frozenset((i, cs.vehicle) for cs in self.sets for i in _bits(cs.converging))
 
-    @property
-    def unidirectional(self) -> frozenset[tuple[int, int]]:
-        return self.lane_edges | self.reach_edges
-
-    @property
-    def bidirectional(self) -> frozenset[tuple[int, int]]:
-        return self.crossing_edges | self.converging_edges
-
     def connected(self, i: int, j: int) -> bool:
         """True when any edge links i and j, in either sense."""
         return bool(self.mask[i] >> j & 1)
 
     def to_dict(self) -> dict:
+        """Nodes and edge lists; each edge is a fresh list, so YAML writes no aliases."""
+        def edges(pairs: frozenset[tuple[int, int]]) -> list[list[int]]:
+            return [list(e) for e in sorted(pairs)]
+
         return {
             "nodes": list(range(self.n + 1)),
-            "unidirectional": sorted(self.unidirectional),
-            "bidirectional": sorted(self.bidirectional),
-            "lane": sorted(self.lane_edges),
-            "reachability": sorted(self.reach_edges),
-            "crossing": sorted(self.crossing_edges),
-            "converging": sorted(self.converging_edges),
+            "unidirectional": edges(self.lane_edges | self.reach_edges),
+            "bidirectional": edges(self.crossing_edges | self.converging_edges),
+            "lane": edges(self.lane_edges),
+            "reachability": edges(self.reach_edges),
+            "crossing": edges(self.crossing_edges),
+            "converging": edges(self.converging_edges),
         }
 
 

@@ -23,10 +23,11 @@ Batch and online scheduling share one path.  The trees add one vehicle at a
 time with ``_place``, which the online engine calls on its own partial tree
 at each arrival.  The cover routes turn a cover into layers with
 ``_cover_layers``, and the layers into depths and parents with
-``_lay_layers``; the engine calls both on its unlocked vehicles, laying
-them around the locked ones.  ``order_layers`` orders a cover by a bounded
-depth-first search that takes one lane-tuple kind per step and, once a
-state is proven dead, proves states dead before it enters them by a
+``_lay_layers``, which gives a layer idfst's depth (``_target_depth``) as
+if it were one vehicle; the engine calls both on its unlocked vehicles,
+laying them around the locked ones.  ``order_layers`` orders a cover by a
+bounded depth-first search that takes one lane-tuple kind per step and,
+once a state is proven dead, proves states dead before it enters them by a
 projection onto lane pairs.  When no cover orders (the exact route tries
 one minimum cover per class cover, the greedy route its one cover, and a
 search that runs out of budget counts as finding no order),
@@ -544,38 +545,38 @@ def _lay_layers(parent: dict[int, int], depth: dict[int, int], layers: Iterable[
     """Write ordered layers into a tree's maps, around the nodes already placed.
 
     Placed nodes (those in ``depth`` outside ``layers``) keep their depths.
-    Each layer goes one below the previous one, and further down where a
-    member needs it: below every placed node among its fixed predecessors,
-    and off the depth of every placed node exchangeable with it, in either
-    sense (``predecessors(v)`` gives v's fixed and exchangeable bitsets, as
-    ``_place`` takes them, and ``&`` cuts them to the placed nodes).  A member
-    hangs under the lowest id one layer up, or under the leader 0 when that
-    layer is empty.  Members in the maps are overwritten in place.
+    Each layer takes idfst's depth (``_target_depth``) for the union of its
+    members' fixed and exchangeable predecessors (``predecessors(v)``, as
+    ``_place`` takes them), read against per-depth bitsets of the placed
+    nodes and the layers laid before it.  The previous layer (the leader
+    before the first) is one more fixed parent, and a member's exchangeable
+    set also holds the placed nodes that may pass it.  A member hangs under
+    the lowest id one layer up.  Members in the maps are overwritten in place.
     """
     layers = [list(layer) for layer in layers]
     members = sum(1 << m for layer in layers for m in layer)
-    placed = sum(1 << w for w in depth) & ~members
-    lowest = {0: 0}  # depth -> lowest id there: the parent index
-    banned: dict[int, set[int]] = {}  # member -> depths of later placed nodes it may pass
-    for w in _bits(placed):
-        lowest[depth[w]] = min(w, lowest.get(depth[w], w))
-        for m in _bits(predecessors(w)[1] & members):
-            banned.setdefault(m, set()).add(depth[w])
-    d = 0
+    rows = [1]  # per depth, its nodes: the leader, the placed nodes, the layers laid
+    passing = dict.fromkeys(_bits(members), 0)  # member -> placed nodes that may pass it
+    for w, d in depth.items():
+        if not members >> w & 1:
+            rows += [0] * (d + 1 - len(rows))
+            rows[d] |= 1 << w
+            for m in _bits(predecessors(w)[1] & members):
+                passing[m] |= 1 << w
+    above = 1  # the previous layer's members: the leader before the first layer
     for layer in layers:
-        floors, skip = [d], set()
+        fixed, exchangeable = above, 0
         for m in layer:
-            fixed, exchangeable = predecessors(m)
-            floors += map(depth.__getitem__, _bits(fixed & placed))
-            skip.update(map(depth.__getitem__, _bits(exchangeable & placed)))
-            skip.update(banned.get(m, ()))
-        d = max(floors) + 1
-        while d in skip:
-            d += 1
-        anchor = lowest.get(d - 1, 0)
+            f, e = predecessors(m)
+            fixed, exchangeable = fixed | f, exchangeable | e | passing[m]
+        d = _target_depth(rows, fixed, exchangeable)
+        if d == len(rows):
+            rows.append(0)
+        anchor = (rows[d - 1] & -rows[d - 1]).bit_length() - 1
+        above = sum(1 << m for m in layer)
+        rows[d] |= above
         for m in layer:
             depth[m], parent[m] = d, anchor
-        lowest[d] = min(lowest.get(d, layer[0]), *layer)
 
 
 def _tree_from_layers(layers: list[tuple[int, ...]], cdg: ConflictDirectedGraph) -> SpanningTree:

@@ -63,7 +63,6 @@ from .conflicts import (
     _horizon,
     class_masks,
     conflict_sets_for,
-    reachability_conflict,
 )
 from .control import ControllerGains, PlatoonKernel, VehicleState
 from .scenario import IntersectionConfig
@@ -219,6 +218,11 @@ class RunResult:
     arrivals: list[VehicleRecord]
 
 
+def _members_where(members: int, flags: np.ndarray) -> int:
+    """The members of a bitset whose entry in ``flags``, a bool per vehicle id, is set."""
+    return members & int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
 class _Engine:
     """The closed loop of ``run`` and ``simulate_platoon`` (module docstring).
 
@@ -258,16 +262,9 @@ class _Engine:
         bitsets with every set member and the whole lane, not just its predecessor."""
         self.release()
         v = record.id
-        zone = uncatchable = 0
-        horizon = _horizon(self.scn)  # reachability_conflict's test, hoisted out of the loop
-        for i in _bits(self.zone):
-            distance = float(self.remaining[i])
-            if distance > 0:
-                zone |= 1 << i
-                if distance / self.scn.platoon_speed < horizon:
-                    uncatchable |= 1 << i
+        zone = _members_where(self.zone, self.remaining > 0)
         masks = class_masks(record.movement, self.lane_mask, self.scn)
-        cs = self.sets[v] = conflict_sets_for(record, zone, uncatchable, masks)
+        cs = self.sets[v] = conflict_sets_for(record, zone, zone & self._locked(), masks)
         lane = self.lane_mask.get(record.movement, 0)
         mask = lane | (cs.fixed | cs.exchangeable) & ~1
         self.conflict[v] = mask
@@ -282,6 +279,13 @@ class _Engine:
             self.growing = _GrowingTree(self.tree)
         _place(self.growing, record.id, *self._predecessors(record.id),
                improved=algorithm is not Algorithm.DFST)
+
+    def _locked(self) -> int:
+        """The zone members within the lock distance: ``reachability_conflict``'s
+        test, a vehicle past the line counting as at it.  An arrival cannot
+        catch them, and the cover re-layers none of them."""
+        near = np.maximum(self.remaining, 0.0) / self.scn.platoon_speed < _horizon(self.scn)
+        return _members_where(self.zone, near)
 
     def _predecessors(self, v: int) -> tuple[int, int]:
         """v's fixed and exchangeable predecessor bitsets (``ConflictSets``):
@@ -299,16 +303,14 @@ class _Engine:
         distance stays within it.
         """
         self.release()
-        unlocked = sum(1 << i for i in _bits(self.zone) if not reachability_conflict(
-            max(float(self.remaining[i]), 0.0), self.scn))
+        unlocked = self.zone & ~self._locked()
         if not unlocked:
             return
         self.growing = None  # the layers below are written past the trees' step
         # the batch cover route on a pool of the unlocked vehicles, read
         # against the engine's own conflict and lane bitsets, ids unchanged.
         # Its layers are never None here: a predecessor an arrival cannot
-        # catch is already as close to the line as the lock distance
-        # (``reachability_conflict`` above), so it is locked, and no
+        # catch is already within the lock distance, so it is locked, and no
         # reachability conflict joins two unlocked vehicles.  The conflicts
         # left come from the movements alone, alike for every vehicle of a
         # lane, so lane-slot substitution orders any cover.

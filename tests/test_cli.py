@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -323,32 +324,33 @@ class TestScheduleCommand:
         assert out == ""
         assert needle in err
 
-    # SHA-256 of the YAML written before the graphs were built once per command
+    # SHA-256 of the YAML written before the graphs were built once per command;
+    # the --dump-graph rows since each edge is written in full, not as an alias
     @pytest.mark.parametrize("scenario,algorithm,dump,digest", [
         (None, "dfst", False, "9bad5a3eaf264231856e46dc4ed55be941c6bc4a8e959c29f43d88c19dd1fc26"),
-        (None, "dfst", True, "e892d156b38dbfdd673375b62cda5503f42c0589be94f1dbcb6827c0be93df6b"),
+        (None, "dfst", True, "30ad64897456339922daffaf0c137773c8675ed668f4f9e5535711613548d42e"),
         (None, "idfst", False, "db3621b3c7c363080ccd87628ea32115f49acd6a86210d56a1eb4eb9c68b1972"),
-        (None, "idfst", True, "172fa9bfeb38d744dbcea77f7fa1205397bdd8186e73b4633641743121f2b31b"),
+        (None, "idfst", True, "351ba977e541f1737ca85c8ac2d30dd76c317143af7a223609029522e2ccbd49"),
         (None, "mcc-greedy", False,
          "b19bb810a17eabfefe3b3808e9a5a79b2e129871533290ec82aa09e9e11c8bac"),
         (None, "mcc-greedy", True,
-         "0ba6b1491eee31b91fe0876c3389abf8a1bbfaea1d074dd27a976e0c4698993d"),
+         "74af560afa4bbe77d56c0ebf886ad133be85d2d420e8d74c749ae5cfb621bbaa"),
         ("example1_scenario.yaml", "dfst", False,
          "1e82170cfa5904e76493c337009ed52432ebf8b24744aa8fc49f8a3da7d9ba67"),
         ("example1_scenario.yaml", "dfst", True,
-         "115bab5d74aaa18b0dc0c8dd39ca77f92b6e117860722999f51f7db147a13df3"),
+         "394fd8eee0ea7ea98a80b8760cc290406401d0b09294534c99e6dbc36ea4e149"),
         ("example1_scenario.yaml", "idfst", False,
          "eb984e606c9ecb6fa3231dc89244acf2a4e8d133ddd98803d06422bb7d841d1f"),
         ("example1_scenario.yaml", "idfst", True,
-         "0368cb87a689db0e4d47e15b7bb16fee0e5c51ed33331abf995692c4c047ddc6"),
+         "c7b01f44e816ade0b6a58b0d84342bd76d31c1d717fd757bea5606ff29598ba5"),
         ("example1_scenario.yaml", "mcc-greedy", False,
          "b629b4576fa59a5efb064d212370db5629f657cd8a662b118fffc1142eac7145"),
         ("example1_scenario.yaml", "mcc-greedy", True,
-         "850580cd675c27e6fbe3f3a3ac0d14c567a5265b404cbd6c4c47d04c799c9e91"),
+         "92f4c935c5cb00d502c1f128dc1e7a4e301b9d8425263ef239b8d1fb7cf2fbee"),
         ("example1_scenario.yaml", "mcc-brute", False,
          "80a4fe18c3eb6d313210de87c11ad554ec56f718a284da029f582ad6500cc0f5"),
         ("example1_scenario.yaml", "mcc-brute", True,
-         "22a6e7e5362d112a405e9bdd99f8318f72cb4d631aad828def0fe39ed5d0feb6"),
+         "81fa966bae1a111469acaf96f7c2340b3bccd4322e9980965c293a04d8d56238"),
     ])
     def test_example_yaml_bytes_pinned(self, capsys, scenario, algorithm, dump, digest):
         argv = ["schedule", "--arrivals", str(DATA / "example1_arrivals.csv"),
@@ -359,15 +361,17 @@ class TestScheduleCommand:
             argv.append("--dump-graph")
         code, out, _ = cli(capsys, *argv)
         assert code == 0
+        assert not re.search(r"[&*]id\d", out)  # no YAML anchors or aliases
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     # SHA-256 of the YAML of a sampled fleet with reachability edges (n=200,
-    # mean gap 5 s, arrival seed 3), written before the conflict sets became bitsets
+    # mean gap 5 s, arrival seed 3); the ids leave the digest out, so a
+    # re-capture keeps them
     @pytest.mark.parametrize("algorithm,digest", [
-        ("dfst", "41f8f8e69e3cde3260a72d330f39643e4257e7739480fb3e9543ad30905c988f"),
-        ("idfst", "7da991cad1386cc8370df7693307598832456850797ef8a21b5f2776346f70a7"),
-        ("mcc-greedy", "4267a8b5f06c344c5688ea14539aff171082c15c38a7a2fa89f7e1bb26faa531"),
-    ])
+        ("dfst", "e94e7dfd90db165cb33eaf142ea61355ef3fd344a19f05f2ddc3fe34edfe3edc"),
+        ("idfst", "52bad1cfeff8ba165786565e3204a4baa760654fa1997455e54e3f07a97ced3c"),
+        ("mcc-greedy", "b4f97443d685bcf2fb39d5d023ec83d70de4f83fddaaff72f782a6c9f88b7630"),
+    ], ids=["dfst", "idfst", "mcc-greedy"])
     def test_sampled_fleet_yaml_bytes_pinned(self, capsys, tmp_path, algorithm, digest):
         scenario = default_intersection()
         records = sample_arrivals(SimConfig(scenario=scenario, algorithm=Algorithm.DFST,
@@ -379,6 +383,7 @@ class TestScheduleCommand:
         code, out, _ = cli(capsys, "schedule", "--arrivals", str(arrivals),
                            "--algorithm", algorithm, "--dump-graph")
         assert code == 0
+        assert not re.search(r"[&*]id\d", out)  # no YAML anchors or aliases
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

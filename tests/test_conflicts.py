@@ -132,14 +132,15 @@ def test_example_cdg_edges(ex1_cdg):
         {(2, 3), (2, 4), (3, 4), (2, 5), (4, 5), (2, 6), (4, 6)}
     )
     assert ex1_cdg.converging_edges == frozenset({(1, 4), (5, 7), (6, 7)})
-    assert ex1_cdg.unidirectional & ex1_cdg.bidirectional == frozenset()
+    assert (ex1_cdg.lane_edges | ex1_cdg.reach_edges).isdisjoint(
+        ex1_cdg.crossing_edges | ex1_cdg.converging_edges)
 
 
 def test_cdg_trivial_cases():
     assert build_cdg([]).n == 0
     single = build_cdg(make_sets([(1, (), (0,), (), ())]))
     assert single.lane_edges == frozenset({(0, 1)})
-    assert single.bidirectional == frozenset()
+    assert single.crossing_edges | single.converging_edges == frozenset()
 
 
 def test_cdg_rejects_bad_ordering():
@@ -301,6 +302,29 @@ def test_sweep_matches_pairwise_oracle_on_mixed_fleets(records, changes):
     sets = build_conflict_sets(records, cfg)
     assert sets == pairwise_conflict_sets(records, cfg)
     _assert_cdg_matches_edge_sets(sets)
+
+
+# Two-vehicle fleets, (movement, entry time, entry speed) each, in the default
+# scenario, whose gaps are not binary-exact, so that the second entry time
+# lands at or next to an event time of the first: 2.3e-13 m short of the
+# line, across lanes and on one lane, exactly at the line, and exactly at the
+# 385 m lock distance.  A sweep that decided membership from ``_nominal_time``
+# alone would disagree with the pairwise check on each of them.
+FLOAT_BOUNDARY_FLEETS = [
+    ((3, 168.09999999999994, 0.0), (12, 259.0999999999999, 25.0)),
+    ((5, 217.19999999999996, 10.0), (5, 307.19999999999993, 25.0)),
+    ((2, 33.4, 0.0), (5, 124.39999999999999, 14.0)),
+    ((11, 7.9, 20.0), (6, 58.400000000000006, 2.0)),
+]
+
+
+@pytest.mark.parametrize("fleet", FLOAT_BOUNDARY_FLEETS,
+                         ids=["short-of-line", "short-of-line-one-lane", "at-line",
+                              "at-lock-distance"])
+def test_sweep_matches_pairwise_oracle_at_float_boundaries(fleet):
+    records = [VehicleRecord(i, *vehicle) for i, vehicle in enumerate(fleet, start=1)]
+    cfg = default_intersection()
+    assert build_conflict_sets(records, cfg) == pairwise_conflict_sets(records, cfg)
 
 
 def test_sweep_evaluates_the_distance_model_linearly(monkeypatch):

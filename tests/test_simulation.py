@@ -319,7 +319,8 @@ class TestGolden:
         assert all(type(rec.entry_time) is float for rec in result.arrivals)
         assert run_digest(result) == digest
 
-    @pytest.mark.parametrize("algorithm,n,leader,digest", ONLINE_COVER_GOLDEN)
+    @pytest.mark.parametrize("algorithm,n,leader,digest", ONLINE_COVER_GOLDEN,
+                             ids=[f"{a}-{n}-{leader}" for a, n, leader, _ in ONLINE_COVER_GOLDEN])
     def test_online_cover_bit_identical(self, default_cfg, algorithm, n, leader, digest):
         result = run(SimConfig(scenario=default_cfg, algorithm=Algorithm(algorithm),
                                n_vehicles=n, mean_headway=1.0, seed=1, mode=Mode.ONLINE,
