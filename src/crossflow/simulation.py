@@ -19,17 +19,21 @@ desired gap behind the leader per layer.
 One engine runs the closed loop of ``run`` (both modes) and
 ``simulate_platoon``: remaining distance and speed are numpy arrays indexed
 by vehicle id, and the vehicles in the zone are one int bitset, like every
-other vehicle set of the run.  ``control.PlatoonKernel``,
-the one implementation of the control law (the test suite's oracles hold
-its scalar reference, one vehicle at a time), is built over the vehicles in
-the zone and the schedule's tree, which gives their links (each vehicle's
-tree parent and children, whose terms it sums in ascending vehicle id) and
-spacing offsets.  It gathers their state once and steps them all at once;
-the engine's arrays catch up only when the kernel is rebuilt, on an
-arrival, a reschedule or a crossing, or when ``simulate_platoon`` samples
-them.  Crossed vehicles leave it and stay frozen at their first step past
-the line.  Traced and untraced runs take the same step: the trace reads the
-kernel's pre-step state and unsaturated input.
+other vehicle set of the run.  ``control.PlatoonKernel``, the one
+implementation of the control law (the test suite's oracles hold its scalar
+reference, one vehicle at a time), lives through the whole run and reads
+the vehicles' links (each vehicle's tree parent and children, whose terms
+it sums in ascending vehicle id) and spacing offsets from the schedule's
+tree.  It changes only where an event changes it: at the first step after
+an arrival it appends the vehicle as a row, after a reschedule it relinks
+its peer table, and at a crossing the engine stores the vehicle's state
+once and the kernel parks its row.  It steps all rows at once, and tests
+them for the line only once one could have reached it.  The engine's
+arrays catch up with the kernel only when an arrival or a reschedule reads
+them, or when ``simulate_platoon`` samples them.  Crossed vehicles stay
+frozen at their first step past the line.  Traced and untraced runs take
+the same step: the trace reads the kernel's pre-step state and unsaturated
+input, for the rows not parked.
 
 Each setting has one home.  The scenario holds the physics, the step ``dt``
 and the entry speed ``initial_speed`` included, and checks them where it is
@@ -229,18 +233,21 @@ class _Engine:
     The schedule is the ``SpanningTree`` it is given, whose ``depth``/``parent``
     maps the online schedulers grow in place; the kernel reads its links
     from it.  ``zone`` is the bitset of the vehicles that have entered and
-    not crossed, and the kernel's rows.  While a kernel is built it owns the
-    state of its rows: ``remaining`` and ``speed`` are current for them only
-    after ``sync`` or ``release``.
+    not crossed.  The kernel's live rows are the zone but ``entering``, the
+    vehicles that entered since the last step, which it appends at the next
+    one.  It owns the state of its live rows: ``remaining`` and ``speed``
+    are current for them only after ``sync``.
     """
 
     def __init__(self, scn: IntersectionConfig, size: int, tree: SpanningTree, *,
                  gains: ControllerGains, leader_start: float, collect_trace: bool = False):
-        self.scn, self.gains, self.leader_start = scn, gains, leader_start
+        self.scn, self.leader_start = scn, leader_start
         self.collect_trace = collect_trace
         self.remaining, self.speed = np.zeros(size), np.zeros(size)
         self.zone = 0  # entered and not yet across the stopping line
-        self.kernel: PlatoonKernel | None = None  # None: rebuild before the next step
+        self.entering = 0  # entered and not yet a row of the kernel
+        self.kernel = PlatoonKernel(tree, gains, scn)
+        self.links_moved = False  # a re-cover moved the tree's links since the last step
         self.tree, self.depth, self.parent = tree, tree.depth, tree.parent
         self.growing: _GrowingTree | None = None  # the trees' step index; None: stale
         self.sets: dict[int, ConflictSets] = {}
@@ -252,15 +259,15 @@ class _Engine:
     # --- scheduling -----------------------------------------------------
 
     def enter(self, vehicle: int, remaining: float, speed: float) -> None:
-        self.release()
         self.remaining[vehicle] = remaining
         self.speed[vehicle] = speed
         self.zone |= 1 << vehicle
+        self.entering |= 1 << vehicle
 
     def arrive(self, record: VehicleRecord) -> None:
         """Online arrival: conflict sets against the zone, then symmetric conflict
         bitsets with every set member and the whole lane, not just its predecessor."""
-        self.release()
+        self.sync()
         v = record.id
         zone = _members_where(self.zone, self.remaining > 0)
         masks = class_masks(record.movement, self.lane_mask, self.scn)
@@ -274,7 +281,6 @@ class _Engine:
 
     def place_incremental(self, record: VehicleRecord, algorithm: Algorithm) -> None:
         """Place the arriving vehicle with the trees' own per-vehicle step."""
-        self.release()
         if self.growing is None:
             self.growing = _GrowingTree(self.tree)
         _place(self.growing, record.id, *self._predecessors(record.id),
@@ -302,7 +308,7 @@ class _Engine:
         remaining distance never grows, and a vehicle within the lock
         distance stays within it.
         """
-        self.release()
+        self.sync()
         unlocked = self.zone & ~self._locked()
         if not unlocked:
             return
@@ -318,44 +324,50 @@ class _Engine:
                                lanes=[mask for _, mask in sorted(self.lane_mask.items())])
         layers = _cover_layers(cug, exact=algorithm is Algorithm.MCC_BRUTE)
         _lay_layers(self.parent, self.depth, layers, self._predecessors)
+        self.links_moved = True
 
     # --- dynamics -------------------------------------------------------
 
     def step(self, t: float, step_idx: int) -> None:
-        """Control and integrate the vehicles in the zone over one step."""
+        """Control and integrate the vehicles in the zone over one step.
+
+        The kernel first catches up with the events since the last step: a
+        re-cover relinks it, then the vehicles that entered are appended in
+        id order.  A vehicle that crosses has its state stored once and its
+        row parked."""
         kernel = self.kernel
-        if kernel is None:
-            kernel = self.kernel = PlatoonKernel(list(_bits(self.zone)), self.tree, self.gains,
-                                                 self.scn, self.remaining, self.speed)
-        if not kernel.rows.size:
+        if self.links_moved:
+            kernel.relink()
+            self.links_moved = False
+        if self.entering:
+            for i in _bits(self.entering):
+                kernel.append(i, self.remaining[i], self.speed[i])
+            self.entering = 0
+        if not self.zone:
             return
         reached = kernel.step(self.leader_start - self.scn.platoon_speed * t)
         if self.collect_trace:
-            ids = kernel.rows.tolist()
-            self.trace += map(TraceRow, repeat(step_idx), ids, kernel.p_prev.tolist(),
-                              kernel.v_prev.tolist(), kernel.u.tolist(),
+            live = kernel.live()
+            ids = kernel.rows[live].tolist()
+            self.trace += map(TraceRow, repeat(step_idx), ids, kernel.p_prev[live].tolist(),
+                              kernel.v_prev[live].tolist(), kernel.u[live].tolist(),
                               [self.depth[i] for i in ids])
         if not reached:
             return
-        p, new_p = kernel.p_prev, kernel.p
+        p, new_p, new_v = kernel.p_prev, kernel.p, kernel.v
         hits = np.flatnonzero((p > 0.0) & (new_p <= 0.0)).tolist()
         for k in hits:
             i, before, after = int(kernel.rows[k]), float(p[k]), float(new_p[k])
             frac = before / max(before - after, 1e-12)
             self.crossed[i] = t + frac * self.scn.dt
             self.zone &= ~(1 << i)
+            self.remaining[i], self.speed[i] = new_p[k], new_v[k]
         if hits:
-            self.release()
+            kernel.park(hits)
 
     def sync(self) -> None:
-        """Bring ``remaining`` and ``speed`` up to date with the kernel's rows."""
-        if self.kernel is not None:
-            self.kernel.store(self.remaining, self.speed)
-
-    def release(self) -> None:
-        """Sync and drop the kernel: the next step rebuilds it."""
-        self.sync()
-        self.kernel = None
+        """Bring ``remaining`` and ``speed`` up to date with the kernel's live rows."""
+        self.kernel.store(self.remaining, self.speed)
 
     def drive(self, before_step: Callable[[float], bool]) -> None:
         """The stepping loop: ``before_step(t)`` runs first and returns False to stop."""

@@ -473,6 +473,107 @@ def matrix_control_inputs(topology, states, depths, gains, cfg) -> dict[int, flo
     return {v: float(u[k]) for k, v in enumerate(ids)}
 
 
+class ScratchKernel:
+    """``PlatoonKernel`` rebuilt from scratch: the kernel as it was while the
+    engine rebuilt it at every arrival, reschedule and crossing.
+
+    Built over ``rows``, ascending by id, it links each row to its tree
+    parent among the rows and back, sorts each row's peers by id, pads
+    shorter peer lists with the row's own index and puts the leader last;
+    the state is gathered from ``remaining`` and ``speed``, indexed by id,
+    into a (2, m + 1) array per buffer.  A step is the same law and
+    integrator in 14 numpy calls, and tests every row for the line.  The
+    update path of ``PlatoonKernel`` is checked against it bit for bit.
+    """
+
+    def __init__(self, rows, tree: SpanningTree, gains, cfg, remaining, speed):
+        m = len(rows)
+        local = {v: k for k, v in enumerate(rows)}
+        lists = [[] for _ in rows]
+        for k, v in enumerate(rows):
+            up = local.get(tree.parent[v])
+            if up is not None:
+                lists[k].append(up)
+                lists[up].append(k)
+        for ps in lists:
+            ps.sort()
+        width = max(map(len, lists), default=0)
+        flat = []
+        for k, ps in enumerate(lists):
+            flat += ps + [k] * (width - len(ps)) + [m]
+        peer = np.array(flat, dtype=np.intp).reshape(m, width + 1).T
+        layer = np.array([tree.depth[i] for i in rows] + [0])
+        self.rows = np.array(rows, dtype=np.intp)
+        self._index = peer[:, None, :] + np.array([[0], [m + 1]])
+        self._offsets = cfg.desired_gap * (layer[peer] - layer[:m])
+        self._gains = np.empty((width + 1, 2, m))
+        self._gains[:, 0], self._gains[:, 1] = gains.k_p, -gains.k_v
+        self._dt, self._a_min, self._a_max, self._v_max, self._zero = (
+            np.array(x) for x in (cfg.dt, cfg.a_min, cfg.a_max, cfg.v_max, 0.0))
+        self._terms = np.zeros((2 * width + 3, m))
+        self._pairs = self._terms[1:].reshape(width + 1, 2, m)
+        self._spacing = self._pairs[:, 0]
+        self.u = np.empty(m)
+        state = np.empty((2, 2, m + 1))
+        state[:, 0, :m] = remaining[self.rows]
+        state[:, 1, :m] = speed[self.rows]
+        state[:, 1, m] = cfg.platoon_speed
+        self._buffers = [(buf.reshape(-1), buf[:, :m], buf[0, :m], buf[1, :m])
+                         for buf in state]
+        self.p, self.v = self._buffers[0][2:]
+        self.p_prev, self.v_prev = self.p, self.v
+
+    def step(self, leader_remaining: float) -> bool:
+        (flat, rows, p, v), (_, _, new_p, new_v) = self._buffers
+        flat[len(p)] = leader_remaining
+        pairs, spacing = self._pairs, self._spacing
+        flat.take(self._index, out=pairs, mode="clip")
+        np.subtract(pairs, rows, out=pairs)
+        np.subtract(spacing, self._offsets, out=spacing)
+        np.multiply(pairs, self._gains, out=pairs)
+        np.subtract.reduce(self._terms, axis=0, out=self.u)
+        np.multiply(v, self._dt, out=new_p)
+        np.subtract(p, new_p, out=new_p)
+        np.maximum(self._a_min, self.u, out=new_v)
+        np.minimum(self._a_max, new_v, out=new_v)
+        np.multiply(new_v, self._dt, out=new_v)
+        np.add(v, new_v, out=new_v)
+        np.maximum(self._zero, new_v, out=new_v)
+        np.minimum(self._v_max, new_v, out=new_v)
+        self._buffers.reverse()
+        self.p_prev, self.v_prev, self.p, self.v = p, v, new_p, new_v
+        return bool(np.fmin.reduce(new_p, initial=np.inf) <= 0.0)
+
+    def store(self, remaining, speed) -> None:
+        remaining[self.rows] = self.p
+        speed[self.rows] = self.v
+
+
+def scratch_crossings(tree: SpanningTree, cfg, initial, leader_start: float, gains,
+                      until: float) -> dict[int, float]:
+    """``simulate_platoon``'s crossing times by the closed loop that rebuilds a
+    ``ScratchKernel`` after every crossing and tests every step for the line."""
+    remaining, speed = np.zeros(max(initial) + 1), np.zeros(max(initial) + 1)
+    for i, state in initial.items():
+        remaining[i], speed[i] = state.remaining, state.speed
+    zone, crossed, kernel, t = sorted(initial), {}, None, 0.0
+    while t < until and len(crossed) < len(initial):
+        if kernel is None:
+            kernel = ScratchKernel(zone, tree, gains, cfg, remaining, speed)
+        if zone and kernel.step(leader_start - cfg.platoon_speed * t):
+            p, new_p = kernel.p_prev, kernel.p
+            hits = np.flatnonzero((p > 0.0) & (new_p <= 0.0)).tolist()
+            for k in hits:
+                i, before, after = int(kernel.rows[k]), float(p[k]), float(new_p[k])
+                crossed[i] = t + before / max(before - after, 1e-12) * cfg.dt
+                zone.remove(i)
+            if hits:
+                kernel.store(remaining, speed)
+                kernel = None
+        t += cfg.dt
+    return crossed
+
+
 def best_ordering_cost(sizes: list[int]) -> int:
     """Minimum of sum(layer_rank * size) over all subset orderings, by brute force."""
     best = None

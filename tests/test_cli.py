@@ -243,6 +243,37 @@ class TestSweepCommand:
         assert "t_evc_mean" in stats[0]
 
 
+# SHA-256 of the YAML of ``schedule`` on the worked example's arrivals, written
+# before the graphs were built once per command; the --dump-graph rows since
+# each edge is written in full, not as an alias
+EXAMPLE_YAML_GOLDEN = [
+    (None, "dfst", False, "9bad5a3eaf264231856e46dc4ed55be941c6bc4a8e959c29f43d88c19dd1fc26"),
+    (None, "dfst", True, "30ad64897456339922daffaf0c137773c8675ed668f4f9e5535711613548d42e"),
+    (None, "idfst", False, "db3621b3c7c363080ccd87628ea32115f49acd6a86210d56a1eb4eb9c68b1972"),
+    (None, "idfst", True, "351ba977e541f1737ca85c8ac2d30dd76c317143af7a223609029522e2ccbd49"),
+    (None, "mcc-greedy", False,
+     "b19bb810a17eabfefe3b3808e9a5a79b2e129871533290ec82aa09e9e11c8bac"),
+    (None, "mcc-greedy", True,
+     "74af560afa4bbe77d56c0ebf886ad133be85d2d420e8d74c749ae5cfb621bbaa"),
+    ("example1_scenario.yaml", "dfst", False,
+     "1e82170cfa5904e76493c337009ed52432ebf8b24744aa8fc49f8a3da7d9ba67"),
+    ("example1_scenario.yaml", "dfst", True,
+     "394fd8eee0ea7ea98a80b8760cc290406401d0b09294534c99e6dbc36ea4e149"),
+    ("example1_scenario.yaml", "idfst", False,
+     "eb984e606c9ecb6fa3231dc89244acf2a4e8d133ddd98803d06422bb7d841d1f"),
+    ("example1_scenario.yaml", "idfst", True,
+     "c7b01f44e816ade0b6a58b0d84342bd76d31c1d717fd757bea5606ff29598ba5"),
+    ("example1_scenario.yaml", "mcc-greedy", False,
+     "b629b4576fa59a5efb064d212370db5629f657cd8a662b118fffc1142eac7145"),
+    ("example1_scenario.yaml", "mcc-greedy", True,
+     "92f4c935c5cb00d502c1f128dc1e7a4e301b9d8425263ef239b8d1fb7cf2fbee"),
+    ("example1_scenario.yaml", "mcc-brute", False,
+     "80a4fe18c3eb6d313210de87c11ad554ec56f718a284da029f582ad6500cc0f5"),
+    ("example1_scenario.yaml", "mcc-brute", True,
+     "81fa966bae1a111469acaf96f7c2340b3bccd4322e9980965c293a04d8d56238"),
+]
+
+
 class TestScheduleCommand:
     def test_example_idfst_dump(self, capsys):
         code, out, _ = cli(capsys, "schedule",
@@ -324,34 +355,10 @@ class TestScheduleCommand:
         assert out == ""
         assert needle in err
 
-    # SHA-256 of the YAML written before the graphs were built once per command;
-    # the --dump-graph rows since each edge is written in full, not as an alias
-    @pytest.mark.parametrize("scenario,algorithm,dump,digest", [
-        (None, "dfst", False, "9bad5a3eaf264231856e46dc4ed55be941c6bc4a8e959c29f43d88c19dd1fc26"),
-        (None, "dfst", True, "30ad64897456339922daffaf0c137773c8675ed668f4f9e5535711613548d42e"),
-        (None, "idfst", False, "db3621b3c7c363080ccd87628ea32115f49acd6a86210d56a1eb4eb9c68b1972"),
-        (None, "idfst", True, "351ba977e541f1737ca85c8ac2d30dd76c317143af7a223609029522e2ccbd49"),
-        (None, "mcc-greedy", False,
-         "b19bb810a17eabfefe3b3808e9a5a79b2e129871533290ec82aa09e9e11c8bac"),
-        (None, "mcc-greedy", True,
-         "74af560afa4bbe77d56c0ebf886ad133be85d2d420e8d74c749ae5cfb621bbaa"),
-        ("example1_scenario.yaml", "dfst", False,
-         "1e82170cfa5904e76493c337009ed52432ebf8b24744aa8fc49f8a3da7d9ba67"),
-        ("example1_scenario.yaml", "dfst", True,
-         "394fd8eee0ea7ea98a80b8760cc290406401d0b09294534c99e6dbc36ea4e149"),
-        ("example1_scenario.yaml", "idfst", False,
-         "eb984e606c9ecb6fa3231dc89244acf2a4e8d133ddd98803d06422bb7d841d1f"),
-        ("example1_scenario.yaml", "idfst", True,
-         "c7b01f44e816ade0b6a58b0d84342bd76d31c1d717fd757bea5606ff29598ba5"),
-        ("example1_scenario.yaml", "mcc-greedy", False,
-         "b629b4576fa59a5efb064d212370db5629f657cd8a662b118fffc1142eac7145"),
-        ("example1_scenario.yaml", "mcc-greedy", True,
-         "92f4c935c5cb00d502c1f128dc1e7a4e301b9d8425263ef239b8d1fb7cf2fbee"),
-        ("example1_scenario.yaml", "mcc-brute", False,
-         "80a4fe18c3eb6d313210de87c11ad554ec56f718a284da029f582ad6500cc0f5"),
-        ("example1_scenario.yaml", "mcc-brute", True,
-         "81fa966bae1a111469acaf96f7c2340b3bccd4322e9980965c293a04d8d56238"),
-    ])
+    # the ids leave the digest out, so a re-capture keeps them
+    @pytest.mark.parametrize("scenario,algorithm,dump,digest", EXAMPLE_YAML_GOLDEN, ids=[
+        f"{'example1' if scenario else 'default'}-{algorithm}{'-dump' if dump else ''}"
+        for scenario, algorithm, dump, _ in EXAMPLE_YAML_GOLDEN])
     def test_example_yaml_bytes_pinned(self, capsys, scenario, algorithm, dump, digest):
         argv = ["schedule", "--arrivals", str(DATA / "example1_arrivals.csv"),
                 "--algorithm", algorithm]

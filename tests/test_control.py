@@ -1,14 +1,19 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crossflow import control
+from crossflow.conflicts import ContractError
 from crossflow.control import LEADER, ControllerGains, PlatoonKernel, VehicleState
 from crossflow.scenario import ValidationError
 from crossflow.scheduling import SpanningTree, dfst_schedule, idfst_schedule
+from crossflow.simulation import simulate_platoon
 
-from .oracles import build_plf_topology, control_input, matrix_control_inputs, step_dynamics
+from .oracles import (ScratchKernel, build_plf_topology, control_input, matrix_control_inputs,
+                      scratch_crossings, step_dynamics)
 
 
 def chain_tree(n: int) -> SpanningTree:
@@ -28,11 +33,10 @@ def kernel_for(tree: SpanningTree, states: dict, cfg, gains=ControllerGains(),
                active=None) -> PlatoonKernel:
     """A ``PlatoonKernel`` over the active vehicles (all of the tree by
     default), its state gathered from a snapshot keyed by id."""
-    rows = sorted(active if active is not None else tree.depth)
-    remaining, speed = np.zeros(max(states) + 1), np.zeros(max(states) + 1)
-    for v, state in states.items():
-        remaining[v], speed[v] = state.remaining, state.speed
-    return PlatoonKernel(rows, tree, gains, cfg, remaining, speed)
+    kernel = PlatoonKernel(tree, gains, cfg)
+    for v in sorted(active if active is not None else tree.depth):
+        kernel.append(v, states[v].remaining, states[v].speed)
+    return kernel
 
 
 def kernel_inputs(tree: SpanningTree, states: dict, cfg, gains=ControllerGains(),
@@ -50,8 +54,8 @@ def kernel_step(cfg, state: VehicleState, leader_remaining: float,
                 gains=ControllerGains()) -> tuple[float, VehicleState]:
     """One ``PlatoonKernel.step`` of vehicle 1, alone at depth 1 behind the
     leader: its input and its new state."""
-    kernel = PlatoonKernel([1], chain_tree(1), gains, cfg, np.array([0.0, state.remaining]),
-                           np.array([0.0, state.speed]))
+    kernel = PlatoonKernel(chain_tree(1), gains, cfg)
+    kernel.append(1, state.remaining, state.speed)
     kernel.step(leader_remaining)
     return float(kernel.u[0]), VehicleState(float(kernel.p[0]), float(kernel.v[0]))
 
@@ -363,3 +367,148 @@ class TestPlatoonKernel:
                              500.0)
         assert out.remaining == 527.0
         assert out.speed == 10.0 + u * 0.5
+
+
+def random_tree(data, n: int) -> tuple[dict[int, int], dict[int, int]]:
+    """Parent and depth maps of a tree over 1..n grown in a drawn order, so a
+    vehicle's parent may have a higher id and enter later, as cover trees
+    anchor each layer at the lowest id one layer up."""
+    order = data.draw(st.permutations(range(1, n + 1)))
+    parent, depth = {}, {LEADER: 0}
+    for pos, v in enumerate(order):
+        up = data.draw(st.sampled_from([LEADER, *order[:pos]]))
+        parent[v], depth[v] = up, depth[up] + 1
+    del depth[LEADER]
+    return parent, depth
+
+
+class TestKernelUpdates:
+    """One kernel through appends, crossings, re-covers and steps against a
+    ``ScratchKernel`` rebuilt from scratch after every event, bit for bit."""
+
+    @pytest.mark.parametrize("min_capacity", [1, control._MIN_CAPACITY],
+                             ids=["one-slot", "default"])
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=2, max_value=14), st.data())
+    def test_updates_match_a_kernel_rebuilt_after_every_event(self, default_cfg, min_capacity,
+                                                              n, data):
+        """With room for one row, nearly every append and crossing compacts."""
+        with mock.patch.object(control, "_MIN_CAPACITY", min_capacity):
+            self.check_updates(default_cfg, n, data)
+
+    @staticmethod
+    def check_updates(default_cfg, n, data):
+        cfg, gains = default_cfg, ControllerGains()
+        tree = SpanningTree(*random_tree(data, n))
+        kernel = PlatoonKernel(tree, gains, cfg)
+        remaining, speed = np.zeros(n + 1), np.zeros(n + 1)
+        live: list[int] = []
+        appended = 0
+        leader = data.draw(st.floats(min_value=-100, max_value=900))
+        events = st.sampled_from(["append", "append", "cross", "recover", "step", "step"])
+        for event in data.draw(st.lists(events, min_size=1, max_size=40)):
+            if event == "append" and appended < n:
+                appended = v = appended + 1
+                remaining[v] = data.draw(st.floats(min_value=-50, max_value=1200))
+                speed[v] = data.draw(st.sampled_from([0.0, cfg.v_max, 1.5 * cfg.v_max])
+                                     | st.floats(min_value=0, max_value=2 * cfg.v_max))
+                kernel.append(v, remaining[v], speed[v])
+                live.append(v)
+            elif event == "cross" and live:
+                v = data.draw(st.sampled_from(live))
+                kernel.park([kernel.rows.tolist().index(v)])
+                live.remove(v)
+            elif event == "recover":
+                parent, depth = random_tree(data, n)
+                tree.parent.update(parent)
+                tree.depth.update(depth)
+                kernel.relink()
+            elif event == "step":
+                scratch = ScratchKernel(live, tree, gains, cfg, remaining, speed)
+                reached = kernel.step(leader)
+                assert reached == scratch.step(leader)
+                slots = kernel.live()
+                assert kernel.rows[slots].tolist() == live
+                for name in ("u", "p", "v", "p_prev", "v_prev"):
+                    assert (list(map(bits, getattr(kernel, name)[slots]))
+                            == list(map(bits, getattr(scratch, name))))
+                scratch.store(remaining, speed)
+                leader -= cfg.platoon_speed * cfg.dt
+        stored_p, stored_v = np.zeros(n + 1), np.zeros(n + 1)
+        kernel.store(stored_p, stored_v)
+        assert list(map(bits, stored_p[live])) == list(map(bits, remaining[live]))
+        assert list(map(bits, stored_v[live])) == list(map(bits, speed[live]))
+
+    def test_late_parent_widens_the_table(self, default_cfg):
+        """Vehicles 1-3 hang under 4, which enters last: each waits for its
+        parent, and 4's three peers widen the table from one column to three."""
+        tree = SpanningTree(parent={4: LEADER, 1: 4, 2: 4, 3: 4}, depth={4: 1, 1: 2, 2: 2, 3: 2})
+        kernel = PlatoonKernel(tree, ControllerGains(), default_cfg)
+        states = {LEADER: VehicleState(300.0, default_cfg.platoon_speed)}
+        for v in range(1, 5):
+            states[v] = VehicleState(310.0 + 25.0 * v, 9.0 + 0.5 * v)
+            kernel.append(v, states[v].remaining, states[v].speed)
+        assert kernel._index.shape[0] == 4  # three peer columns and the leader's
+        kernel.step(300.0)
+        assert_step_matches_oracle(kernel, states, tree, build_plf_topology(tree),
+                                   ControllerGains(), default_cfg, None)
+
+    def test_late_child_and_early_parent_sum_in_id_order(self, default_cfg):
+        """Vehicle 3 hangs under 1 and is the parent of 2, which entered
+        before it: 3's peers are 1 then 2, its waiting child found first."""
+        tree = SpanningTree(parent={1: LEADER, 3: 1, 2: 3}, depth={1: 1, 3: 2, 2: 3})
+        kernel = PlatoonKernel(tree, ControllerGains(), default_cfg)
+        states = {LEADER: VehicleState(212.3, default_cfg.platoon_speed),
+                  1: VehicleState(251.7, 9.37), 2: VehicleState(318.9, 7.13),
+                  3: VehicleState(263.1, 11.91)}
+        for v in range(1, 4):
+            kernel.append(v, states[v].remaining, states[v].speed)
+        assert kernel._index[:2, 0, 2].tolist() == [0, 1]
+        kernel.step(212.3)
+        assert_step_matches_oracle(kernel, states, tree, build_plf_topology(tree),
+                                   ControllerGains(), default_cfg, None)
+
+    def test_appends_ascend(self, default_cfg):
+        kernel = PlatoonKernel(chain_tree(3), ControllerGains(), default_cfg)
+        kernel.append(2, 100.0, 10.0)
+        with pytest.raises(ContractError, match="ascending"):
+            kernel.append(1, 100.0, 10.0)
+
+
+class TestCrossingBound:
+    """A step tests the rows for the line only once one could reach it; the
+    crossings come out on the step, and with the t_out, that testing every
+    step gives."""
+
+    @pytest.mark.parametrize("speed", [1.0, 2.0], ids=["at-v_max", "twice-v_max"])
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    @pytest.mark.parametrize("steps", [1, 2, 3, 7, 40])
+    def test_row_one_ulp_either_side_of_whole_steps(self, default_cfg, speed, ulps, steps):
+        """A lone row steps * v_max * dt from the line, or one ulp nearer or
+        farther, at v_max or twice it and far behind its slot, so every step
+        after the first moves it by v_max * dt; alone, it sets the bound."""
+        reach = default_cfg.v_max * default_cfg.dt
+        distance = steps * reach * speed
+        if ulps:
+            distance = float(np.nextafter(distance, ulps * np.inf))
+        initial = {1: VehicleState(distance, speed * default_cfg.v_max)}
+        tree = chain_tree(1)
+        history = simulate_platoon(tree, default_cfg, initial, -500.0, until=20.0)
+        crossed = history[-1].crossings
+        want = scratch_crossings(tree, default_cfg, initial, -500.0, ControllerGains(), 20.0)
+        assert set(crossed) == {1}
+        assert crossed[1].hex() == want[1].hex()
+
+    def test_vehicle_above_v_max_crosses_on_the_first_step(self, default_cfg):
+        """Vehicle 2 starts at three times v_max, 2.5 * v_max * dt from the
+        line: the first step after a build is tested whatever the bound."""
+        reach = default_cfg.v_max * default_cfg.dt
+        tree = chain_tree(3)
+        initial = {1: VehicleState(12.0 * reach, default_cfg.v_max),
+                   2: VehicleState(2.5 * reach, 3.0 * default_cfg.v_max),
+                   3: VehicleState(80.0, 4.0)}
+        history = simulate_platoon(tree, default_cfg, initial, 50.0, until=30.0)
+        assert history[1].crossings == {2: pytest.approx(2.5 / 3.0 * default_cfg.dt)}
+        want = scratch_crossings(tree, default_cfg, initial, 50.0, ControllerGains(), 30.0)
+        assert {v: t.hex() for v, t in history[-1].crossings.items()} == \
+            {v: t.hex() for v, t in want.items()}
