@@ -8,12 +8,14 @@ terms in ascending vehicle id and the leader's last.  Desired spacing is
 proportional to the layer difference, so all vehicles of one layer align and
 consecutive layers stay one design gap apart.
 
-``PlatoonKernel`` is the one implementation.  One kernel serves a whole
-closed loop and changes only where an event changes it: an arrival appends a
-row, a crossing parks one, a re-cover rewrites the peer table.  A step
-applies the law and a saturated forward-Euler step over the scenario's step
-``dt`` to every row at once, in at most 12 in-place numpy calls whatever the
-number of vehicles.  Its scalar reference (one vehicle, one peer at a time)
+``PlatoonKernel`` is the one implementation, and the one home of the
+controlled vehicles' state.  One kernel serves a whole closed loop and
+changes only where an event changes it: an arrival appends a row with its
+state, a crossing parks one, a re-cover marks the peer table stale, and the
+next step links the new rows or relinks them all.  A step applies the law
+and a saturated forward-Euler step over the scenario's step ``dt`` to every
+row at once, in at most 12 in-place numpy calls whatever the number of
+vehicles.  Its scalar reference (one vehicle, one peer at a time)
 and a kernel rebuilt from scratch live in the test suite's oracles, which
 check it bit for bit.
 """
@@ -21,6 +23,7 @@ check it bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -58,14 +61,17 @@ class PlatoonKernel:
     """The control law and the integrator over the controlled vehicles.
 
     One kernel serves a closed loop from its first arrival to its last
-    crossing.  Rows are appended in ascending vehicle id and sit in slots in
-    that order; ``rows`` holds the ids of the slots in use.  A crossed row is
-    parked: it keeps its slot, with no peers and a state no step moves,
-    until a compaction drops it.  A compaction runs when an append finds
-    every slot taken, or when the parked rows reach half the live ones; it
-    leaves free slots for half as many rows again.  A state buffer holds the
-    slots' positions, then their speeds, then their clamped inputs, then
-    the virtual leader's position and speed.  There are two, so that a step
+    crossing.  Rows are appended in ascending vehicle id, with their state,
+    and sit in slots in that order; ``rows`` holds the ids of the slots in
+    use.  The next step links the rows appended since the last one, reading
+    the tree then, or relinks every row after ``relink`` or a compaction.  A
+    crossed row is parked: it keeps its slot, with no peers and a state no
+    step moves, until a compaction drops it.  A compaction runs when an
+    append finds every slot taken, or when the parked rows reach half the
+    live ones; it moves the live rows into fresh arrays with free slots for
+    half as many rows again.  A state buffer holds the slots' positions,
+    then their speeds, then their clamped inputs, then the virtual leader's
+    position and speed.  There are two, so that a step
     reads one and writes the other, and the pre-step state (``p_prev``,
     ``v_prev``) stays readable beside the new one (``p``, ``v``); these and
     the input ``u`` cover the slots in use, parked ones included.
@@ -92,7 +98,7 @@ class PlatoonKernel:
 
     def __init__(self, tree: SpanningTree, gains: ControllerGains, cfg: IntersectionConfig):
         """An empty kernel over ``tree``, whose ``parent`` and ``depth`` give
-        the rows' links and layers when they are appended or relinked."""
+        the rows' links and layers when a step links or relinks them."""
         self.tree, self._gap, self._leader_speed = tree, cfg.desired_gap, cfg.platoon_speed
         self._k_p, self._k_v, self._dt = gains.k_p, gains.k_v, cfg.dt
         # the integrator's constants as arrays, which ufuncs take faster than
@@ -102,20 +108,22 @@ class PlatoonKernel:
         self._reach = cfg.v_max * cfg.dt  # the farthest a clamped speed moves a row in a step
         self._budget = -np.inf  # lower bound on the rows' distance to the line; see ``step``
         self._slot: dict[int, int] = {}  # live row's vehicle id -> its slot, in ascending id
-        self._waiting: dict[int, list[int]] = {}  # parent not yet a row -> its children's ids
+        self._waiting: dict[int, list[int]] = {}  # parent not yet linked -> its children's ids
         self._last = LEADER  # the last id appended
         self._allocate(_MIN_CAPACITY)
 
     # --- layout -----------------------------------------------------------
 
-    def _allocate(self, capacity: int, width: int = 0) -> None:
-        """Fresh arrays of ``capacity`` free slots and a table of ``width``
-        peer columns, every entry the slot itself.  Per state buffer,
+    def _allocate(self, capacity: int) -> None:
+        """Fresh arrays of ``capacity`` free slots and a table with the
+        leader's column only, every entry the slot itself, to be relinked at
+        the next step.  Per state buffer,
         ``_buffers`` keeps the buffer (the gather reads it), the (p, v) and
         (v, clamped u) pairs, the clamped inputs, the speeds and the
         positions; the buffer the next step reads comes first."""
         c = self._capacity = capacity
         self._n = 0
+        self._linked = -1  # the slots below it are linked; -1: relink every row
         self._leader = 3 * c  # the leader's position in a state buffer, its speed next
         self._ids = np.zeros(c, dtype=np.intp)
         self._used = [0] * c  # per slot: peer columns taken, crossed ones included
@@ -128,7 +136,7 @@ class PlatoonKernel:
         self._dt_pair[0], self._dt_pair[1] = -self._dt, self._dt
         self._own = np.arange(c) + np.array([[0], [c]])  # each slot's position and speed
         self._width = -1
-        self._set_width(width)
+        self._set_width(0)
         self._buffers = [(buf, buf[:2 * c].reshape(2, c), buf[c:3 * c].reshape(2, c),
                           buf[2 * c:3 * c], buf[c:2 * c], buf[:c]) for buf in self._state]
 
@@ -174,11 +182,10 @@ class PlatoonKernel:
     # --- events -----------------------------------------------------------
 
     def append(self, vehicle: int, remaining: float, speed: float) -> None:
-        """Add ``vehicle`` as a row with the given state.
+        """Add ``vehicle`` as a row with the given state, linked at the next step.
 
-        Ids must ascend from one append to the next.  The new row's peers are
-        its tree parent, if that is a row, and the rows whose tree parent it
-        is; it goes last in each of their peer lists.
+        Ids must ascend from one append to the next.  The tree need not
+        place the vehicle until that step.
         """
         if vehicle <= self._last:
             raise ContractError(f"rows are appended in ascending id: {vehicle} after {self._last}")
@@ -187,29 +194,16 @@ class PlatoonKernel:
         k = self._n
         self._n, self._last = k + 1, vehicle
         self._ids[k] = vehicle
-        slot, depth, gap = self._slot, self.tree.depth, self._gap
-        peers = [(slot[c], c) for c in self._waiting.pop(vehicle, ()) if c in slot]
-        up = self.tree.parent[vehicle]
-        if up in slot:
-            peers.append((slot[up], up))
-            peers.sort()
-        elif up > vehicle:
-            self._waiting.setdefault(up, []).append(vehicle)
-        slot[vehicle] = k
-        d = depth[vehicle]
-        for j, w in peers:
-            self._attach(j, k, gap * (d - depth[w]))
-        for j, w in peers:
-            self._attach(k, j, gap * (depth[w] - d))
-        self._link(self._width, k, self._leader, gap * (0 - d))
+        self._slot[vehicle] = k
         self._put(k, remaining, speed)
         self._budget = -np.inf  # test the next step: the row may start past v_max
 
     def park(self, slots: Sequence[int]) -> None:
         """Take the rows in ``slots`` out of the law: their entries in their
         peers' lists and their own columns turn into self entries, and their
-        state into the parked fixed point.  Read their state first: parking
-        overwrites it, and may compact the slots."""
+        state into the parked fixed point; a row not yet linked never
+        links.  Read their state first: parking overwrites it, and may
+        compact the slots."""
         index, offsets, used, c = self._index, self._offsets, self._used, self._capacity
         for k in slots:
             del self._slot[int(self._ids[k])]
@@ -225,65 +219,72 @@ class PlatoonKernel:
             self._compact()
 
     def relink(self) -> None:
-        """Rewrite the peer table and the offsets from the tree, for every
-        live row, after the tree's links or depths changed; no state moves."""
-        slot, parent, depth, last = self._slot, self.tree.parent, self.tree.depth, self._last
-        lists: list[list[int]] = [[] for _ in range(self._n)]
-        waiting: dict[int, list[int]] = {}
-        for v, k in slot.items():
+        """Have the next step rewrite the peer table and the offsets from the
+        tree, for every live row, after the tree's links or depths changed;
+        no state moves."""
+        self._linked = -1
+
+    def _link_fresh(self) -> None:
+        """Link the rows appended since the last step, in ascending id, each
+        to its tree parent, if that is a linked row, and to the linked rows
+        whose tree parent it is; it goes last in each of their peer lists."""
+        slot, parent, depth, gap, waiting = (self._slot, self.tree.parent, self.tree.depth,
+                                             self._gap, self._waiting)
+        for k, v in enumerate(self._ids[self._linked:self._n].tolist(), self._linked):
+            if v not in slot:
+                continue  # parked before it linked
+            peers = [(slot[c], c) for c in waiting.pop(v, ()) if c in slot]
             up = parent[v]
-            j = slot.get(up)
-            if j is not None:
-                lists[k].append(j)
-                lists[j].append(k)
-            elif up > last:
+            if up > v:
                 waiting.setdefault(up, []).append(v)
-        self._waiting = waiting
-        self._used = [*map(len, lists), *[0] * (self._capacity - self._n)]
-        self._set_width(max(self._used))
-        live = list(slot.values())  # slots ascend with the ids
-        columns, ks, js = [], [], []
-        for k in live:
-            peers = lists[k]
-            peers.sort()
-            columns += range(len(peers))
-            ks += [k] * len(peers)
-            js += peers
-        leader, c = self._leader, self._capacity
-        columns += [self._width] * len(live)
-        ks += live
-        js += [leader] * len(live)
-        layer = np.zeros(leader + 1)  # per slot, its depth; the leader's is 0
-        layer[live] = [depth[v] for v in slot]
-        columns, ks, js = (np.array(x, dtype=np.intp) for x in (columns, ks, js))
-        self._offsets[columns, 0, ks] = self._gap * (layer[js] - layer[ks])
-        self._index[columns, 0, ks] = js
-        self._index[columns, 1, ks] = np.where(js == leader, leader + 1, js + c)
+            elif up in slot:
+                peers.append((slot[up], up))
+                peers.sort()
+            d = depth[v]
+            for j, w in peers:
+                self._attach(j, k, gap * (d - depth[w]))
+            for j, w in peers:
+                self._attach(k, j, gap * (depth[w] - d))
+            self._link(self._width, k, self._leader, gap * (0 - d))
+
+    def _relink(self) -> None:
+        """Rewrite the whole table from the tree: each live row's peers, its
+        parent among the rows and the rows it parents, in ascending slot,
+        from one lexsort over the (row, peer) pairs."""
+        slot, parent, depth, gap = self._slot, self.tree.parent, self.tree.depth, self._gap
+        n, c, m = self._n, self._capacity, len(slot)
+        live = self.live()
+        ups = np.fromiter(map(parent.__getitem__, slot), dtype=np.intp, count=m)
+        late = ups > self._last  # parents not yet rows
+        self._waiting = waiting = {}
+        for v, up in zip(self._ids[live[late]].tolist(), ups[late].tolist()):
+            waiting.setdefault(up, []).append(v)
+        up_slots = np.fromiter(map(slot.get, ups.tolist(), repeat(-1)), dtype=np.intp, count=m)
+        linked = up_slots >= 0
+        children, parents = live[linked], up_slots[linked]
+        ks, js = np.concatenate((children, parents)), np.concatenate((parents, children))
+        order = np.lexsort((js, ks))
+        ks, js = ks[order], js[order]
+        used = np.bincount(ks, minlength=n)
+        self._used = [*used.tolist(), *repeat(0, c - n)]
+        self._set_width(int(used.max(initial=0)))
+        columns = np.arange(ks.size) - (np.cumsum(used) - used)[ks]
+        layer = np.zeros(n)  # per slot, its depth
+        layer[live] = np.fromiter(map(depth.__getitem__, slot), dtype=float, count=m)
+        index, offsets, w = self._index, self._offsets, self._width
+        index[columns, 0, ks], index[columns, 1, ks] = js, js + c
+        offsets[columns, 0, ks] = gap * (layer[js] - layer[ks])
+        index[w, 0, live], index[w, 1, live] = self._leader, self._leader + 1
+        offsets[w, 0, live] = gap * (0.0 - layer[live])
 
     def _compact(self) -> None:
-        """Move the live rows into fresh arrays with room to grow, dropping
-        the parked rows and every row's self entries between its peers.  The
-        table is remapped, not read from the tree again, so a compaction
-        costs a fixed number of numpy calls whatever the number of rows."""
+        """Move the live rows' ids and state into fresh arrays with room to
+        grow, dropping the parked rows; the next step relinks them."""
         keep = self.live()
         m, c = keep.size, self._capacity
-        peers, offsets = self._index[:-1, 0, keep], self._offsets[:, 0, keep]
-        holes = peers == keep
-        order = np.argsort(holes, axis=0, kind="stable")  # peers first, in their order
-        peers = np.take_along_axis(peers, order, axis=0)
-        offsets[:-1] = np.take_along_axis(offsets[:-1], order, axis=0)
-        used = np.count_nonzero(~holes, axis=0)
         ids, state = self._ids[keep], self._buffers[0][0][[keep, keep + c]]
-        slot = np.zeros(c, dtype=np.intp)
-        slot[keep] = np.arange(m)
-        width = int(used.max(initial=0))
-        self._allocate(m + max(_MIN_CAPACITY, int(m * _ROOM)), width)
+        self._allocate(m + max(_MIN_CAPACITY, int(m * _ROOM)))
         c = self._capacity
-        peers = slot[peers[:width]]
-        self._index[:width, 0, :m], self._index[:width, 1, :m] = peers, peers + c
-        self._index[width, 0, :m], self._index[width, 1, :m] = self._leader, self._leader + 1
-        self._offsets[:width, 0, :m], self._offsets[width, 0, :m] = offsets[:width], offsets[-1]
-        self._used[:m] = used.tolist()
         self._n = m
         self._ids[:m] = ids
         self._state[:, :m], self._state[:, c:c + m] = state
@@ -339,6 +340,12 @@ class PlatoonKernel:
         again only once the bound is at or past the line, or after an append
         (a new row may start faster than v_max).
         """
+        if self._linked != self._n:  # rows appended, or the table stale, since the last step
+            if self._linked < 0:
+                self._relink()
+            else:
+                self._link_fresh()
+            self._linked = self._n
         (flat, pv, vu, clamped, _, _), (_, new_pv, _, _, new_v, new_p) = self._buffers
         flat[self._leader] = leader_remaining
         pairs = self._pairs
@@ -359,10 +366,3 @@ class PlatoonKernel:
             return False
         self._budget = float(np.fmin.reduce(new_p, initial=np.inf))
         return self._budget <= 0.0
-
-    def store(self, remaining: np.ndarray, speed: np.ndarray) -> None:
-        """Write the live rows' state into ``remaining`` and ``speed``, indexed by id."""
-        live = self.live()
-        ids, buf = self._ids[live], self._buffers[0][0]
-        remaining[ids] = buf[live]
-        speed[ids] = buf[live + self._capacity]

@@ -108,9 +108,6 @@ class CliqueCover:
         """Subsets as sorted id tuples, by descending size and member order."""
         return tuple(_sorted_groups(self.subsets))
 
-    def to_dict(self) -> dict:
-        return {"theta": self.theta, "subsets": [list(s) for s in self.canonical()]}
-
 
 @dataclass
 class FeasibilityReport:

@@ -17,23 +17,21 @@ t = 0 and advances at the platoon design speed; a vehicle's slot sits one
 desired gap behind the leader per layer.
 
 One engine runs the closed loop of ``run`` (both modes) and
-``simulate_platoon``: remaining distance and speed are numpy arrays indexed
-by vehicle id, and the vehicles in the zone are one int bitset, like every
-other vehicle set of the run.  ``control.PlatoonKernel``, the one
+``simulate_platoon``; the vehicles in the zone are one int bitset, like
+every other vehicle set of the run.  ``control.PlatoonKernel``, the one
 implementation of the control law (the test suite's oracles hold its scalar
-reference, one vehicle at a time), lives through the whole run and reads
-the vehicles' links (each vehicle's tree parent and children, whose terms
-it sums in ascending vehicle id) and spacing offsets from the schedule's
-tree.  It changes only where an event changes it: at the first step after
-an arrival it appends the vehicle as a row, after a reschedule it relinks
-its peer table, and at a crossing the engine stores the vehicle's state
-once and the kernel parks its row.  It steps all rows at once, and tests
-them for the line only once one could have reached it.  The engine's
-arrays catch up with the kernel only when an arrival or a reschedule reads
-them, or when ``simulate_platoon`` samples them.  Crossed vehicles stay
-frozen at their first step past the line.  Traced and untraced runs take
-the same step: the trace reads the kernel's pre-step state and unsaturated
-input, for the rows not parked.
+reference, one vehicle at a time), lives through the whole run and is the
+one home of the zone's state: a vehicle becomes a row, with its entry
+state, when it enters.  The kernel reads the vehicles' links (each
+vehicle's tree parent and children, whose terms it sums in ascending
+vehicle id) and spacing offsets from the schedule's tree, at the first step
+after an arrival or a reschedule.  At a crossing the engine keeps the
+vehicle's state, frozen at its first step past the line, and the kernel
+parks its row.  The kernel steps all rows at once, and tests them for the
+line only once one could have reached it.  An arrival's conflict sets, the
+lock test and ``simulate_platoon``'s samples read the kernel's rows.
+Traced and untraced runs take the same step: the trace reads the kernel's
+pre-step state and unsaturated input, for the rows not parked.
 
 Each setting has one home.  The scenario holds the physics, the step ``dt``
 and the entry speed ``initial_speed`` included, and checks them where it is
@@ -222,54 +220,43 @@ class RunResult:
     arrivals: list[VehicleRecord]
 
 
-def _members_where(members: int, flags: np.ndarray) -> int:
-    """The members of a bitset whose entry in ``flags``, a bool per vehicle id, is set."""
-    return members & int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
-
-
 class _Engine:
     """The closed loop of ``run`` and ``simulate_platoon`` (module docstring).
 
     The schedule is the ``SpanningTree`` it is given, whose ``depth``/``parent``
     maps the online schedulers grow in place; the kernel reads its links
     from it.  ``zone`` is the bitset of the vehicles that have entered and
-    not crossed.  The kernel's live rows are the zone but ``entering``, the
-    vehicles that entered since the last step, which it appends at the next
-    one.  It owns the state of its live rows: ``remaining`` and ``speed``
-    are current for them only after ``sync``.
+    not crossed, the kernel's live rows; ``frozen`` holds each crossed
+    vehicle's remaining distance and speed.
     """
 
     def __init__(self, scn: IntersectionConfig, size: int, tree: SpanningTree, *,
                  gains: ControllerGains, leader_start: float, collect_trace: bool = False):
-        self.scn, self.leader_start = scn, leader_start
-        self.collect_trace = collect_trace
-        self.remaining, self.speed = np.zeros(size), np.zeros(size)
+        self.scn, self.leader_start, self.collect_trace = scn, leader_start, collect_trace
+        self.size = size
         self.zone = 0  # entered and not yet across the stopping line
-        self.entering = 0  # entered and not yet a row of the kernel
         self.kernel = PlatoonKernel(tree, gains, scn)
-        self.links_moved = False  # a re-cover moved the tree's links since the last step
         self.tree, self.depth, self.parent = tree, tree.depth, tree.parent
         self.growing: _GrowingTree | None = None  # the trees' step index; None: stale
         self.sets: dict[int, ConflictSets] = {}
         self.conflict = [0] * size  # online conflict bitset per vehicle
         self.lane_mask: dict[int, int] = {}  # movement -> bitset of its arrived vehicles
         self.crossed: dict[int, float] = {}
+        self.frozen: dict[int, tuple[float, float]] = {}
         self.trace: list[TraceRow] = []
 
     # --- scheduling -----------------------------------------------------
 
     def enter(self, vehicle: int, remaining: float, speed: float) -> None:
-        self.remaining[vehicle] = remaining
-        self.speed[vehicle] = speed
+        """Admit ``vehicle``, the highest id yet, as a kernel row."""
+        self.kernel.append(vehicle, remaining, speed)
         self.zone |= 1 << vehicle
-        self.entering |= 1 << vehicle
 
     def arrive(self, record: VehicleRecord) -> None:
         """Online arrival: conflict sets against the zone, then symmetric conflict
         bitsets with every set member and the whole lane, not just its predecessor."""
-        self.sync()
         v = record.id
-        zone = _members_where(self.zone, self.remaining > 0)
+        zone = self._zone_where(lambda p: p > 0)
         masks = class_masks(record.movement, self.lane_mask, self.scn)
         cs = self.sets[v] = conflict_sets_for(record, zone, zone & self._locked(), masks)
         lane = self.lane_mask.get(record.movement, 0)
@@ -290,8 +277,15 @@ class _Engine:
         """The zone members within the lock distance: ``reachability_conflict``'s
         test, a vehicle past the line counting as at it.  An arrival cannot
         catch them, and the cover re-layers none of them."""
-        near = np.maximum(self.remaining, 0.0) / self.scn.platoon_speed < _horizon(self.scn)
-        return _members_where(self.zone, near)
+        v_0, horizon = self.scn.platoon_speed, _horizon(self.scn)
+        return self._zone_where(lambda p: np.maximum(p, 0.0) / v_0 < horizon)
+
+    def _zone_where(self, test: Callable[[np.ndarray], np.ndarray]) -> int:
+        """The zone members whose remaining distance passes ``test``, read
+        off the kernel's rows (its parked rows are not in the zone)."""
+        flags = np.zeros(self.size, dtype=bool)
+        flags[self.kernel.rows[test(self.kernel.p)]] = True
+        return self.zone & int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
     def _predecessors(self, v: int) -> tuple[int, int]:
         """v's fixed and exchangeable predecessor bitsets (``ConflictSets``):
@@ -308,7 +302,6 @@ class _Engine:
         remaining distance never grows, and a vehicle within the lock
         distance stays within it.
         """
-        self.sync()
         unlocked = self.zone & ~self._locked()
         if not unlocked:
             return
@@ -324,27 +317,17 @@ class _Engine:
                                lanes=[mask for _, mask in sorted(self.lane_mask.items())])
         layers = _cover_layers(cug, exact=algorithm is Algorithm.MCC_BRUTE)
         _lay_layers(self.parent, self.depth, layers, self._predecessors)
-        self.links_moved = True
+        self.kernel.relink()
 
     # --- dynamics -------------------------------------------------------
 
     def step(self, t: float, step_idx: int) -> None:
         """Control and integrate the vehicles in the zone over one step.
 
-        The kernel first catches up with the events since the last step: a
-        re-cover relinks it, then the vehicles that entered are appended in
-        id order.  A vehicle that crosses has its state stored once and its
-        row parked."""
-        kernel = self.kernel
-        if self.links_moved:
-            kernel.relink()
-            self.links_moved = False
-        if self.entering:
-            for i in _bits(self.entering):
-                kernel.append(i, self.remaining[i], self.speed[i])
-            self.entering = 0
+        A vehicle that crosses has its state frozen and its row parked."""
         if not self.zone:
             return
+        kernel = self.kernel
         reached = kernel.step(self.leader_start - self.scn.platoon_speed * t)
         if self.collect_trace:
             live = kernel.live()
@@ -361,13 +344,9 @@ class _Engine:
             frac = before / max(before - after, 1e-12)
             self.crossed[i] = t + frac * self.scn.dt
             self.zone &= ~(1 << i)
-            self.remaining[i], self.speed[i] = new_p[k], new_v[k]
+            self.frozen[i] = after, float(new_v[k])
         if hits:
             kernel.park(hits)
-
-    def sync(self) -> None:
-        """Bring ``remaining`` and ``speed`` up to date with the kernel's live rows."""
-        self.kernel.store(self.remaining, self.speed)
 
     def drive(self, before_step: Callable[[float], bool]) -> None:
         """The stepping loop: ``before_step(t)`` runs first and returns False to stop."""
@@ -461,22 +440,23 @@ def simulate_platoon(
     """Closed loop over a fixed tree from explicit initial states.
 
     Used for controller studies: no arrivals, every vehicle present from
-    t = 0.  Samples the full state each step until every vehicle has crossed
-    or the time limit is hit.
+    t = 0, in any order of ``initial``.  Samples the full state each step
+    until every vehicle has crossed or the time limit is hit.
     """
     ids = list(initial)
     engine = _Engine(cfg, max(ids, default=0) + 1, tree, gains=gains,
                      leader_start=leader_start)
-    for i, st in initial.items():
-        engine.enter(i, st.remaining, st.speed)
-    history: list[PlatoonSample] = []
+    for i in sorted(ids):
+        engine.enter(i, initial[i].remaining, initial[i].speed)
+    kernel, history = engine.kernel, []
 
     def sample(t: float) -> bool:
         if not t < until:
             return False
-        engine.sync()
-        states = zip(ids, engine.remaining[ids].tolist(), engine.speed[ids].tolist())
-        history.append(PlatoonSample(t=t, states={i: VehicleState(p, v) for i, p, v in states},
+        live = kernel.live()
+        now = zip(kernel.p[live].tolist(), kernel.v[live].tolist())
+        states = {**engine.frozen, **dict(zip(kernel.rows[live].tolist(), now))}
+        history.append(PlatoonSample(t=t, states={i: VehicleState(*states[i]) for i in ids},
                                      crossings=dict(engine.crossed)))
         return len(engine.crossed) < len(ids)
 

@@ -549,15 +549,23 @@ class ScratchKernel:
         speed[self.rows] = self.v
 
 
-def scratch_crossings(tree: SpanningTree, cfg, initial, leader_start: float, gains,
-                      until: float) -> dict[int, float]:
-    """``simulate_platoon``'s crossing times by the closed loop that rebuilds a
-    ``ScratchKernel`` after every crossing and tests every step for the line."""
+def scratch_history(tree: SpanningTree, cfg, initial, leader_start: float, gains,
+                    until: float) -> list[tuple[float, dict[int, tuple[float, float]], dict]]:
+    """``simulate_platoon``'s samples, each the time, every vehicle's
+    (remaining, speed) and the crossing times so far, by the closed loop that
+    rebuilds a ``ScratchKernel`` after every crossing and tests every step
+    for the line."""
     remaining, speed = np.zeros(max(initial) + 1), np.zeros(max(initial) + 1)
     for i, state in initial.items():
         remaining[i], speed[i] = state.remaining, state.speed
-    zone, crossed, kernel, t = sorted(initial), {}, None, 0.0
-    while t < until and len(crossed) < len(initial):
+    zone, crossed, kernel, t, history = sorted(initial), {}, None, 0.0, []
+    while t < until:
+        if kernel is not None:
+            kernel.store(remaining, speed)
+        history.append((t, {i: (float(remaining[i]), float(speed[i])) for i in initial},
+                        dict(crossed)))
+        if len(crossed) == len(initial):
+            break
         if kernel is None:
             kernel = ScratchKernel(zone, tree, gains, cfg, remaining, speed)
         if zone and kernel.step(leader_start - cfg.platoon_speed * t):
@@ -571,7 +579,7 @@ def scratch_crossings(tree: SpanningTree, cfg, initial, leader_start: float, gai
                 kernel.store(remaining, speed)
                 kernel = None
         t += cfg.dt
-    return crossed
+    return history
 
 
 def best_ordering_cost(sizes: list[int]) -> int:

@@ -13,7 +13,7 @@ from crossflow.scheduling import SpanningTree, dfst_schedule, idfst_schedule
 from crossflow.simulation import simulate_platoon
 
 from .oracles import (ScratchKernel, build_plf_topology, control_input, matrix_control_inputs,
-                      scratch_crossings, step_dynamics)
+                      scratch_history, step_dynamics)
 
 
 def chain_tree(n: int) -> SpanningTree:
@@ -261,9 +261,10 @@ class TestPlatoonKernel:
             for k, v in enumerate(kernel.rows.tolist()):
                 assert kernel.u[k] == pytest.approx(oracle[v], rel=1e-9, abs=1e-9)
 
-    def test_consecutive_steps_and_store(self, default_cfg, ex1_cdg):
+    def test_consecutive_steps_alternate_buffers(self, default_cfg, ex1_cdg):
         """Steps alternate the kernel's two buffers; each reads the state the
-        last one wrote, and ``store`` writes the rows' state back by id."""
+        last one wrote, and the rows keep each vehicle's state under its id:
+        a ``ScratchKernel`` stepped as often from the start states agrees."""
         tree = idfst_schedule(ex1_cdg)
         topo = build_plf_topology(tree)
         gains = ControllerGains()
@@ -271,17 +272,21 @@ class TestPlatoonKernel:
         for v in sorted(tree.depth):
             states[v] = VehicleState(350.0 + 40.0 * v, 2.0 * v)
         kernel = kernel_for(tree, states, default_cfg, gains)
+        ids = sorted(tree.depth)
+        scratch = ScratchKernel(ids, tree, gains, default_cfg,
+                                np.array([0.0] + [states[v].remaining for v in ids]),
+                                np.array([0.0] + [states[v].speed for v in ids]))
         for n in range(5):
             leader = 400.0 - default_cfg.platoon_speed * default_cfg.dt * n
             states[LEADER] = VehicleState(leader, default_cfg.platoon_speed)
             kernel.step(leader)
+            scratch.step(leader)
             assert_step_matches_oracle(kernel, states, tree, topo, gains, default_cfg, None)
             states.update((v, VehicleState(float(p), float(s))) for v, p, s
                           in zip(kernel.rows.tolist(), kernel.p, kernel.v))
-        remaining, speed = np.zeros(8), np.zeros(8)
-        kernel.store(remaining, speed)
-        for v in kernel.rows.tolist():
-            assert (remaining[v], speed[v]) == (states[v].remaining, states[v].speed)
+        assert kernel.rows.tolist() == ids
+        assert list(map(bits, kernel.p)) == list(map(bits, scratch.p))
+        assert list(map(bits, kernel.v)) == list(map(bits, scratch.v))
 
     def test_row_without_peers(self, default_cfg):
         """Vehicle 1 hangs alone under the leader; its padded column adds
@@ -434,10 +439,10 @@ class TestKernelUpdates:
                             == list(map(bits, getattr(scratch, name))))
                 scratch.store(remaining, speed)
                 leader -= cfg.platoon_speed * cfg.dt
-        stored_p, stored_v = np.zeros(n + 1), np.zeros(n + 1)
-        kernel.store(stored_p, stored_v)
-        assert list(map(bits, stored_p[live])) == list(map(bits, remaining[live]))
-        assert list(map(bits, stored_v[live])) == list(map(bits, speed[live]))
+        slots = kernel.live()
+        assert kernel.rows[slots].tolist() == live
+        assert list(map(bits, kernel.p[slots])) == list(map(bits, remaining[live]))
+        assert list(map(bits, kernel.v[slots])) == list(map(bits, speed[live]))
 
     def test_late_parent_widens_the_table(self, default_cfg):
         """Vehicles 1-3 hang under 4, which enters last: each waits for its
@@ -448,8 +453,8 @@ class TestKernelUpdates:
         for v in range(1, 5):
             states[v] = VehicleState(310.0 + 25.0 * v, 9.0 + 0.5 * v)
             kernel.append(v, states[v].remaining, states[v].speed)
-        assert kernel._index.shape[0] == 4  # three peer columns and the leader's
         kernel.step(300.0)
+        assert kernel._index.shape[0] == 4  # three peer columns and the leader's
         assert_step_matches_oracle(kernel, states, tree, build_plf_topology(tree),
                                    ControllerGains(), default_cfg, None)
 
@@ -463,10 +468,66 @@ class TestKernelUpdates:
                   3: VehicleState(263.1, 11.91)}
         for v in range(1, 4):
             kernel.append(v, states[v].remaining, states[v].speed)
-        assert kernel._index[:2, 0, 2].tolist() == [0, 1]
         kernel.step(212.3)
+        assert kernel._index[:2, 0, 2].tolist() == [0, 1]
         assert_step_matches_oracle(kernel, states, tree, build_plf_topology(tree),
                                    ControllerGains(), default_cfg, None)
+
+    @staticmethod
+    def assert_step_matches_scratch(kernel, live, tree, cfg, leader):
+        """Step ``kernel`` and a ``ScratchKernel`` built over the ``live`` ids
+        from the kernel's own rows; both agree bit for bit."""
+        state = np.zeros((2, max(tree.depth) + 1))
+        slots = kernel.live()
+        assert kernel.rows[slots].tolist() == live
+        state[:, live] = kernel.p[slots], kernel.v[slots]
+        scratch = ScratchKernel(live, tree, ControllerGains(), cfg, *state)
+        assert kernel.step(leader) == scratch.step(leader)
+        slots = kernel.live()
+        for name in ("u", "p", "v", "p_prev", "v_prev"):
+            assert (list(map(bits, getattr(kernel, name)[slots]))
+                    == list(map(bits, getattr(scratch, name))))
+
+    @pytest.mark.parametrize("parked", [[2], [4], [1, 4], [5]])
+    @pytest.mark.parametrize("steps_before", [0, 1])
+    def test_row_parked_before_the_step_that_links_it(self, default_cfg, parked, steps_before):
+        """Rows appended and parked before the step that would link them
+        never link: a parked late parent (4) leaves its child to the leader
+        alone, and a parked child leaves its parent's list.  With a step
+        first, row 1 is linked by then and the others are not."""
+        tree = SpanningTree(parent={4: LEADER, 1: 4, 2: 1, 3: 1, 5: 2},
+                            depth={4: 1, 1: 2, 2: 3, 3: 3, 5: 4})
+        kernel = PlatoonKernel(tree, ControllerGains(), default_cfg)
+        kernel.append(1, 331.7, 8.5)
+        for _ in range(steps_before):
+            self.assert_step_matches_scratch(kernel, [1], tree, default_cfg, 280.0)
+        for v in range(2, 6):
+            kernel.append(v, 300.0 + 31.7 * v, 8.0 + 0.5 * v)
+        kernel.park([kernel.rows.tolist().index(v) for v in parked])
+        live = [v for v in range(1, 6) if v not in parked]
+        for leader in (279.0, 278.0):
+            self.assert_step_matches_scratch(kernel, live, tree, default_cfg, leader)
+
+    @pytest.mark.parametrize("relink_first", [True, False])
+    def test_relink_and_appends_in_one_step(self, default_cfg, relink_first):
+        """A re-cover and new rows between two steps: the step relinks every
+        row, the new ones included, whichever came first."""
+        tree = SpanningTree(parent={1: LEADER, 2: 1, 3: 1}, depth={1: 1, 2: 2, 3: 2})
+        kernel = PlatoonKernel(tree, ControllerGains(), default_cfg)
+        for v in (1, 2, 3):
+            kernel.append(v, 250.0 + 40.0 * v, 9.0 + 0.3 * v)
+        self.assert_step_matches_scratch(kernel, [1, 2, 3], tree, default_cfg, 230.0)
+        if relink_first:
+            kernel.relink()
+        for v in (4, 5):
+            kernel.append(v, 250.0 + 40.0 * v, 9.0 + 0.3 * v)
+        # the re-cover moves old rows and places the new ones, 5 above 2 and 4
+        tree.parent.update({3: LEADER, 5: 3, 2: 5, 4: 5, 1: 2})
+        tree.depth.update({3: 1, 5: 2, 2: 3, 4: 3, 1: 4})
+        if not relink_first:
+            kernel.relink()
+        for leader in (229.0, 228.0):
+            self.assert_step_matches_scratch(kernel, [1, 2, 3, 4, 5], tree, default_cfg, leader)
 
     def test_appends_ascend(self, default_cfg):
         kernel = PlatoonKernel(chain_tree(3), ControllerGains(), default_cfg)
@@ -495,7 +556,7 @@ class TestCrossingBound:
         tree = chain_tree(1)
         history = simulate_platoon(tree, default_cfg, initial, -500.0, until=20.0)
         crossed = history[-1].crossings
-        want = scratch_crossings(tree, default_cfg, initial, -500.0, ControllerGains(), 20.0)
+        want = scratch_history(tree, default_cfg, initial, -500.0, ControllerGains(), 20.0)[-1][2]
         assert set(crossed) == {1}
         assert crossed[1].hex() == want[1].hex()
 
@@ -509,6 +570,6 @@ class TestCrossingBound:
                    3: VehicleState(80.0, 4.0)}
         history = simulate_platoon(tree, default_cfg, initial, 50.0, until=30.0)
         assert history[1].crossings == {2: pytest.approx(2.5 / 3.0 * default_cfg.dt)}
-        want = scratch_crossings(tree, default_cfg, initial, 50.0, ControllerGains(), 30.0)
+        want = scratch_history(tree, default_cfg, initial, 50.0, ControllerGains(), 30.0)[-1][2]
         assert {v: t.hex() for v, t in history[-1].crossings.items()} == \
             {v: t.hex() for v, t in want.items()}

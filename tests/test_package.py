@@ -13,6 +13,7 @@ SOURCE = ROOT / "src" / "crossflow"
 ALLOWED_UNREFERENCED = {
     "connected": "read by bench/tracer.py",
     "adjacent": "read by bench/tracer.py",
+    "theta": "read by bench/workloads.py and scripts/run_experiments.py",
     "error": "argparse calls it: _Parser overrides ArgumentParser.error",
     "simulate_platoon": "the closed loop on a given tree, documented in README.md",
 }

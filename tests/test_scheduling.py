@@ -753,13 +753,6 @@ def test_descending_order_minimizes_layer_rank(sizes):
     assert cost == best_ordering_cost(sizes)
 
 
-def test_cover_serialization_round_trip(ex1_cug):
-    cover = mcc_bruteforce(ex1_cug)
-    doc = cover.to_dict()
-    assert doc["theta"] == 4
-    assert doc["subsets"][0] == [1, 3, 5]
-
-
 def test_tree_serialization(ex1_cdg, ex1_cug):
     tree = cover_to_tree(mcc_bruteforce(ex1_cug), ex1_cdg)
     doc = tree.to_dict()

@@ -26,6 +26,7 @@ from crossflow.simulation import (
     simulate_platoon,
     _Engine,
 )
+from crossflow import simulation
 from crossflow.scenario import ValidationError, default_intersection, load_scenario
 
 import yaml
@@ -33,11 +34,16 @@ import yaml
 from .conftest import DATA, EXAMPLE1_SETS, dump_scenario, make_sets
 from .instances import sampled_instance
 from .oracles import (bitset, members, renumbered_cover_layers, renumbered_greedy_cover,
-                      sets_conflict)
+                      scratch_history, sets_conflict)
 
 
 def empty_tree() -> SpanningTree:
     return SpanningTree(parent={}, depth={})
+
+
+def slot_of(engine, vehicle: int) -> int:
+    """The slot of ``vehicle``'s kernel row, where the engine keeps its state."""
+    return engine.kernel.rows.tolist().index(vehicle)
 
 
 def arrive_on_nominal_approach(engine, records, rec) -> None:
@@ -45,8 +51,9 @@ def arrive_on_nominal_approach(engine, records, rec) -> None:
     zone first move to their nominal approach positions at its entry time
     (``nominal_remaining``), the state the batch conflict sets assume."""
     nominal = nominal_remaining(records, engine.scn)
-    for i in members(engine.zone):
-        engine.remaining[i] = nominal(i, rec.entry_time)
+    kernel = engine.kernel
+    for k in kernel.live().tolist():
+        kernel.p[k] = nominal(int(kernel.rows[k]), rec.entry_time)
     engine.arrive(rec)
     engine.enter(rec.id, engine.scn.control_zone_length, rec.entry_speed)
 
@@ -349,6 +356,69 @@ def test_trace_reads_the_one_stepping_path(default_cfg, algorithm):
     assert traced.parents == plain.parents
 
 
+@pytest.mark.parametrize("algorithm", [Algorithm.IDFST, Algorithm.MCC_GREEDY])
+def test_engine_reads_positions_off_the_kernel_rows(monkeypatch, default_cfg, algorithm):
+    """At every arrival of online runs with locks (n=60, leader at the line),
+    and at every re-cover, ``_locked`` is the zone members that
+    ``reachability_conflict`` puts within the lock distance, a member past
+    the line counting as at it; the zone an arrival's conflict sets read is
+    the members short of the line.  Members are the vehicles entered and
+    not crossed: rows appended since the last step count, parked rows never
+    do.  Each member's position is read off its own row."""
+    entered, fresh, zones = [], [], []
+    counts = {"fresh": 0, "locked": 0}
+    real_sets, real_enter, real_step = (simulation.conflict_sets_for, _Engine.enter,
+                                        _Engine.step)
+    real_arrive, real_recover = _Engine.arrive, _Engine.reschedule_cover
+
+    def members_and_positions(engine):
+        in_zone = set(entered) - set(engine.crossed)
+        assert set(members(engine.zone)) == in_zone
+        rows = engine.kernel.rows.tolist()
+        return {i: float(engine.kernel.p[rows.index(i)]) for i in in_zone}
+
+    def check_locked(engine):
+        positions = members_and_positions(engine)
+        locked = {i for i, p in positions.items()
+                  if reachability_conflict(max(p, 0.0), default_cfg)}
+        assert set(members(engine._locked())) == locked
+        counts["locked"] += bool(locked)
+
+    def arrive(engine, record):
+        check_locked(engine)
+        positions = members_and_positions(engine)
+        counts["fresh"] += bool(fresh)
+        real_arrive(engine, record)
+        assert set(members(zones.pop())) == {i for i, p in positions.items() if p > 0}
+
+    def reschedule_cover(engine, algorithm):
+        check_locked(engine)
+        real_recover(engine, algorithm)
+
+    def conflict_sets_for(record, zone, locked, masks):
+        zones.append(zone)
+        return real_sets(record, zone, locked, masks)
+
+    def enter(engine, vehicle, remaining, speed):
+        entered.append(vehicle)
+        fresh.append(vehicle)
+        real_enter(engine, vehicle, remaining, speed)
+
+    def step(engine, t, step_idx):
+        fresh.clear()
+        real_step(engine, t, step_idx)
+
+    monkeypatch.setattr(simulation, "conflict_sets_for", conflict_sets_for)
+    for name, wrapper in (("arrive", arrive), ("reschedule_cover", reschedule_cover),
+                          ("enter", enter), ("step", step)):
+        monkeypatch.setattr(_Engine, name, wrapper)
+    for headway in (5.0, 20.0):
+        entered.clear()
+        run(SimConfig(scenario=default_cfg, algorithm=algorithm, n_vehicles=60,
+                      mean_headway=headway, seed=1, mode=Mode.ONLINE))
+    assert counts["fresh"] > 0 and counts["locked"] > 0, counts
+
+
 class TestOnlineLocking:
     def test_locked_vehicle_keeps_depth(self, ex1_scenario, ex1_records):
         """A vehicle near the stopping line is excluded from rescheduling."""
@@ -365,7 +435,8 @@ class TestOnlineLocking:
             engine.enter(rec.id, ex1_scenario.control_zone_length, 2.0)
             engine.reschedule_cover(Algorithm.MCC_GREEDY)
         # vehicle 1 is now 300 m from the line: uncatchable for newcomers
-        engine.remaining[1], engine.speed[1] = 300.0, 10.0
+        k = slot_of(engine, 1)
+        engine.kernel.p[k], engine.kernel.v[k] = 300.0, 10.0
         depth_before = engine.depth[1]
         rec = records[6]
         engine.arrive(rec)
@@ -373,7 +444,7 @@ class TestOnlineLocking:
         engine.reschedule_cover(Algorithm.MCC_GREEDY)
         # locked: in the zone and within the lock distance
         assert engine.zone >> 1 & 1
-        assert reachability_conflict(float(engine.remaining[1]), ex1_scenario)
+        assert reachability_conflict(float(engine.kernel.p[slot_of(engine, 1)]), ex1_scenario)
         assert engine.depth[1] == depth_before
         assert 1 in members(engine.sets[7].reachability)
 
@@ -464,6 +535,27 @@ class TestSimulatePlatoon:
             digests.add(platoon_digest(simulate_platoon(tree, default_cfg, initial, 600.0,
                                                         until=120.0)))
         assert len(digests) == 1
+
+    def test_initial_order_does_not_matter(self, default_cfg):
+        """``initial`` in descending id order gives the history ascending
+        order gives, and both match the closed loop that rebuilds a
+        ``ScratchKernel`` after every crossing, bit for bit."""
+        tree = idfst_schedule(build_cdg(make_sets(EXAMPLE1_SETS)))
+        ascending = {v: VehicleState(640.0 + 23.0 * v + 7.5 * d, 2.5 * v)
+                     for v, d in sorted(tree.depth.items())}
+        descending = {v: ascending[v] for v in sorted(ascending, reverse=True)}
+        want = scratch_history(tree, default_cfg, ascending, 600.0, ControllerGains(), 150.0)
+        for initial in (ascending, descending):
+            history = simulate_platoon(tree, default_cfg, initial, 600.0, until=150.0)
+            assert platoon_digest(history) == PLATOON_GOLDEN
+            assert len(history) == len(want)
+            for sample, (t, states, crossings) in zip(history, want):
+                assert sample.t.hex() == t.hex()
+                assert {i: (st.remaining.hex(), st.speed.hex())
+                        for i, st in sample.states.items()} == \
+                    {i: (p.hex(), v.hex()) for i, (p, v) in states.items()}
+                assert {i: x.hex() for i, x in sample.crossings.items()} == \
+                    {i: x.hex() for i, x in crossings.items()}
 
     def test_layers_cross_aligned(self, default_cfg, ex1_cdg):
         tree = idfst_schedule(ex1_cdg)
