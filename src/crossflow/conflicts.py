@@ -293,13 +293,13 @@ class CoexistenceGraph:
     ``pool`` is the bitset of the vehicles in the graph and ``conflict[i]``
     the bitset of those vehicle i may not share a layer with, both over the
     vehicles' own ids; bits outside the pool are ignored.  Members coexist
-    when neither is in the other's bitset, so the coexistence and conflict
-    views of a member are each one ``&``.  ``lanes`` holds one bitset per
-    lane, whose vehicles cross in id order and never together; every pool
-    member is in one of them.  The conflict bitsets must be symmetric, as
-    both callers build them.  The minimum covers of the twin-class quotient
-    are found on first use and kept on the graph, as ``edges`` is, and so is
-    each rank bucket's list of least dealings once a caller reaches it.
+    when neither is in the other's bitset, so the coexistence view of a
+    member is one ``&``.  ``lanes`` holds one bitset per lane, whose
+    vehicles cross in id order and never together; every pool member is in
+    one of them.  The conflict bitsets must be symmetric, as both callers
+    build them.  The minimum covers of the twin-class quotient are found on
+    first use and kept on the graph, as ``edges`` is, and so is each rank
+    bucket's list of least dealings once a caller reaches it.
     """
 
     pool: int
@@ -309,10 +309,6 @@ class CoexistenceGraph:
     def coexist(self, i: int) -> int:
         """Bitset of the pool's vehicles i may cross with."""
         return self.pool & ~(self.conflict[i] | 1 << i)
-
-    def conflicts(self, i: int) -> int:
-        """Bitset of the pool's vehicles i may not share a layer with."""
-        return self.pool & self.conflict[i] & ~(1 << i)
 
     def adjacent(self, i: int, j: int) -> bool:
         return bool(self.coexist(i) >> j & 1)

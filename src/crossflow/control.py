@@ -11,13 +11,13 @@ consecutive layers stay one design gap apart.
 ``PlatoonKernel`` is the one implementation, and the one home of the
 controlled vehicles' state.  One kernel serves a whole closed loop and
 changes only where an event changes it: an arrival appends a row with its
-state, a crossing parks one, a re-cover marks the peer table stale, and the
-next step links the new rows or relinks them all.  A step applies the law
-and a saturated forward-Euler step over the scenario's step ``dt`` to every
-row at once, in at most 12 in-place numpy calls whatever the number of
-vehicles.  Its scalar reference (one vehicle, one peer at a time)
-and a kernel rebuilt from scratch live in the test suite's oracles, which
-check it bit for bit.
+state, a crossing parks one, a re-cover that moves a placed vehicle marks
+the peer table stale, and the next step links the new rows or relinks them
+all.  A step applies the law and a saturated forward-Euler step over the
+scenario's step ``dt`` to every row at once, in at most 12 in-place numpy
+calls whatever the number of vehicles.  Its scalar reference (one vehicle,
+one peer at a time) and a kernel rebuilt from scratch live in the test
+suite's oracles, which check it bit for bit.
 """
 
 from __future__ import annotations

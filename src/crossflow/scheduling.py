@@ -10,6 +10,10 @@ Four routes to a layered passing order:
   takes the shallowest layer clearing both.
 * ``mcc_greedy``: minimum clique cover of the coexistence graph, solved
   heuristically by greedy coloring of its complement in breadth-first order.
+  The coloring goes by twin class (vehicles with one closed conflict set):
+  a class expands the search once, and its members' first-fit scans go on
+  where the previous member's stopped, so a cover costs O(classes * groups
+  + n), not O(n * groups).  A crowded pool is a few classes, one per lane.
 * ``mcc_bruteforce``: exact minimum clique cover, capped at ``BRUTE_CAP``
   vehicles.  The minimum covers are searched and ranked once per coexistence
   graph over its twin classes (``CoexistenceGraph._covers_by_rank``), and
@@ -25,13 +29,14 @@ at each arrival.  The cover routes turn a cover into layers with
 ``_cover_layers``, and the layers into depths and parents with
 ``_lay_layers``, which gives a layer idfst's depth (``_target_depth``) as
 if it were one vehicle; the engine calls both on its unlocked vehicles,
-laying them around the locked ones.  ``order_layers`` orders a cover by a
-bounded depth-first search that takes one lane-tuple kind per step and,
-once a state is proven dead, proves states dead before it enters them by a
-projection onto lane pairs.  When no cover orders (the exact route tries
-one minimum cover per class cover, the greedy route its one cover, and a
-search that runs out of budget counts as finding no order),
-``schedule_cover_tree`` returns idfst's tree.
+laying them around the locked ones.  ``order_layers`` orders a cover by
+walking its groups largest first, each by lane-slot substitution, and,
+when a group clashes, by a bounded depth-first search that takes one
+lane-tuple kind per step and, once a state is proven dead, proves states
+dead before it enters them by a projection onto lane pairs.  When no cover
+orders (the exact route tries one minimum cover per class cover, the
+greedy route its one cover, and a search that runs out of budget counts as
+finding no order), ``schedule_cover_tree`` returns idfst's tree.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import operator
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -260,46 +265,53 @@ def idfst_schedule(cdg: ConflictDirectedGraph) -> SpanningTree:
     return _grow(cdg, improved=True)
 
 
-def _bfs_order(cug: CoexistenceGraph) -> list[int]:
-    """Breadth-first order over the pool's members along their conflicts.
-
-    Each component starts at its most conflicted vehicle (conflicts counted
-    within the pool) so that the hardest vehicles are colored while all
-    group indices are still open; the frontier expands by ascending id.
-    Deterministic for a fixed graph.
-    """
-    conflicts = {v: cug.conflicts(v) for v in _bits(cug.pool)}
-    order: list[int] = []
-    visited = 0
-    for start in sorted(conflicts, key=lambda v: (-conflicts[v].bit_count(), v)):
-        if visited >> start & 1:
-            continue
-        queue = deque([start])
-        visited |= 1 << start
-        while queue:
-            node = queue.popleft()
-            order.append(node)
-            fresh = conflicts[node] & ~visited
-            visited |= fresh
-            queue.extend(_bits(fresh))
-    return order
-
-
 def mcc_greedy(cug: CoexistenceGraph) -> CliqueCover:
     """Greedy clique cover: color the complement graph in BFS order.
 
-    Each vehicle takes the lowest group index not used by any conflicting
-    vehicle; groups are cliques of the coexistence graph.
+    The breadth-first order runs over the pool along its conflicts.  Each
+    component starts at its most conflicted vehicle (conflicts counted within
+    the pool), so that the hardest vehicles are colored while all group
+    indices are still open, and the frontier expands by ascending id.  Each
+    vehicle, in that order, takes the lowest group index not used by any
+    conflicting vehicle; groups are cliques of the coexistence graph.
+
+    The work goes by twin class: the vehicles with one closed conflict set
+    (their conflicts and themselves, within the pool).  Twins conflict with
+    each other and with the same others, so a class enters the frontier
+    whole, at one expansion, and only its first member popped adds fresh
+    vertices.  A twin's scan for a group resumes past the group its previous
+    twin took: groups only grow, so a group that holds a conflict of one
+    twin holds one of the rest.  Each class expands once and scans each
+    group at most once, O(classes * groups + n) tests, where vehicle by
+    vehicle they were O(n * groups).  The order and the cover are the
+    vehicle-by-vehicle ones; deterministic for a fixed graph.
     """
+    pool, conflict = cug.pool, cug.conflict
+    lowest: dict[int, int] = {}  # closed conflict set -> its class's lowest member
+    class_of = {v: lowest.setdefault(pool & (conflict[v] | 1 << v), v) for v in _bits(pool)}
+    closed = {c: members for members, c in lowest.items()}  # per class, by lowest member
+    resume: dict[int, int] = {}  # per class expanded, the group its scan goes on from
     groups: list[int] = []  # member bitset per group index
-    for node in _bfs_order(cug):
-        conflicts = cug.conflicts(node)
-        for c, group in enumerate(groups):
-            if not group & conflicts:
-                groups[c] = group | 1 << node
-                break
-        else:
-            groups.append(1 << node)
+    visited = 0
+    for start in sorted(closed, key=lambda c: (-closed[c].bit_count(), c)):
+        if visited >> start & 1:
+            continue  # its class was reached whole
+        visited |= 1 << start
+        queue = [start]
+        for node in queue:  # the loop reads the vertices appended as it goes
+            c = class_of[node]
+            g = resume.get(c)
+            if g is None:  # the class's first member popped: expand it
+                fresh = closed[c] & ~visited
+                visited |= fresh
+                queue.extend(_bits(fresh))
+                g = 0
+            while g < len(groups) and groups[g] & closed[c]:
+                g += 1
+            if g == len(groups):
+                groups.append(0)
+            groups[g] |= 1 << node
+            resume[c] = g + 1  # group g now holds a twin
     return CliqueCover(subsets=tuple(groups))
 
 
@@ -381,12 +393,23 @@ def order_layers(
     branches that fail, so the search finds the ordering a plain depth-first
     search would, with fewer steps.
 
+    The search's first descent takes the subsets in ``_sorted_groups``
+    order, the first untried place at each step, until a group clashes.  So
+    that walk runs first, on the lane heads alone (``_walk``), and its layers
+    are returned when no group clashes; the kinds, the state keys and the
+    projection are built only when one does, and the search then starts
+    from the root.
+
     Returns None if no ordering is found within the budget.
     """
+    groups = _sorted_groups(subsets)
     lane_of = {v: ln for ln, lane in enumerate(lanes) for v in lane}
+    walked = _walk(groups, lanes, lane_of, conflict)
+    if walked is not None and len(groups) < _ORDER_BUDGET:  # as the search: len(groups) + 1 steps
+        return walked
     kind_of: dict[tuple[int, ...], int] = {}
     kind_at = [kind_of.setdefault(tuple(sorted(lane_of[v] for v in s)), len(kind_of))
-               for s in _sorted_groups(subsets)]  # per place in _sorted_groups order
+               for s in groups]  # per place in _sorted_groups order
     kinds = list(kind_of)
     counts = Counter(kind_at)
     # mixed-radix weights: a multiset of kinds has exactly one weighted sum
@@ -506,6 +529,24 @@ def order_layers(
     return None
 
 
+def _walk(groups: list[tuple[int, ...]], lanes: list[list[int]], lane_of: dict[int, int],
+          conflict: Sequence[int]) -> list[tuple[int, ...]] | None:
+    """Emit the groups in the order given, each by lane-slot substitution (a
+    member's place taken by its lane's head), members by lane; None at the
+    first group that clashes."""
+    heads = [0] * len(lanes)
+    layers: list[tuple[int, ...]] = []
+    for members in groups:
+        kind = sorted(lane_of[v] for v in members)
+        group = tuple([lanes[ln][heads[ln]] for ln in kind])
+        if _clashes(group, conflict):
+            return None
+        for ln in kind:
+            heads[ln] += 1
+        layers.append(group)
+    return layers
+
+
 def _interleaves(a: list[int], b: list[int], both: int, conflict: Sequence[int]) -> bool:
     """Can the steps left on lanes a and b (the lanes from their heads on),
     ``both`` of them taking a vehicle of each and the others one of either,
@@ -538,7 +579,7 @@ def _clashes(group: tuple[int, ...], conflict: Sequence[int]) -> bool:
 
 
 def _lay_layers(parent: dict[int, int], depth: dict[int, int], layers: Iterable[Iterable[int]],
-                predecessors: Callable[[int], tuple[int, int]]) -> None:
+                predecessors: Callable[[int], tuple[int, int]]) -> bool:
     """Write ordered layers into a tree's maps, around the nodes already placed.
 
     Placed nodes (those in ``depth`` outside ``layers``) keep their depths.
@@ -548,7 +589,8 @@ def _lay_layers(parent: dict[int, int], depth: dict[int, int], layers: Iterable[
     nodes and the layers laid before it.  The previous layer (the leader
     before the first) is one more fixed parent, and a member's exchangeable
     set also holds the placed nodes that may pass it.  A member hangs under
-    the lowest id one layer up.  Members in the maps are overwritten in place.
+    the lowest id one layer up.  Members in the maps are overwritten in
+    place; returns whether one of them moved, to another depth or parent.
     """
     layers = [list(layer) for layer in layers]
     members = sum(1 << m for layer in layers for m in layer)
@@ -561,6 +603,7 @@ def _lay_layers(parent: dict[int, int], depth: dict[int, int], layers: Iterable[
             for m in _bits(predecessors(w)[1] & members):
                 passing[m] |= 1 << w
     above = 1  # the previous layer's members: the leader before the first layer
+    moved = False
     for layer in layers:
         fixed, exchangeable = above, 0
         for m in layer:
@@ -573,7 +616,9 @@ def _lay_layers(parent: dict[int, int], depth: dict[int, int], layers: Iterable[
         above = sum(1 << m for m in layer)
         rows[d] |= above
         for m in layer:
+            moved = moved or depth.get(m, d) != d or parent.get(m, anchor) != anchor
             depth[m], parent[m] = d, anchor
+    return moved
 
 
 def _tree_from_layers(layers: list[tuple[int, ...]], cdg: ConflictDirectedGraph) -> SpanningTree:

@@ -226,8 +226,10 @@ class _Engine:
     The schedule is the ``SpanningTree`` it is given, whose ``depth``/``parent``
     maps the online schedulers grow in place; the kernel reads its links
     from it.  ``zone`` is the bitset of the vehicles that have entered and
-    not crossed, the kernel's live rows; ``frozen`` holds each crossed
-    vehicle's remaining distance and speed.
+    not crossed, the kernel's live rows; ``locked`` is the bitset of those
+    within the lock distance at the last arrival, and of those that entered
+    within it since; ``frozen`` holds each crossed vehicle's remaining
+    distance and speed.
     """
 
     def __init__(self, scn: IntersectionConfig, size: int, tree: SpanningTree, *,
@@ -235,6 +237,8 @@ class _Engine:
         self.scn, self.leader_start, self.collect_trace = scn, leader_start, collect_trace
         self.size = size
         self.zone = 0  # entered and not yet across the stopping line
+        self.locked = 0  # within the lock distance at the last arrival, or on entry since
+        self._v_0, self._horizon = scn.platoon_speed, _horizon(scn)
         self.kernel = PlatoonKernel(tree, gains, scn)
         self.tree, self.depth, self.parent = tree, tree.depth, tree.parent
         self.growing: _GrowingTree | None = None  # the trees' step index; None: stale
@@ -248,17 +252,26 @@ class _Engine:
     # --- scheduling -----------------------------------------------------
 
     def enter(self, vehicle: int, remaining: float, speed: float) -> None:
-        """Admit ``vehicle``, the highest id yet, as a kernel row."""
+        """Admit ``vehicle``, the highest id yet, as a kernel row; it joins
+        ``locked`` when it enters within the lock distance."""
         self.kernel.append(vehicle, remaining, speed)
         self.zone |= 1 << vehicle
+        if self._within_lock(remaining):
+            self.locked |= 1 << vehicle
 
     def arrive(self, record: VehicleRecord) -> None:
         """Online arrival: conflict sets against the zone, then symmetric conflict
-        bitsets with every set member and the whole lane, not just its predecessor."""
+        bitsets with every set member and the whole lane, not just its predecessor.
+
+        The zone is the vehicles short of the line: a row that crosses leaves
+        it in the step it crosses.  The lock test runs here once per arrival;
+        ``locked`` keeps it for the re-cover that follows the entry.
+        """
         v = record.id
-        zone = self._zone_where(lambda p: p > 0)
+        zone = self.zone
         masks = class_masks(record.movement, self.lane_mask, self.scn)
-        cs = self.sets[v] = conflict_sets_for(record, zone, zone & self._locked(), masks)
+        self.locked = self._locked()
+        cs = self.sets[v] = conflict_sets_for(record, zone, self.locked, masks)
         lane = self.lane_mask.get(record.movement, 0)
         mask = lane | (cs.fixed | cs.exchangeable) & ~1
         self.conflict[v] = mask
@@ -274,11 +287,14 @@ class _Engine:
                improved=algorithm is not Algorithm.DFST)
 
     def _locked(self) -> int:
-        """The zone members within the lock distance: ``reachability_conflict``'s
-        test, a vehicle past the line counting as at it.  An arrival cannot
+        """The zone members within the lock distance.  An arrival cannot
         catch them, and the cover re-layers none of them."""
-        v_0, horizon = self.scn.platoon_speed, _horizon(self.scn)
-        return self._zone_where(lambda p: np.maximum(p, 0.0) / v_0 < horizon)
+        return self._zone_where(self._within_lock)
+
+    def _within_lock(self, remaining):
+        """``reachability_conflict``'s test on remaining distances (an array,
+        or one), a vehicle past the line counting as at it."""
+        return np.maximum(remaining, 0.0) / self._v_0 < self._horizon
 
     def _zone_where(self, test: Callable[[np.ndarray], np.ndarray]) -> int:
         """The zone members whose remaining distance passes ``test``, read
@@ -294,15 +310,19 @@ class _Engine:
         return cs.fixed, cs.exchangeable
 
     def reschedule_cover(self, algorithm: Algorithm) -> None:
-        """Recompute the clique cover over unlocked in-zone vehicles.
+        """Recompute the clique cover over unlocked in-zone vehicles, after
+        an arrival and its entry, before the next step.
 
         Locked vehicles (near the stopping line, or already across) keep
-        their depths; recomputed layers slot around them.  A lock is
-        computed, not stored: the kernel clamps speed to [0, v_max], so a
-        remaining distance never grows, and a vehicle within the lock
-        distance stays within it.
+        their depths; recomputed layers slot around them.  The locks are
+        ``locked``, the arrival's and the entrant's: no step has run since,
+        so no remaining distance has moved (none ever grows: the kernel
+        clamps speed to [0, v_max], so a locked vehicle stays locked).  The
+        kernel relinks only when the layers move a vehicle placed before, to
+        another parent or depth; the entrant alone links at the next step,
+        as a fresh row.
         """
-        unlocked = self.zone & ~self._locked()
+        unlocked = self.zone & ~self.locked
         if not unlocked:
             return
         self.growing = None  # the layers below are written past the trees' step
@@ -316,8 +336,8 @@ class _Engine:
         cug = CoexistenceGraph(pool=unlocked, conflict=self.conflict,
                                lanes=[mask for _, mask in sorted(self.lane_mask.items())])
         layers = _cover_layers(cug, exact=algorithm is Algorithm.MCC_BRUTE)
-        _lay_layers(self.parent, self.depth, layers, self._predecessors)
-        self.kernel.relink()
+        if _lay_layers(self.parent, self.depth, layers, self._predecessors):
+            self.kernel.relink()
 
     # --- dynamics -------------------------------------------------------
 

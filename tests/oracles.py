@@ -15,7 +15,7 @@ from crossflow.conflicts import (CoexistenceGraph, ConflictDirectedGraph, Confli
 from crossflow.control import LEADER, VehicleState
 from crossflow.scenario import ConflictClass, ScenarioError
 from crossflow.scheduling import (RepairError, SpanningTree, _cover_layers, _sorted_groups,
-                                  _tree_from_layers, mcc_greedy, order_layers)
+                                  _tree_from_layers, order_layers)
 
 
 def bitset(ids) -> int:
@@ -200,9 +200,34 @@ def _renumbered(pool: int, conflict, lanes=()) -> tuple[list[int], CoexistenceGr
 
 
 def renumbered_greedy_cover(pool: int, conflict) -> list[int]:
-    """``mcc_greedy`` on the renumbered graph, its subsets mapped back to vehicle ids."""
-    ids, graph = _renumbered(pool, conflict)
-    return [bitset(ids[k - 1] for k in members(s)) for s in mcc_greedy(graph).subsets]
+    """The vehicle-by-vehicle greedy cover of a pool (``edge_greedy_cover``)
+    on its vehicles renumbered 1..k, two of them coexisting when neither's
+    conflict bitset holds the other; groups mapped back to vehicle-id
+    bitsets, in group-index order."""
+    ids = sorted(members(pool))
+    coexist = frozenset((a, b) for (a, u), (b, w) in itertools.combinations(enumerate(ids, 1), 2)
+                        if not conflict[u] >> w & 1 and not conflict[w] >> u & 1)
+    return [bitset(ids[k - 1] for k in group) for group in edge_greedy_cover(len(ids), coexist)]
+
+
+def straight_layers(subsets, lanes, conflict):
+    """The subsets (member bitsets) emitted in ``_sorted_groups`` order, each
+    by lane-slot substitution, members by lane; None when a group's members
+    conflict.  Where it gives layers, a depth-first search over the emission
+    order that tries the earliest subset first finds them on its first
+    descent."""
+    lane_of = {v: ln for ln, lane in enumerate(lanes) for v in lane}
+    heads = [0] * len(lanes)
+    layers = []
+    for subset in _sorted_groups(subsets):
+        kind = sorted(lane_of[v] for v in subset)
+        group = tuple(lanes[ln][heads[ln]] for ln in kind)
+        if any(conflict[b] >> a & 1 for a, b in itertools.combinations(group, 2)):
+            return None
+        for ln in kind:
+            heads[ln] += 1
+        layers.append(group)
+    return layers
 
 
 def renumbered_cover_layers(pool: int, conflict, lanes, exact: bool):

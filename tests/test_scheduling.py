@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 from collections.abc import Sequence
 
@@ -54,9 +55,11 @@ from .oracles import (
     ordering_objective,
     plain_layer_search,
     ranked_covers_by_vehicle,
+    renumbered_greedy_cover,
     scanning_relayering,
     scanning_tree,
     shallowest_admissible_layer,
+    straight_layers,
     validate_cover,
 )
 from crossflow.conflicts import VehicleRecord, build_cdg, build_conflict_sets
@@ -205,10 +208,38 @@ class TestMccGreedy:
     @settings(max_examples=40, deadline=None)
     @given(graph_instances())
     def test_matches_edge_set_reference(self, instance):
-        _, _, cdg = instance
-        cover = mcc_greedy(build_cug(cdg))
-        assert [members(s) for s in cover.subsets] == edge_greedy_cover(cdg.n,
-                                                                        edge_coexistence(cdg))
+        self.assert_first_fit_by_vehicle(instance[2])
+
+    @staticmethod
+    def assert_first_fit_by_vehicle(cdg):
+        """The cover equals the vehicle-by-vehicle first fit's, on the edge
+        set and on the pool's own bitsets; returns the graph's twin classes."""
+        cug = build_cug(cdg)
+        subsets = mcc_greedy(cug).subsets
+        assert [members(s) for s in subsets] == edge_greedy_cover(cdg.n, edge_coexistence(cdg))
+        assert list(subsets) == renumbered_greedy_cover(cug.pool, cug.conflict)
+        return {cug.pool & (cug.conflict[v] | 1 << v) for v in members(cug.pool)}
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_first_fit_by_class_on_one_class_per_lane(self, seed):
+        """n = 400 at gap 1 s: the 400 vehicles fall into 12 twin classes."""
+        assert len(self.assert_first_fit_by_vehicle(sampled_instance(seed, 400, 1.0)[2])) == 12
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("speeds", [(2.0,), (0.0, 2.0, 10.0, 14.0)])
+    def test_first_fit_by_class_with_few_twins(self, seed, speeds):
+        """n = 200 at gap 5 s, at the sampler's entry speed and at entry
+        speeds cycling through a standing start and a braking approach:
+        classes hold two or three vehicles on average, or fewer."""
+        records = [dataclasses.replace(rec, entry_speed=speeds[rec.id % len(speeds)])
+                   for rec in sampled_instance(seed, 200, 5.0)[0]]
+        cdg = build_cdg(build_conflict_sets(records, DEFAULT))
+        assert len(self.assert_first_fit_by_vehicle(cdg)) > 200 // 3
+
+    @settings(max_examples=40, deadline=None)
+    @given(mixed_fleets())
+    def test_first_fit_by_class_on_mixed_fleets(self, records):
+        self.assert_first_fit_by_vehicle(build_cdg(build_conflict_sets(records, DEFAULT)))
 
 
 class TestMccBruteforce:
@@ -466,6 +497,24 @@ def _assert_ordering_matches_memo_search(cdg):
         assert layers == reference
     elif layers is not None:
         assert verify_feasible(tree_of(layers), cdg).ok
+
+
+@pytest.mark.parametrize("seed, n, headway, straight",
+                         [(1, 400, 1.0, True), (2, 400, 1.0, True),
+                          (1, 60, 20.0, False), (2, 60, 20.0, False), (1, 200, 5.0, False)])
+def test_ordering_walk_and_search_match_memo_search(seed, n, headway, straight):
+    """The greedy cover's layers are the memo search's, where the straight
+    walk in ``_sorted_groups`` order orders it (gap 1 s) and where a group
+    of that walk clashes and the search backtracks (gap 20 s, light traffic,
+    and gap 5 s)."""
+    cug = build_cug(sampled_instance(seed, n, headway)[2])
+    subsets, lanes = mcc_greedy(cug).subsets, [sorted(members(lane)) for lane in cug.lanes]
+    assert (straight_layers(subsets, lanes, cug.conflict) is not None) is straight
+    reference, ran_out = memo_layer_search(subsets, lanes, cug.conflict)
+    assert not ran_out and reference is not None
+    assert order_layers(subsets, lanes, cug.conflict) == reference
+    if straight:
+        assert reference == straight_layers(subsets, lanes, cug.conflict)
 
 
 @pytest.mark.parametrize("seed", range(1, 41))

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from crossflow.conflicts import (CoexistenceGraph, ContractError, VehicleRecord, _horizon,
                                  nominal_remaining, reachability_conflict)
-from crossflow.control import LEADER, ControllerGains, VehicleState
+from crossflow.control import LEADER, ControllerGains, PlatoonKernel, VehicleState
 from crossflow.conflicts import build_cdg
 from crossflow.scheduling import (SpanningTree, _GrowingTree, _cover_layers, dfst_schedule,
                                   idfst_schedule, mcc_greedy)
@@ -280,9 +280,11 @@ PLATOON_GOLDEN = "33f513c40631a58760df2055b7172db35c89804269261b468bc30853f88862
 # SHA-256 pins of online cover runs (``run_digest`` without a trace: records,
 # depths and parents), captured while the engine still renumbered its
 # unlocked vehicles to 1..k: they pin the exact path through
-# ``_Engine.reschedule_cover``.  lambda=1, seed 1.
+# ``_Engine.reschedule_cover``.  lambda=1, seed 1.  The n=800 pin, at fleet
+# scale, was captured before the greedy cover went by twin classes.
 ONLINE_COVER_GOLDEN = [
     ("mcc-greedy", 200, 600.0, "e685c5eca10c94c21f3bc497dca1a8430a856bc817fb77d077cd31a2da77d700"),
+    ("mcc-greedy", 800, 600.0, "02bcabd67b22a2c7ec6494693fe77f422bf63821f36e6e3a710e248e9542c77f"),
     ("mcc-brute", 12, 0.0, "b76a3bcc22db48be340e617614ac02f58c189b0954839c93d4d3f1037f8006f4"),
 ]
 
@@ -358,13 +360,15 @@ def test_trace_reads_the_one_stepping_path(default_cfg, algorithm):
 
 @pytest.mark.parametrize("algorithm", [Algorithm.IDFST, Algorithm.MCC_GREEDY])
 def test_engine_reads_positions_off_the_kernel_rows(monkeypatch, default_cfg, algorithm):
-    """At every arrival of online runs with locks (n=60, leader at the line),
-    and at every re-cover, ``_locked`` is the zone members that
-    ``reachability_conflict`` puts within the lock distance, a member past
-    the line counting as at it; the zone an arrival's conflict sets read is
-    the members short of the line.  Members are the vehicles entered and
-    not crossed: rows appended since the last step count, parked rows never
-    do.  Each member's position is read off its own row."""
+    """At every arrival of online runs with locks (n=60, leader at the line;
+    a 40 m zone locks every vehicle on entry), ``_locked`` is the zone
+    members that ``reachability_conflict`` puts within the lock distance, a
+    member past the line counting as at it, and so, at every re-cover, are
+    the locks it reads (``locked``: the arrival's, and the entrant's own);
+    the zone an arrival's conflict sets read is the members short of the
+    line.  Members are the vehicles entered and not crossed: rows appended
+    since the last step count, parked rows never do.  Each member's position
+    is read off its own row."""
     entered, fresh, zones = [], [], []
     counts = {"fresh": 0, "locked": 0}
     real_sets, real_enter, real_step = (simulation.conflict_sets_for, _Engine.enter,
@@ -377,22 +381,22 @@ def test_engine_reads_positions_off_the_kernel_rows(monkeypatch, default_cfg, al
         rows = engine.kernel.rows.tolist()
         return {i: float(engine.kernel.p[rows.index(i)]) for i in in_zone}
 
-    def check_locked(engine):
+    def check_locked(engine, found):
         positions = members_and_positions(engine)
         locked = {i for i, p in positions.items()
-                  if reachability_conflict(max(p, 0.0), default_cfg)}
-        assert set(members(engine._locked())) == locked
+                  if reachability_conflict(max(p, 0.0), engine.scn)}
+        assert set(members(found)) == locked
         counts["locked"] += bool(locked)
 
     def arrive(engine, record):
-        check_locked(engine)
+        check_locked(engine, engine._locked())
         positions = members_and_positions(engine)
         counts["fresh"] += bool(fresh)
         real_arrive(engine, record)
         assert set(members(zones.pop())) == {i for i, p in positions.items() if p > 0}
 
     def reschedule_cover(engine, algorithm):
-        check_locked(engine)
+        check_locked(engine, engine.locked)
         real_recover(engine, algorithm)
 
     def conflict_sets_for(record, zone, locked, masks):
@@ -412,9 +416,10 @@ def test_engine_reads_positions_off_the_kernel_rows(monkeypatch, default_cfg, al
     for name, wrapper in (("arrive", arrive), ("reschedule_cover", reschedule_cover),
                           ("enter", enter), ("step", step)):
         monkeypatch.setattr(_Engine, name, wrapper)
-    for headway in (5.0, 20.0):
+    short = dataclasses.replace(default_cfg, control_zone_length=40.0)  # locked on entry
+    for scn, headway in ((default_cfg, 5.0), (default_cfg, 20.0), (short, 3.0)):
         entered.clear()
-        run(SimConfig(scenario=default_cfg, algorithm=algorithm, n_vehicles=60,
+        run(SimConfig(scenario=scn, algorithm=algorithm, n_vehicles=60,
                       mean_headway=headway, seed=1, mode=Mode.ONLINE))
     assert counts["fresh"] > 0 and counts["locked"] > 0, counts
 
@@ -661,8 +666,9 @@ def test_locked_arrivals_keep_the_trees_index(monkeypatch, n):
        st.sampled_from(((12, 1.0), (40, 1.0), (40, 20.0))), st.data())
 def test_pool_cover_route_matches_renumbered_route(seed, fleet, data):
     """The cover route on a pool over the vehicles' own ids gives what the
-    route that renumbers the pool 1..k gives: the greedy cover, its layers
-    and, on pools of at most 12, the exact route's layers.  Pools are random
+    pool renumbered 1..k gives: the greedy cover of the vehicle-by-vehicle
+    first fit, and the route's layers, greedy and, on pools of at most 12,
+    exact.  Pools are random
     subsets of a sampled fleet, read against the engine's conflict bitsets
     and each movement's vehicles as the lanes (gap 20 s fleets carry
     reachability conflicts, so some covers do not order and both routes give
@@ -683,3 +689,57 @@ def test_pool_cover_route_matches_renumbered_route(seed, fleet, data):
     for exact in (False, True) if pool.bit_count() <= 12 else (False,):
         assert (_cover_layers(cug, exact)
                 == renumbered_cover_layers(pool, engine.conflict, lanes, exact))
+
+
+def test_online_greedy_covers_match_first_fit(monkeypatch, default_cfg):
+    """Every re-cover pool of an online mcc-greedy run (n = 200, gap 1 s,
+    leader at 600 m), twin-classed by construction, takes the cover of the
+    vehicle-by-vehicle first fit."""
+    pools = []
+
+    def cover_layers(cug, exact):
+        pools.append((cug.pool, list(cug.conflict), mcc_greedy(cug).subsets))
+        return _cover_layers(cug, exact)
+
+    monkeypatch.setattr(simulation, "_cover_layers", cover_layers)
+    run(SimConfig(scenario=default_cfg, algorithm=Algorithm.MCC_GREEDY, n_vehicles=200,
+                  mean_headway=1.0, seed=1, mode=Mode.ONLINE, leader_start=600.0))
+    assert len(pools) == 200
+    for pool, conflict, subsets in pools:
+        assert list(subsets) == renumbered_greedy_cover(pool, conflict)
+
+
+@pytest.mark.parametrize("headway", [1.0, 3.0])
+def test_recover_that_moves_nothing_keeps_the_links(monkeypatch, default_cfg, headway):
+    """A re-cover that leaves every vehicle placed before at its parent and
+    depth does not relink the kernel; the entrant links as a fresh row at
+    the next step.  Every step's inputs, positions and speeds are, bit for
+    bit, those of a run whose kernel relinks after every re-cover."""
+    cfg = SimConfig(scenario=default_cfg, algorithm=Algorithm.MCC_GREEDY, n_vehicles=60,
+                    mean_headway=headway, seed=1, mode=Mode.ONLINE, leader_start=600.0,
+                    collect_trace=True)
+    real_recover, real_relink = _Engine.reschedule_cover, PlatoonKernel.relink
+    counts = {"relinks": 0, "skips": 0}
+
+    def relink(kernel):
+        counts["relinks"] += 1
+        real_relink(kernel)
+
+    def reschedule_cover(engine, algorithm):
+        before = counts["relinks"]
+        real_recover(engine, algorithm)
+        counts["skips"] += bool(engine.zone & ~engine.locked) and counts["relinks"] == before
+
+    monkeypatch.setattr(PlatoonKernel, "relink", relink)
+    monkeypatch.setattr(_Engine, "reschedule_cover", reschedule_cover)
+    skipping = run(cfg)
+    assert counts["skips"] > 0 and counts["relinks"] > 0, counts
+
+    def relinking_cover(engine, algorithm):
+        real_recover(engine, algorithm)
+        engine.kernel.relink()
+
+    monkeypatch.setattr(_Engine, "reschedule_cover", relinking_cover)
+    relinking = run(cfg)
+    assert len(skipping.trace) == len(relinking.trace)
+    assert run_digest(skipping) == run_digest(relinking)
