@@ -17,7 +17,6 @@ from .conflicts import (
     build_cdg,
     build_conflict_sets,
     build_cug,
-    reachability_conflict,
 )
 from .scheduling import (
     CliqueCover,
@@ -26,7 +25,6 @@ from .scheduling import (
     idfst_schedule,
     mcc_bruteforce,
     mcc_greedy,
-    minimum_clique_covers,
     schedule_cover_tree,
     verify_feasible,
 )

@@ -4,7 +4,8 @@ Each arriving vehicle is checked against the earlier vehicles still inside
 the control zone.  Route conflicts (crossing, diverging, converging) come
 from the movement table; the reachability conflict is kinematic: a vehicle
 entering the zone cannot catch a conflict-free predecessor that is already
-too close to the stopping line.
+too close to the stopping line (``_uncatchable``, the one rule that the
+online engine also locks vehicles by).
 
 Every vehicle set is a Python-int bitset (bit k is vehicle k), so a pair
 test is a shift and a group test ``&``.  The per-vehicle step
@@ -92,11 +93,13 @@ def _horizon(cfg: IntersectionConfig) -> float:
     return cfg.control_zone_length / cfg.v_max + cfg.v_max / (2.0 * cfg.a_max)
 
 
-def reachability_conflict(preceding_distance: float, cfg: IntersectionConfig) -> bool:
-    """True when the entering vehicle cannot catch the preceding one in time."""
-    if preceding_distance < 0:
-        raise ContractError("preceding_distance must be nonnegative")
-    return preceding_distance / cfg.platoon_speed < _horizon(cfg)
+def _uncatchable(remaining, cfg: IntersectionConfig, horizon: float | None = None):
+    """The reachability conflict, the package's one lock rule: True where a
+    vehicle ``remaining`` metres from the line (a float or an array) is too
+    close for an entrant to catch.  One past the line passes too, as
+    ``_horizon`` is positive.  A caller that tests many times passes
+    ``_horizon(cfg)`` as ``horizon``."""
+    return remaining / cfg.platoon_speed < (_horizon(cfg) if horizon is None else horizon)
 
 
 def nominal_remaining(records: Sequence[VehicleRecord],
@@ -161,7 +164,7 @@ def conflict_sets_for(vehicle: VehicleRecord, zone: int, uncatchable: int,
 
     ``zone`` holds the predecessors still in the zone (remaining distance
     positive) and ``uncatchable`` those of them the vehicle cannot catch
-    (``reachability_conflict``); ``masks`` are its movement's class bitsets
+    (``_uncatchable``); ``masks`` are its movement's class bitsets
     (``class_masks``) over any superset of the in-zone vehicles, each cut to
     the zone.  The diverging set keeps only the immediate same-lane
     predecessor, or the virtual leader 0 when none is left in the zone.
@@ -209,7 +212,7 @@ def build_conflict_sets(vehicles: Sequence[VehicleRecord],
     for vehicle in sorted(vehicles, key=lambda r: (r.entry_time, r.id)):
         t = vehicle.entry_time
         while (next_near < len(to_near)
-               and remaining(to_near[next_near].id, t) / cfg.platoon_speed < horizon):
+               and _uncatchable(remaining(to_near[next_near].id, t), cfg, horizon)):
             near |= 1 << to_near[next_near].id
             next_near += 1
         while next_gone < len(to_gone) and remaining(to_gone[next_gone].id, t) <= 0:
@@ -407,8 +410,8 @@ def _minimum_covers(accepts: Sequence[int], sizes: Sequence[int]) -> list[tuple[
     its own.  Branch and bound: the m vertices of class j join m distinct
     cliques, open ones that accept it (of identical ones the first, so no cover
     repeats) or new ones, and branches with more cliques than the best cover
-    are cut.  With each vertex its own class, this is the plain vertex-by-vertex
-    enumeration."""
+    are cut.  With each vertex its own class, as the test suite's oracle calls
+    it, this is the plain vertex-by-vertex enumeration."""
     sizes = [*sizes, -1]  # the sentinel ends the last class
     best = sum(sizes) + 1
     covers: list[tuple[int, ...]] = []

@@ -109,10 +109,6 @@ class CliqueCover:
     def theta(self) -> int:
         return len(self.subsets)
 
-    def canonical(self) -> tuple[tuple[int, ...], ...]:
-        """Subsets as sorted id tuples, by descending size and member order."""
-        return tuple(_sorted_groups(self.subsets))
-
 
 @dataclass
 class FeasibilityReport:
@@ -324,17 +320,6 @@ def check_cap(size: int) -> None:
     if size > BRUTE_CAP:
         raise SizeLimitError(f"exact clique cover capped at {BRUTE_CAP} vehicles "
                              f"(got {size}); use mcc_greedy")
-
-
-def minimum_clique_covers(cug: CoexistenceGraph) -> list[CliqueCover]:
-    """Every minimum clique cover, by canonical form: the quotient search
-    (``conflicts._minimum_covers``) with class k vehicle k alone (empty off the
-    pool), so vehicle by vehicle in id order, cliques by lowest member."""
-    check_cap(cug.pool.bit_count())
-    top = cug.pool.bit_length()
-    covers = _minimum_covers([cug.coexist(v) for v in range(top)],
-                             [cug.pool >> v & 1 for v in range(top)])
-    return sorted(map(CliqueCover, covers), key=CliqueCover.canonical)
 
 
 def _ranked_covers(cug: CoexistenceGraph) -> Iterator[CliqueCover]:

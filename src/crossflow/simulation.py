@@ -62,7 +62,7 @@ from .conflicts import (
     build_conflict_sets,
     build_cug,
     _bits,
-    _horizon,
+    _uncatchable,
     class_masks,
     conflict_sets_for,
 )
@@ -238,7 +238,6 @@ class _Engine:
         self.size = size
         self.zone = 0  # entered and not yet across the stopping line
         self.locked = 0  # within the lock distance at the last arrival, or on entry since
-        self._v_0, self._horizon = scn.platoon_speed, _horizon(scn)
         self.kernel = PlatoonKernel(tree, gains, scn)
         self.tree, self.depth, self.parent = tree, tree.depth, tree.parent
         self.growing: _GrowingTree | None = None  # the trees' step index; None: stale
@@ -256,7 +255,7 @@ class _Engine:
         ``locked`` when it enters within the lock distance."""
         self.kernel.append(vehicle, remaining, speed)
         self.zone |= 1 << vehicle
-        if self._within_lock(remaining):
+        if _uncatchable(remaining, self.scn):
             self.locked |= 1 << vehicle
 
     def arrive(self, record: VehicleRecord) -> None:
@@ -287,20 +286,11 @@ class _Engine:
                improved=algorithm is not Algorithm.DFST)
 
     def _locked(self) -> int:
-        """The zone members within the lock distance.  An arrival cannot
-        catch them, and the cover re-layers none of them."""
-        return self._zone_where(self._within_lock)
-
-    def _within_lock(self, remaining):
-        """``reachability_conflict``'s test on remaining distances (an array,
-        or one), a vehicle past the line counting as at it."""
-        return np.maximum(remaining, 0.0) / self._v_0 < self._horizon
-
-    def _zone_where(self, test: Callable[[np.ndarray], np.ndarray]) -> int:
-        """The zone members whose remaining distance passes ``test``, read
-        off the kernel's rows (its parked rows are not in the zone)."""
+        """The zone members within the lock distance (``_uncatchable``), read
+        off the kernel's rows (its parked rows are not in the zone).  An
+        arrival cannot catch them, and the cover re-layers none of them."""
         flags = np.zeros(self.size, dtype=bool)
-        flags[self.kernel.rows[test(self.kernel.p)]] = True
+        flags[self.kernel.rows[_uncatchable(self.kernel.p, self.scn)]] = True
         return self.zone & int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
     def _predecessors(self, v: int) -> tuple[int, int]:

@@ -11,11 +11,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from crossflow.conflicts import (CoexistenceGraph, ConflictDirectedGraph, ConflictSets,
-                                 ContractError, build_cug, nominal_remaining)
+                                 ContractError, _minimum_covers, build_cug, nominal_remaining)
 from crossflow.control import LEADER, VehicleState
 from crossflow.scenario import ConflictClass, ScenarioError
-from crossflow.scheduling import (RepairError, SpanningTree, _cover_layers, _sorted_groups,
-                                  _tree_from_layers, order_layers)
+from crossflow.scheduling import (CliqueCover, RepairError, SpanningTree, _cover_layers,
+                                  _sorted_groups, _tree_from_layers, check_cap, order_layers)
 
 
 def bitset(ids) -> int:
@@ -44,6 +44,17 @@ def reachability_threshold(cfg) -> float:
         raise ScenarioError("reachability needs positive v_0, v_max and a_max")
     return cfg.platoon_speed * (cfg.control_zone_length / cfg.v_max
                                 + cfg.v_max / (2.0 * cfg.a_max))
+
+
+def reachability_conflict(preceding_distance: float, cfg) -> bool:
+    """True when an entrant cannot catch a predecessor ``preceding_distance``
+    metres from the stopping line: that distance at the platoon speed takes
+    less than the entrant's horizon L/v_max + v_max/(2*a_max).  The scalar
+    rule, refusing a negative distance."""
+    if preceding_distance < 0:
+        raise ContractError("preceding_distance must be nonnegative")
+    horizon = cfg.control_zone_length / cfg.v_max + cfg.v_max / (2.0 * cfg.a_max)
+    return preceding_distance / cfg.platoon_speed < horizon
 
 
 def min_feasible_depth(cdg: ConflictDirectedGraph) -> int:
@@ -309,6 +320,19 @@ def minimum_covers_by_vehicle(cug: CoexistenceGraph) -> list[tuple[int, ...]]:
 
     place(0)
     return covers
+
+
+def minimum_clique_covers(cug: CoexistenceGraph) -> list[CliqueCover]:
+    """Every minimum clique cover of a graph's pool, by canonical form: the
+    package's quotient search (``conflicts._minimum_covers``) with class k
+    vehicle k alone (empty off the pool), so vehicle by vehicle in id order,
+    cliques by lowest member.  Refuses a pool above ``BRUTE_CAP`` as the
+    exact routes do."""
+    check_cap(cug.pool.bit_count())
+    top = cug.pool.bit_length()
+    covers = _minimum_covers([cug.coexist(v) for v in range(top)],
+                             [cug.pool >> v & 1 for v in range(top)])
+    return sorted(map(CliqueCover, covers), key=lambda c: canonical_cover(c.subsets))
 
 
 def canonical_cover(cover) -> tuple[tuple[int, ...], ...]:

@@ -23,7 +23,6 @@ from crossflow.scheduling import (
     idfst_schedule,
     mcc_bruteforce,
     mcc_greedy,
-    minimum_clique_covers,
     schedule_cover_tree,
     verify_feasible,
 )
@@ -38,7 +37,8 @@ from crossflow.simulation import (
 from crossflow.cli import run_cli
 
 from .instances import random_instance
-from .oracles import bitset, cover_to_tree, min_feasible_depth, shallowest_admissible_layer
+from .oracles import (bitset, canonical_cover, cover_to_tree, min_feasible_depth,
+                      minimum_clique_covers, shallowest_admissible_layer)
 from .test_scheduling import EXAMPLE1_MIN_COVERS, published_partial_tree
 
 # Layer gate: vehicles enter far enough behind the virtual leader that every
@@ -105,7 +105,7 @@ def test_criterion_01c_exact_cover_solutions(ex1_cug):
     start = time.perf_counter()
     covers = minimum_clique_covers(ex1_cug)
     thetas = {c.theta for c in covers}
-    canon = {c.canonical() for c in covers}
+    canon = {canonical_cover(c.subsets) for c in covers}
     elapsed = time.perf_counter() - start
     ok = thetas == {4} and canon == EXAMPLE1_MIN_COVERS and elapsed < 1.0
     report("1c exact cover count and solution set", ok,

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,12 +10,14 @@ from crossflow.conflicts import (
     ConflictSets,
     ContractError,
     VehicleRecord,
+    _horizon,
+    _uncatchable,
     build_cdg,
     build_conflict_sets,
     build_cug,
     nominal_remaining,
-    reachability_conflict,
 )
+from crossflow.control import _PARKED
 from crossflow.scenario import ValidationError, default_intersection
 
 from .conftest import make_sets
@@ -28,17 +31,18 @@ from .oracles import (
     edge_set_cdg,
     members,
     pairwise_conflict_sets,
+    reachability_conflict,
     reachability_threshold,
 )
 
 
 def test_reachability_examples(default_cfg):
     # zero distance: the predecessor is at the stopping line
-    assert reachability_conflict(0.0, default_cfg) is True
+    assert _uncatchable(0.0, default_cfg) is True
     # 300 m at platoon speed takes 30 s; a fresh entrant needs 38.5 s
-    assert reachability_conflict(300.0, default_cfg) is True
+    assert _uncatchable(300.0, default_cfg) is True
     # 400 m takes 40 s, which a fresh entrant can beat
-    assert reachability_conflict(400.0, default_cfg) is False
+    assert _uncatchable(400.0, default_cfg) is False
 
 
 def test_reachability_threshold_value(default_cfg):
@@ -46,16 +50,23 @@ def test_reachability_threshold_value(default_cfg):
     assert reachability_threshold(default_cfg) == pytest.approx(385.0)
 
 
-@given(st.floats(min_value=0, max_value=2000))
-def test_reachability_monotone(distance):
-    cfg = __import__("crossflow.scenario", fromlist=["default_intersection"]).default_intersection()
+@given(st.lists(st.floats(min_value=-2000, max_value=2000), max_size=20))
+def test_reachability_monotone(draws):
+    """The scalar rule is the threshold test, and the package's one lock rule
+    (``_uncatchable``: the sweep's and the engine's) agrees with it element by
+    element, on an array, on floats and given the horizon, a distance past the
+    line counting as at it.  Beside the draws the array holds both zeros, the
+    threshold and its neighbours one ulp away, and a parked row's position."""
+    cfg = default_intersection()
     threshold = reachability_threshold(cfg)
-    assert reachability_conflict(distance, cfg) is (distance < threshold)
-
-
-def test_reachability_rejects_negative_distance(default_cfg):
-    with pytest.raises(ContractError):
-        reachability_conflict(-1.0, default_cfg)
+    at_line = [max(d, 0.0) for d in draws]
+    assert [reachability_conflict(d, cfg) for d in at_line] == [d < threshold for d in at_line]
+    distances = np.array([*draws, 0.0, -0.0, np.nextafter(threshold, -np.inf), threshold,
+                          np.nextafter(threshold, np.inf), _PARKED])
+    expected = [reachability_conflict(max(d, 0.0), cfg) for d in distances.tolist()]
+    assert _uncatchable(distances, cfg).tolist() == expected
+    assert [_uncatchable(d, cfg) for d in distances.tolist()] == expected
+    assert [_uncatchable(d, cfg, _horizon(cfg)) for d in distances.tolist()] == expected
 
 
 def test_example_conflict_sets(ex1_scenario, ex1_records, ex1_sets):

@@ -13,16 +13,23 @@ SOURCE = ROOT / "src" / "crossflow"
 ALLOWED_UNREFERENCED = {
     "connected": "read by bench/tracer.py",
     "adjacent": "read by bench/tracer.py",
-    "theta": "read by bench/workloads.py and scripts/run_experiments.py",
     "error": "argparse calls it: _Parser overrides ArgumentParser.error",
     "simulate_platoon": "the closed loop on a given tree, documented in README.md",
 }
 
 
 def _names(node: ast.AST) -> Counter:
-    """Every name and attribute read anywhere under ``node``."""
-    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-                   if isinstance(n, (ast.Name, ast.Attribute)))
+    """Every name and attribute read anywhere under ``node``, and the real name
+    of each one imported under an alias."""
+    names = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            names[n.attr] += 1
+        elif isinstance(n, ast.alias) and n.asname:
+            names[n.name] += 1
+    return names
 
 
 def _definitions(tree: ast.Module):
@@ -36,19 +43,21 @@ def _definitions(tree: ast.Module):
 
 
 def test_every_function_is_used_by_the_package():
-    """A function or method is referenced in the package outside its own
-    ``def``, exported from ``crossflow``, a dunder, or on the allowlist; code
-    that only tests call belongs in the tests."""
+    """A function or method is referenced outside its own ``def`` by a
+    package module other than ``__init__.py``, by ``scripts/`` or by
+    ``bench/``, or is a dunder or on the allowlist; an export alone is no
+    use, and code that only tests call belongs in the tests."""
     modules = {path.name: ast.parse(path.read_text()) for path in sorted(SOURCE.glob("*.py"))}
-    used = sum((_names(tree) for tree in modules.values()), Counter())
-    exported = {alias.asname or alias.name for node in modules["__init__.py"].body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    callers = [tree for name, tree in modules.items() if name != "__init__.py"]
+    callers += [ast.parse(path.read_text()) for d in ("scripts", "bench")
+                for path in sorted((ROOT / d).rglob("*.py"))]
+    used = sum(map(_names, callers), Counter())
     unused = [f"{name}:{fn.lineno} {fn.name}" for name, tree in modules.items()
               for fn in _definitions(tree)
-              if not (used[fn.name] > _names(fn)[fn.name] or fn.name in exported
+              if not (used[fn.name] > _names(fn)[fn.name]
                       or fn.name.startswith("__") and fn.name.endswith("__")
                       or fn.name in ALLOWED_UNREFERENCED)]
-    assert not unused, "referenced nowhere in the package: " + ", ".join(unused)
+    assert not unused, "referenced nowhere in the package, scripts or bench: " + ", ".join(unused)
 
 
 # Defaulted SimConfig fields kept although no caller passes them, with the reason.

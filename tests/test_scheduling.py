@@ -22,7 +22,6 @@ from crossflow.scheduling import (
     idfst_schedule,
     mcc_bruteforce,
     mcc_greedy,
-    minimum_clique_covers,
     order_layers,
     schedule_cover_tree,
     verify_feasible,
@@ -50,6 +49,7 @@ from .oracles import (
     min_feasible_depth,
     members,
     memo_layer_search,
+    minimum_clique_covers,
     minimum_covers_by_partition,
     minimum_covers_by_vehicle,
     ordering_objective,
@@ -245,12 +245,12 @@ class TestMccGreedy:
 class TestMccBruteforce:
     def test_example_theta_and_solutions(self, ex1_cug):
         covers = minimum_clique_covers(ex1_cug)
-        assert {c.canonical() for c in covers} == EXAMPLE1_MIN_COVERS
+        assert {canonical_cover(c.subsets) for c in covers} == EXAMPLE1_MIN_COVERS
         assert all(c.theta == 4 for c in covers)
 
     def test_example_preferred_cover(self, ex1_cug):
         best = mcc_bruteforce(ex1_cug)
-        assert best.canonical() == ((1, 3, 5), (4, 7), (2,), (6,))
+        assert canonical_cover(best.subsets) == ((1, 3, 5), (4, 7), (2,), (6,))
 
     def test_triangle_is_single_clique(self):
         rows = [(j, (), (0,), (), ()) for j in range(1, 4)]
@@ -565,12 +565,12 @@ def test_exact_covers_match_partition_oracle(seed):
     _, _, cdg = random_instance(seed)
     cug = build_cug(cdg)
     expected = minimum_covers_by_partition(cdg.n, edge_coexistence(cdg))
-    found = [c.canonical() for c in minimum_clique_covers(cug)]
+    found = [canonical_cover(c.subsets) for c in minimum_clique_covers(cug)]
     assert len(set(found)) == len(found)
     assert found == expected
 
     ranked = sorted(expected, key=lambda c: (ordering_objective(c), c))
-    assert mcc_bruteforce(cug).canonical() == ranked[0]
+    assert canonical_cover(mcc_bruteforce(cug).subsets) == ranked[0]
 
     lanes, conflicted = lane_lists(cdg), group_conflicted(cdg.mask)
     layers = next((ordered for cover in ranked
@@ -748,7 +748,7 @@ class TestExactCoverEdgeCases:
         rows = [(1, (), (0,), (), ())] + [(j, (), (j - 1,), (), ()) for j in range(2, 6)]
         cug = build_cug(build_cdg(make_sets(rows)))
         covers = minimum_clique_covers(cug)
-        assert [c.canonical() for c in covers] == [((1,), (2,), (3,), (4,), (5,))]
+        assert [canonical_cover(c.subsets) for c in covers] == [((1,), (2,), (3,), (4,), (5,))]
         assert mcc_bruteforce(cug).theta == 5
 
     def test_empty_pool_is_one_empty_cover(self):
@@ -762,7 +762,7 @@ class TestExactCoverEdgeCases:
         cug = build_cug(build_cdg(make_sets(rows)))
         assert all(c.bit_count() == 1 for c in cug._classes)
         assert [c.subsets for c in minimum_clique_covers(cug)] == minimum_covers_by_vehicle(cug)
-        assert mcc_bruteforce(cug).canonical() == ((1, 3), (2, 4))
+        assert canonical_cover(mcc_bruteforce(cug).subsets) == ((1, 3), (2, 4))
 
     def test_two_coexisting_lanes_of_two_give_two_covers(self):
         """Two vehicle covers, not four; both deal out one quotient cover of two
@@ -771,7 +771,7 @@ class TestExactCoverEdgeCases:
                 (3, (), (1,), (), ()), (4, (), (2,), (), ())]
         cug = build_cug(build_cdg(make_sets(rows)))
         covers = minimum_clique_covers(cug)
-        assert {c.canonical() for c in covers} == {((1, 2), (3, 4)), ((1, 4), (2, 3))}
+        assert {canonical_cover(c.subsets) for c in covers} == {((1, 2), (3, 4)), ((1, 4), (2, 3))}
         assert len(covers) == 2 and all(c.theta == 2 for c in covers)
         assert list(_ranked_covers(cug)) == covers[:1]
 

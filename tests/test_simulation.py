@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossflow.conflicts import (CoexistenceGraph, ContractError, VehicleRecord, _horizon,
-                                 nominal_remaining, reachability_conflict)
+from crossflow.conflicts import (CoexistenceGraph, ContractError, VehicleRecord, _uncatchable,
+                                 nominal_remaining)
 from crossflow.control import LEADER, ControllerGains, PlatoonKernel, VehicleState
 from crossflow.conflicts import build_cdg
 from crossflow.scheduling import (SpanningTree, _GrowingTree, _cover_layers, dfst_schedule,
@@ -33,8 +33,8 @@ import yaml
 
 from .conftest import DATA, EXAMPLE1_SETS, dump_scenario, make_sets
 from .instances import sampled_instance
-from .oracles import (bitset, members, renumbered_cover_layers, renumbered_greedy_cover,
-                      scratch_history, sets_conflict)
+from .oracles import (bitset, members, reachability_conflict, renumbered_cover_layers,
+                      renumbered_greedy_cover, scratch_history, sets_conflict)
 
 
 def empty_tree() -> SpanningTree:
@@ -362,13 +362,15 @@ def test_trace_reads_the_one_stepping_path(default_cfg, algorithm):
 def test_engine_reads_positions_off_the_kernel_rows(monkeypatch, default_cfg, algorithm):
     """At every arrival of online runs with locks (n=60, leader at the line;
     a 40 m zone locks every vehicle on entry), ``_locked`` is the zone
-    members that ``reachability_conflict`` puts within the lock distance, a
-    member past the line counting as at it, and so, at every re-cover, are
-    the locks it reads (``locked``: the arrival's, and the entrant's own);
-    the zone an arrival's conflict sets read is the members short of the
-    line.  Members are the vehicles entered and not crossed: rows appended
-    since the last step count, parked rows never do.  Each member's position
-    is read off its own row."""
+    members that the oracle's scalar rule (``reachability_conflict``) puts
+    within the lock distance, a member past the line counting as at it (the
+    engine applies the package's one rule, ``_uncatchable``, to the rows'
+    positions unclamped), and so, at every re-cover, are the locks it reads
+    (``locked``: the arrival's, and the entrant's own); the zone an
+    arrival's conflict sets read is the members short of the line.  Members
+    are the vehicles entered and not crossed: rows appended since the last
+    step count, parked rows never do.  Each member's position is read off
+    its own row."""
     entered, fresh, zones = [], [], []
     counts = {"fresh": 0, "locked": 0}
     real_sets, real_enter, real_step = (simulation.conflict_sets_for, _Engine.enter,
@@ -463,7 +465,7 @@ def test_locked_on_entry_cover_places_as_idfst(seed):
     doc = yaml.safe_load(dump_scenario(default_intersection()))
     doc["parameters"]["v_0"] = 25.0
     scn = load_scenario(yaml.safe_dump(doc))
-    assert scn.control_zone_length / scn.platoon_speed < _horizon(scn)
+    assert _uncatchable(scn.control_zone_length, scn)
     results = {alg: run(SimConfig(scenario=scn, algorithm=alg, n_vehicles=30,
                                   mean_headway=2.0, seed=seed, mode=Mode.ONLINE))
                for alg in (Algorithm.IDFST, Algorithm.MCC_GREEDY)}
