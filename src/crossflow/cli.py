@@ -204,14 +204,17 @@ def _check_positive(value, flag: str) -> None:
         raise UsageError(f"{flag}: must be positive and finite (got {value})")
 
 
-def _check_outputs(*paths: str | None) -> None:
+def _check_outputs(out: str | None, other: str | None) -> None:
     """Open each output path for appending before any run, so that one that cannot be
-    written fails (``OSError``, exit 2) first; a file this creates is removed again."""
-    for path in filter(None, paths):
+    written fails (``OSError``, exit 2) first, then refuse the two if they name one
+    file (``UsageError``, exit 1); a file this creates is removed again."""
+    for path in filter(None, (out, other)):
         existed = os.path.exists(path)
         open(path, "a", encoding="utf-8").close()
         if not existed:
             os.remove(path)
+    if out and other and os.path.realpath(out) == os.path.realpath(other):
+        raise UsageError(f"two output flags name one file: {out}")
 
 
 def cmd_run(args) -> int:

@@ -23,13 +23,13 @@ All of them yield a spanning tree rooted at the virtual leader whose depth
 is the vehicle's passing layer; ``verify_feasible`` checks any tree against
 the conflict graph.  Every route reads the graphs' bitsets.
 
-Batch and online scheduling share one path.  The trees add one vehicle at a
-time with ``_place``, which the online engine calls on its own partial tree
-at each arrival.  The cover routes turn a cover into layers with
-``_cover_layers``, and the layers into depths and parents with
-``_lay_layers``, which gives a layer idfst's depth (``_target_depth``) as
-if it were one vehicle; the engine calls both on its unlocked vehicles,
-laying them around the locked ones.  ``order_layers`` orders a cover by
+Batch and online scheduling share one path and one tree index, the
+per-depth bitsets of ``_GrowingTree``.  The trees add one vehicle at a time
+with ``_place``; the cover routes turn a cover into layers with
+``_cover_layers`` and lay them into the index with ``_lay_layers``, which
+gives a layer idfst's depth (``_target_depth``) as if it were one vehicle.
+The online engine keeps one index through the run, and lays its unlocked
+vehicles around the locked ones.  ``order_layers`` orders a cover by
 walking its groups largest first, each by lane-slot substitution, and,
 when a group clashes, by a bounded depth-first search that takes one
 lane-tuple kind per step and, once a state is proven dead, proves states
@@ -46,7 +46,7 @@ import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .conflicts import (CoexistenceGraph, ConflictDirectedGraph, ContractError, _bits,
                         _minimum_covers)
@@ -153,16 +153,20 @@ class _GrowingTree:
     in ``layers[0]``, and ``placed`` the bitset of all of them; ``open[d]`` is
     a heap of (children, node) over depth d, in which an entry whose count
     lags the node's ``children`` is stale and skipped.  ``_place`` keeps all
-    of it up to date, so placing a vehicle never rescans the tree.
+    of it up to date, so placing a vehicle never rescans the tree, and
+    rebuilds it (``index``) after ``_lay_layers``, which leaves ``open`` None.
     """
 
     def __init__(self, tree: SpanningTree):
         self.tree = tree
-        self.children = Counter(tree.parent.values())
+        self.index()
+
+    def index(self) -> None:
+        self.children = Counter(self.tree.parent.values())
         self.layers: list[int] = []
         self.placed = 0
-        self.open: list[list[tuple[int, int]]] = []
-        for node, d in {0: 0, **tree.depth}.items():
+        self.open: list[list[tuple[int, int]]] | None = []
+        for node, d in {0: 0, **self.tree.depth}.items():
             self._enter(node, d)
 
     def _enter(self, node: int, d: int) -> None:
@@ -223,6 +227,8 @@ def _place(growing: _GrowingTree, i: int, fixed: int, exchangeable: int,
     parents = fixed | exchangeable
     if not parents or parents & ~growing.placed:
         raise ContractError(f"vehicle {i}: its parents must be nonempty and already placed")
+    if growing.open is None:  # layers were laid since the last step
+        growing.index()
     if improved:
         target = _target_depth(growing.layers, fixed, exchangeable)
         k = growing.least_loaded(target - 1)
@@ -563,38 +569,31 @@ def _clashes(group: tuple[int, ...], conflict: Sequence[int]) -> bool:
     return False
 
 
-def _lay_layers(parent: dict[int, int], depth: dict[int, int], layers: Iterable[Iterable[int]],
-                predecessors: Callable[[int], tuple[int, int]]) -> bool:
-    """Write ordered layers into a tree's maps, around the nodes already placed.
+def _lay_layers(growing: _GrowingTree, layers: Sequence[Sequence[int]],
+                fixed: Sequence[int], exchangeable: Sequence[int]) -> bool:
+    """Lay ordered layers into a tree's index, around the nodes already placed.
 
-    Placed nodes (those in ``depth`` outside ``layers``) keep their depths.
-    Each layer takes idfst's depth (``_target_depth``) for the union of its
-    members' fixed and exchangeable predecessors (``predecessors(v)``, as
-    ``_place`` takes them), read against per-depth bitsets of the placed
-    nodes and the layers laid before it.  The previous layer (the leader
-    before the first) is one more fixed parent, and a member's exchangeable
-    set also holds the placed nodes that may pass it.  A member hangs under
-    the lowest id one layer up.  Members in the maps are overwritten in
-    place; returns whether one of them moved, to another depth or parent.
-    """
-    layers = [list(layer) for layer in layers]
+    Placed nodes keep their depths.  Each layer takes idfst's depth
+    (``_target_depth``) for its members' ``fixed`` and ``exchangeable``
+    bitsets, read against the index's rows less the members, with the
+    layers laid before it; the previous layer (the leader before the
+    first) is one more fixed parent.  Precondition: ``exchangeable[v]``
+    holds every placed node that may pass v (other members and unplaced
+    vehicles move no depth).  A member hangs under the lowest id one layer
+    up.  The maps, rows and ``placed`` are written in place and ``open``
+    left None; returns whether a member moved, to another depth or parent."""
+    parent, depth = growing.tree.parent, growing.tree.depth
     members = sum(1 << m for layer in layers for m in layer)
-    rows = [1]  # per depth, its nodes: the leader, the placed nodes, the layers laid
-    passing = dict.fromkeys(_bits(members), 0)  # member -> placed nodes that may pass it
-    for w, d in depth.items():
-        if not members >> w & 1:
-            rows += [0] * (d + 1 - len(rows))
-            rows[d] |= 1 << w
-            for m in _bits(predecessors(w)[1] & members):
-                passing[m] |= 1 << w
+    rows = [row & ~members for row in growing.layers]  # rows[0] holds the leader
+    while not rows[-1]:  # else each layer's floor search would start at the old bottom
+        rows.pop()
     above = 1  # the previous layer's members: the leader before the first layer
     moved = False
     for layer in layers:
-        fixed, exchangeable = above, 0
+        floor, banned = above, 0
         for m in layer:
-            f, e = predecessors(m)
-            fixed, exchangeable = fixed | f, exchangeable | e | passing[m]
-        d = _target_depth(rows, fixed, exchangeable)
+            floor, banned = floor | fixed[m], banned | exchangeable[m]
+        d = _target_depth(rows, floor, banned)
         if d == len(rows):
             rows.append(0)
         anchor = (rows[d - 1] & -rows[d - 1]).bit_length() - 1
@@ -603,14 +602,13 @@ def _lay_layers(parent: dict[int, int], depth: dict[int, int], layers: Iterable[
         for m in layer:
             moved = moved or depth.get(m, d) != d or parent.get(m, anchor) != anchor
             depth[m], parent[m] = d, anchor
+    growing.layers, growing.placed, growing.open = rows, growing.placed | members, None
     return moved
 
 
 def _tree_from_layers(layers: list[tuple[int, ...]], cdg: ConflictDirectedGraph) -> SpanningTree:
-    parent: dict[int, int] = {}
-    depth: dict[int, int] = {}
-    _lay_layers(parent, depth, layers, lambda v: (cdg.fixed[v], cdg.exchangeable[v]))
-    tree = SpanningTree(parent=parent, depth=depth)
+    tree = SpanningTree(parent={}, depth={})
+    _lay_layers(_GrowingTree(tree), layers, cdg.fixed, cdg.exchangeable)
     report = verify_feasible(tree, cdg)
     if not report.ok:
         raise RepairError(

@@ -9,8 +9,9 @@ cover methods re-layer all vehicles not yet locked near the stopping line
 through the batch cover route (the minimum covers in preference order, or
 the greedy cover) and lay the layers into the tree around the locked
 vehicles with the batch routine; among unlocked vehicles every cover
-orders, so the engine needs no fallback.  The online conflict relation is
-one bitset per vehicle, set on arrival from its conflict sets and its lane.
+orders, so the engine needs no fallback.  Both write one tree index.  The
+conflict, fixed and exchangeable relations are one bitset per vehicle each,
+set on arrival from its conflict sets (and, for conflicts, its lane).
 
 The virtual leader starts ``leader_start`` meters from the stopping line at
 t = 0 and advances at the platoon design speed; a vehicle's slot sits one
@@ -55,7 +56,6 @@ import numpy as np
 
 from .conflicts import (
     CoexistenceGraph,
-    ConflictSets,
     ContractError,
     VehicleRecord,
     build_cdg,
@@ -224,12 +224,12 @@ class _Engine:
     """The closed loop of ``run`` and ``simulate_platoon`` (module docstring).
 
     The schedule is the ``SpanningTree`` it is given, whose ``depth``/``parent``
-    maps the online schedulers grow in place; the kernel reads its links
-    from it.  ``zone`` is the bitset of the vehicles that have entered and
-    not crossed, the kernel's live rows; ``locked`` is the bitset of those
-    within the lock distance at the last arrival, and of those that entered
-    within it since; ``frozen`` holds each crossed vehicle's remaining
-    distance and speed.
+    maps the online schedulers grow in place through its index, ``growing``;
+    the kernel reads its links from it.  ``zone`` is the bitset of the
+    vehicles that have entered and not crossed, the kernel's live rows;
+    ``locked`` is the bitset of those within the lock distance at the last
+    arrival, and of those that entered within it since; ``frozen`` holds
+    each crossed vehicle's remaining distance and speed.
     """
 
     def __init__(self, scn: IntersectionConfig, size: int, tree: SpanningTree, *,
@@ -239,10 +239,11 @@ class _Engine:
         self.zone = 0  # entered and not yet across the stopping line
         self.locked = 0  # within the lock distance at the last arrival, or on entry since
         self.kernel = PlatoonKernel(tree, gains, scn)
-        self.tree, self.depth, self.parent = tree, tree.depth, tree.parent
-        self.growing: _GrowingTree | None = None  # the trees' step index; None: stale
-        self.sets: dict[int, ConflictSets] = {}
+        self.depth, self.parent = tree.depth, tree.parent
+        self.growing = _GrowingTree(tree)  # the trees' index, shared by the step and the layering
         self.conflict = [0] * size  # online conflict bitset per vehicle
+        self.fixed = [0] * size  # per vehicle, the predecessors it must follow
+        self.exchangeable = [0] * size  # per vehicle, those it may pass and those that may pass it
         self.lane_mask: dict[int, int] = {}  # movement -> bitset of its arrived vehicles
         self.crossed: dict[int, float] = {}
         self.frozen: dict[int, tuple[float, float]] = {}
@@ -267,22 +268,24 @@ class _Engine:
         ``locked`` keeps it for the re-cover that follows the entry.
         """
         v = record.id
-        zone = self.zone
         masks = class_masks(record.movement, self.lane_mask, self.scn)
         self.locked = self._locked()
-        cs = self.sets[v] = conflict_sets_for(record, zone, self.locked, masks)
+        cs = conflict_sets_for(record, self.zone, self.locked, masks)
+        fixed, exchangeable, bit = cs.fixed, cs.exchangeable, 1 << v
         lane = self.lane_mask.get(record.movement, 0)
-        mask = lane | (cs.fixed | cs.exchangeable) & ~1
-        self.conflict[v] = mask
-        for u in _bits(mask):
-            self.conflict[u] |= 1 << v
-        self.lane_mask[record.movement] = lane | 1 << v
+        mask = lane | (fixed | exchangeable) & ~1
+        self.fixed[v], self.exchangeable[v], self.conflict[v] = fixed, exchangeable, mask
+        for u in _bits(mask ^ exchangeable):  # each member of the mask read once
+            self.conflict[u] |= bit
+        for u in _bits(exchangeable):
+            self.conflict[u] |= bit
+            self.exchangeable[u] |= bit
+        self.lane_mask[record.movement] = lane | bit
 
     def place_incremental(self, record: VehicleRecord, algorithm: Algorithm) -> None:
         """Place the arriving vehicle with the trees' own per-vehicle step."""
-        if self.growing is None:
-            self.growing = _GrowingTree(self.tree)
-        _place(self.growing, record.id, *self._predecessors(record.id),
+        v = record.id
+        _place(self.growing, v, self.fixed[v], self.exchangeable[v],
                improved=algorithm is not Algorithm.DFST)
 
     def _locked(self) -> int:
@@ -292,12 +295,6 @@ class _Engine:
         flags = np.zeros(self.size, dtype=bool)
         flags[self.kernel.rows[_uncatchable(self.kernel.p, self.scn)]] = True
         return self.zone & int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
-
-    def _predecessors(self, v: int) -> tuple[int, int]:
-        """v's fixed and exchangeable predecessor bitsets (``ConflictSets``):
-        what the trees' step and the layering read."""
-        cs = self.sets[v]
-        return cs.fixed, cs.exchangeable
 
     def reschedule_cover(self, algorithm: Algorithm) -> None:
         """Recompute the clique cover over unlocked in-zone vehicles, after
@@ -315,7 +312,6 @@ class _Engine:
         unlocked = self.zone & ~self.locked
         if not unlocked:
             return
-        self.growing = None  # the layers below are written past the trees' step
         # the batch cover route on a pool of the unlocked vehicles, read
         # against the engine's own conflict and lane bitsets, ids unchanged.
         # Its layers are never None here: a predecessor an arrival cannot
@@ -326,7 +322,7 @@ class _Engine:
         cug = CoexistenceGraph(pool=unlocked, conflict=self.conflict,
                                lanes=[mask for _, mask in sorted(self.lane_mask.items())])
         layers = _cover_layers(cug, exact=algorithm is Algorithm.MCC_BRUTE)
-        if _lay_layers(self.parent, self.depth, layers, self._predecessors):
+        if _lay_layers(self.growing, layers, self.fixed, self.exchangeable):
             self.kernel.relink()
 
     # --- dynamics -------------------------------------------------------
@@ -449,11 +445,13 @@ def simulate_platoon(
 ) -> list[PlatoonSample]:
     """Closed loop over a fixed tree from explicit initial states.
 
-    Used for controller studies: no arrivals, every vehicle present from
-    t = 0, in any order of ``initial``.  Samples the full state each step
-    until every vehicle has crossed or the time limit is hit.
+    Used for controller studies: no arrivals, every vehicle of ``initial``
+    (each placed by the tree) present from t = 0, in any order.  Samples the
+    full state each step until every vehicle has crossed or the time limit is hit.
     """
     ids = list(initial)
+    if unplaced := sorted(initial.keys() - tree.depth.keys()):
+        raise ContractError(f"initial states for vehicles the tree does not place: {unplaced}")
     engine = _Engine(cfg, max(ids, default=0) + 1, tree, gains=gains,
                      leader_start=leader_start)
     for i in sorted(ids):

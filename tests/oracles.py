@@ -28,6 +28,16 @@ def members(mask: int) -> frozenset[int]:
     return frozenset(k for k in range(mask.bit_length()) if mask >> k & 1)
 
 
+def both_ways(exchangeable: dict[int, int]) -> dict[int, int]:
+    """The exchangeable relation in both directions: per vehicle, the
+    predecessors it may pass (``exchangeable``) and the vehicles that may pass it."""
+    out = dict(exchangeable)
+    for v, ahead in exchangeable.items():
+        for u in members(ahead):
+            out[u] = out.get(u, 0) | 1 << v
+    return out
+
+
 def depth_of(tree: SpanningTree, node: int) -> int:
     """A node's depth in a tree, 0 for the virtual leader."""
     return 0 if node == 0 else tree.depth[node]

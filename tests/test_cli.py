@@ -520,6 +520,34 @@ def test_unwritable_output_fails_before_any_run(capsys, tmp_path, monkeypatch, a
     assert (tmp_path / "kept.csv").read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("run", "--vehicles", "3", "--out", "{new}", "--trace", "{new}"),
+    ("run", "--vehicles", "3", "--out", "{kept}", "--trace", "{alias}"),
+    ("sweep", "--vehicles", "3", "--out", "{new}", "--summary", "{new}"),
+    ("sweep", "--vehicles", "3", "--out", "{alias}", "--summary", "{kept}"),
+], ids=["run-new", "run-kept-alias", "sweep-new", "sweep-kept-alias"])
+def test_outputs_naming_one_file_are_usage_error(capsys, tmp_path, monkeypatch, argv):
+    """Two output flags that name one file, however the path is spelled, are a
+    usage error (exit 1) before any run: nothing on stdout, no file created, a
+    file already there left as it was."""
+    import crossflow.cli
+
+    ran = []
+    monkeypatch.setattr(crossflow.cli, "run_simulation", ran.append)
+    monkeypatch.setattr(crossflow.cli, "_sweep_cell", ran.append)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "kept.csv").write_text("kept\n")
+    paths = {"new": tmp_path / "new.csv", "kept": tmp_path / "kept.csv",
+             "alias": tmp_path / "dir" / ".." / "kept.csv"}
+    code, stdout, err = cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 1
+    assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "name one file" in err
+    assert ran == []
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "kept.csv"]
+    assert (tmp_path / "kept.csv").read_text() == "kept\n"
+
+
 def test_load_arrivals_round_trip():
     loaded = load_arrivals(str(DATA / "example1_arrivals.csv"), 2.0)
     rows = [(1, 1, 0.0), (2, 2, 0.2), (3, 3, 2.0), (4, 4, 2.2), (5, 5, 2.4), (6, 5, 2.6),

@@ -32,6 +32,7 @@ from .instances import graph_instances, mixed_fleets, random_instance, sampled_i
 from .oracles import (
     best_ordering_cost,
     bitset,
+    both_ways,
     canonical_cover,
     class_cover,
     cover_to_tree,
@@ -825,7 +826,9 @@ def test_layers_laid_around_placed_nodes_match_scanning_oracle(instance, baselin
     gives the depths and parents, in map order, of the engine's former
     member-by-placed loop; the newest member enters the maps as an arrival
     would.  Shuffled layers put members on the depths of later placed
-    vehicles they may pass, which the tree's own order rarely does."""
+    vehicles they may pass, which the tree's own order rarely does.  The
+    layers go into the index of the partial tree, given the exchangeable
+    relation both ways, as the engine keeps it."""
     _, _, cdg = instance
     tree = dfst_schedule(cdg) if baseline else idfst_schedule(cdg)
     keep = data.draw(st.integers(min_value=0, max_value=2 ** (cdg.n + 1) - 1))  # bit v: placed
@@ -838,9 +841,30 @@ def test_layers_laid_around_placed_nodes_match_scanning_oracle(instance, baselin
             newest = max(map(max, layers))
             del parent[newest], depth[newest]
         maps.append((parent, depth))
-    _lay_layers(*maps[0], layers, lambda v: (cdg.fixed[v], cdg.exchangeable[v]))
+    partial = SpanningTree(parent={}, depth={})
+    partial.parent, partial.depth = maps[0]  # unchecked: a placed node may hang under the newest
+    exchangeable = both_ways(dict(enumerate(cdg.exchangeable)))
+    _lay_layers(_GrowingTree(partial), layers, cdg.fixed, exchangeable)
     scanning_relayering(*maps[1], layers, {cs.vehicle: cs for cs in cdg.sets})
     assert [list(m.items()) for m in maps[0]] == [list(m.items()) for m in maps[1]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_instances(), st.booleans(), st.data())
+def test_step_after_a_lay_reads_a_rebuilt_index(instance, improved, data):
+    """A tree step that follows a lay (which leaves the heaps stale) places
+    the vehicle as the step on an index built afresh from the laid tree."""
+    _, _, cdg = instance
+    assume(cdg.n >= 2)
+    k = data.draw(st.integers(min_value=1, max_value=cdg.n - 1))  # vehicles 1..k are laid
+    layers = [row for layer in idfst_schedule(cdg).layers()
+              if (row := [v for v in layer if v <= k])]
+    laid = _GrowingTree(SpanningTree(parent={}, depth={}))
+    _lay_layers(laid, layers, cdg.fixed, cdg.exchangeable)
+    fresh = _GrowingTree(SpanningTree(parent=dict(laid.tree.parent), depth=dict(laid.tree.depth)))
+    for growing in (laid, fresh):
+        _place(growing, k + 1, cdg.fixed[k + 1], cdg.exchangeable[k + 1], improved=improved)
+    assert laid.tree == fresh.tree
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,7 +1,7 @@
 import dataclasses
 import hashlib
 import statistics
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -33,7 +33,7 @@ import yaml
 
 from .conftest import DATA, EXAMPLE1_SETS, dump_scenario, make_sets
 from .instances import sampled_instance
-from .oracles import (bitset, members, reachability_conflict, renumbered_cover_layers,
+from .oracles import (bitset, both_ways, members, reachability_conflict, renumbered_cover_layers,
                       renumbered_greedy_cover, scratch_history, sets_conflict)
 
 
@@ -44,6 +44,28 @@ def empty_tree() -> SpanningTree:
 def slot_of(engine, vehicle: int) -> int:
     """The slot of ``vehicle``'s kernel row, where the engine keeps its state."""
     return engine.kernel.rows.tolist().index(vehicle)
+
+
+def recorded_conflict_sets(mp: pytest.MonkeyPatch) -> dict:
+    """Wrap ``simulation.conflict_sets_for`` through ``mp``: the returned map
+    fills with the conflict sets the engine takes at each arrival, by id."""
+    sets = {}
+    real = simulation.conflict_sets_for
+
+    def recording(vehicle, *args):
+        sets[vehicle.id] = real(vehicle, *args)
+        return sets[vehicle.id]
+
+    mp.setattr(simulation, "conflict_sets_for", recording)
+    return sets
+
+
+def v0_25_scenario():
+    """The default intersection with v_0 = 25 m/s: every entrant is locked
+    (``test_locked_on_entry_cover_places_as_idfst``)."""
+    doc = yaml.safe_load(dump_scenario(default_intersection()))
+    doc["parameters"]["v_0"] = 25.0
+    return load_scenario(yaml.safe_dump(doc))
 
 
 def arrive_on_nominal_approach(engine, records, rec) -> None:
@@ -427,8 +449,9 @@ def test_engine_reads_positions_off_the_kernel_rows(monkeypatch, default_cfg, al
 
 
 class TestOnlineLocking:
-    def test_locked_vehicle_keeps_depth(self, ex1_scenario, ex1_records):
+    def test_locked_vehicle_keeps_depth(self, monkeypatch, ex1_scenario, ex1_records):
         """A vehicle near the stopping line is excluded from rescheduling."""
+        sets = recorded_conflict_sets(monkeypatch)
         cfg = SimConfig(scenario=ex1_scenario, algorithm=Algorithm.MCC_GREEDY,
                         n_vehicles=7, mean_headway=3.0, seed=1, mode=Mode.ONLINE)
         # replay the worked example's arrival pattern through the online engine
@@ -453,7 +476,7 @@ class TestOnlineLocking:
         assert engine.zone >> 1 & 1
         assert reachability_conflict(float(engine.kernel.p[slot_of(engine, 1)]), ex1_scenario)
         assert engine.depth[1] == depth_before
-        assert 1 in members(engine.sets[7].reachability)
+        assert 1 in members(sets[7].reachability)
 
 
 @pytest.mark.parametrize("seed", range(1, 6))
@@ -462,9 +485,7 @@ def test_locked_on_entry_cover_places_as_idfst(seed):
     reachability horizon L/v_max + v_max/(2 a_max) = 38.5 s: every vehicle is
     locked on entry, the cover re-layers nothing, and online mcc-greedy falls
     back to idfst's placement for every arrival."""
-    doc = yaml.safe_load(dump_scenario(default_intersection()))
-    doc["parameters"]["v_0"] = 25.0
-    scn = load_scenario(yaml.safe_dump(doc))
+    scn = v0_25_scenario()
     assert _uncatchable(scn.control_zone_length, scn)
     results = {alg: run(SimConfig(scenario=scn, algorithm=alg, n_vehicles=30,
                                   mean_headway=2.0, seed=seed, mode=Mode.ONLINE))
@@ -501,10 +522,12 @@ def test_online_conflict_masks_match_set_rule(seed, n, headway):
             engine.place_incremental(rec, Algorithm.IDFST)
         return bool(pending)
 
-    engine.drive(admit)
+    with pytest.MonkeyPatch.context() as mp:
+        sets = recorded_conflict_sets(mp)
+        engine.drive(admit)
     for a in range(1, n + 1):
         for b in range(1, n + 1):
-            expected = a != b and sets_conflict(records, engine.sets, a, b)
+            expected = a != b and sets_conflict(records, sets, a, b)
             assert bool(engine.conflict[a] >> b & 1) is expected
 
 
@@ -563,6 +586,15 @@ class TestSimulatePlatoon:
                     {i: (p.hex(), v.hex()) for i, (p, v) in states.items()}
                 assert {i: x.hex() for i, x in sample.crossings.items()} == \
                     {i: x.hex() for i, x in crossings.items()}
+
+    @pytest.mark.parametrize("initial_ids,unplaced", [((1, 2), 2), ((0, 1), 0)])
+    def test_initial_state_off_the_tree_is_refused(self, default_cfg, initial_ids, unplaced):
+        """An ``initial`` id the tree does not place, the leader 0 included,
+        is refused before any step, with the ids named."""
+        tree = SpanningTree(parent={1: LEADER}, depth={1: 1})
+        initial = {v: VehicleState(700.0, 10.0) for v in initial_ids}
+        with pytest.raises(ContractError, match=rf"does not place: \[{unplaced}\]$"):
+            simulate_platoon(tree, default_cfg, initial, 600.0, until=10.0)
 
     def test_layers_cross_aligned(self, default_cfg, ex1_cdg):
         tree = idfst_schedule(ex1_cdg)
@@ -648,12 +680,16 @@ def test_locked_arrivals_keep_the_trees_index(monkeypatch, n):
     """In a 40 m zone every arrival is locked on entry, so no reschedule lays
     anything and each arrival is placed by the trees' step: the step's index
     is built once per run, not once per arrival."""
-    builds = []
+    builds, indexes = [], []
 
     class CountedTree(_GrowingTree):
         def __init__(self, tree):
             builds.append(len(tree.depth))
             super().__init__(tree)
+
+        def index(self):
+            indexes.append(len(self.tree.depth))
+            super().index()
 
     monkeypatch.setattr("crossflow.simulation._GrowingTree", CountedTree)
     scn = dataclasses.replace(default_intersection(), control_zone_length=40.0)
@@ -661,6 +697,44 @@ def test_locked_arrivals_keep_the_trees_index(monkeypatch, n):
                            mean_headway=3.0, seed=1, mode=Mode.ONLINE))
     assert len(result.depths) == n
     assert builds == [0]
+    assert indexes == [0]
+
+
+@pytest.mark.parametrize("locked,headway,leader_start",
+                         [(False, 1.0, 0.0), (False, 1.0, 600.0), (False, 20.0, 0.0),
+                          (False, 20.0, 600.0), (True, 1.0, 0.0)])
+def test_trees_index_follows_every_event(monkeypatch, locked, headway, leader_start):
+    """After every re-cover and every placement of an online mcc-greedy run
+    (n = 60), the engine's one tree index holds the per-depth bitsets and
+    the placed bitset that an index built afresh from its tree holds; and
+    its exchangeable bitsets are the arrivals' exchangeable sets taken both
+    ways."""
+    sets = recorded_conflict_sets(monkeypatch)
+    events, engines = Counter(), set()
+
+    def checked(name):
+        real = getattr(_Engine, name)
+
+        def call(engine, *args):
+            real(engine, *args)
+            events[name] += 1
+            engines.add(engine)
+            fresh = _GrowingTree(engine.growing.tree)
+            assert engine.growing.layers == fresh.layers
+            assert engine.growing.placed == fresh.placed
+
+        monkeypatch.setattr(_Engine, name, call)
+
+    checked("reschedule_cover")
+    checked("place_incremental")
+    scn = v0_25_scenario() if locked else default_intersection()
+    run(SimConfig(scenario=scn, algorithm=Algorithm.MCC_GREEDY, n_vehicles=60,
+                  mean_headway=headway, seed=1, mode=Mode.ONLINE, leader_start=leader_start))
+    assert events["reschedule_cover"] == 60
+    assert events["place_incremental"] == (60 if locked else 0)
+    (engine,) = engines
+    closure = both_ways({v: cs.exchangeable for v, cs in sets.items()})
+    assert engine.exchangeable == [closure.get(v, 0) for v in range(61)]
 
 
 @settings(max_examples=40, deadline=None)
